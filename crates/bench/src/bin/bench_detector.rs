@@ -18,9 +18,6 @@
 //!   `--cache-dir`-style rescan where every file comes off disk;
 //! * `daemon` — warm `analyze` requests/sec through the resident
 //!   `pncheckd` protocol layer (request parse + cache hit + envelope);
-//! * `fleet` — aggregate warm requests/sec over two sharded replicas
-//!   (`--shard 0/2` / `--shard 1/2`, indexed backend), each serving the
-//!   fingerprint slice it owns;
 //! * `interval` — analyzer throughput over the guarded corpus, the
 //!   value-range-analysis stress shape (guards, clamp loops, derived
 //!   lengths);
@@ -41,10 +38,7 @@ use std::time::Instant;
 
 use pnew_corpus::workload;
 use pnew_detector::server::{Server, ServerConfig};
-use pnew_detector::{
-    pretty_program, source_fingerprint, Analyzer, AnalyzerConfig, BackendKind, BatchEngine,
-    PersistentCache, ShardSpec,
-};
+use pnew_detector::{pretty_program, Analyzer, AnalyzerConfig, BatchEngine, PersistentCache};
 
 /// A JSON string literal for embedding a source in an analyze request.
 fn json_str(text: &str) -> String {
@@ -225,48 +219,6 @@ fn main() {
         }
     });
 
-    // Fleet: two sharded replicas over indexed single-file backends
-    // split the warm fingerprint space. Each replica is warmed on — and
-    // then serves — only the slice of the corpus its shard owns, routed
-    // by the same source fingerprint the shard filter keys on. On this
-    // one host the replicas are timed back to back; the fleet they
-    // model runs on independent hosts concurrently, so the aggregate
-    // rate is total requests over the slowest replica's wall clock.
-    let fleet_replicas: u32 = 2;
-    let mut fleet_requests = 0usize;
-    let mut fleet_slowest_s = 0.0f64;
-    for index in 0..fleet_replicas {
-        let shard = ShardSpec { index, count: fleet_replicas };
-        let dir =
-            std::env::temp_dir().join(format!("pnx-bench-fleet-{index}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let replica = Server::new(ServerConfig {
-            cache_dir: Some(dir.clone()),
-            cache_backend: BackendKind::Indexed,
-            shard: Some(shard),
-            ..ServerConfig::default()
-        })
-        .expect("replica builds");
-        let slice: Vec<&String> = sources
-            .iter()
-            .zip(&requests)
-            .filter(|(source, _)| shard.owns(source_fingerprint(source)))
-            .map(|(_, request)| request)
-            .collect();
-        for request in &slice {
-            replica.handle_line(request); // warm the owned slice
-        }
-        let replica_s = median_secs(runs, || {
-            for request in &slice {
-                let reply = replica.handle_line(request);
-                assert!(reply.header.contains("\"ok\":true"), "{}", reply.header);
-            }
-        });
-        fleet_requests += slice.len();
-        fleet_slowest_s = fleet_slowest_s.max(replica_s);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     // Value-range analysis: analyzer throughput over the guarded
     // corpus, whose shapes (two-sided guards, clamp loops, derived
     // lengths) exercise the interval lattice — refinement, joins,
@@ -438,7 +390,7 @@ fn main() {
     let per_sec = |secs: f64, n: usize| if secs > 0.0 { n as f64 / secs } else { 0.0 };
     let ratio = |slow: f64, fast: f64| if fast > 0.0 { slow / fast } else { 0.0 };
     let json = format!(
-        "{{\n  \"schema\": \"pnx-bench-detector/3\",\n  \"mode\": \"{}\",\n  \"corpus_programs\": {},\n  \"runs_per_measurement\": {},\n  \"available_cores\": {},\n  \"serial_programs_per_sec\": {:.1},\n  \"parallel_jobs\": {},\n  \"parallel_programs_per_sec\": {:.1},\n  \"warm_memory_cache_programs_per_sec\": {:.1},\n  \"cold_disk_scan_s\": {:.4},\n  \"warm_disk_scan_s\": {:.4},\n  \"warm_disk_speedup\": {:.1},\n  \"daemon_warm_requests_per_sec\": {:.1},\n  \"fleet_replicas\": {},\n  \"fleet_backend\": \"indexed\",\n  \"fleet_requests\": {},\n  \"fleet_warm_requests_per_sec\": {:.1},\n  \"guarded_corpus_programs\": {},\n  \"interval_programs_per_sec\": {:.1},\n  \"deep_corpus\": {{ \"programs\": {}, \"depth\": {}, \"fan_in\": {} }},\n  \"summary_scan_s\": {:.4},\n  \"inline_scan_s\": {:.4},\n  \"summary_speedup\": {:.1},\n  \"delta_corpus_files\": {},\n  \"delta_cold_scan_s\": {:.4},\n  \"delta_edit_ms\": {:.3},\n  \"delta_stat_sweep_ms\": {:.3},\n  \"delta_speedup\": {:.1},\n  \"hub_corpus_files\": {},\n  \"hub_edit_ms\": {:.3},\n  \"hub_cone_functions\": {},\n  \"fn_delta_functions\": {},\n  \"fn_delta_edit_ms\": {:.3},\n  \"fn_delta_baseline_ms\": {:.3},\n  \"fn_delta_speedup\": {:.1},\n  \"fn_delta_cone_functions\": {},\n  \"fn_hub_files\": {},\n  \"fn_hub_edit_ms\": {:.3},\n  \"fn_hub_baseline_ms\": {:.3},\n  \"fn_hub_speedup\": {:.1},\n  \"fn_hub_functions_reanalyzed\": {},\n  \"fn_hub_functions_reused\": {}\n}}\n",
+        "{{\n  \"schema\": \"pnx-bench-detector/3\",\n  \"mode\": \"{}\",\n  \"corpus_programs\": {},\n  \"runs_per_measurement\": {},\n  \"available_cores\": {},\n  \"serial_programs_per_sec\": {:.1},\n  \"parallel_jobs\": {},\n  \"parallel_programs_per_sec\": {:.1},\n  \"warm_memory_cache_programs_per_sec\": {:.1},\n  \"cold_disk_scan_s\": {:.4},\n  \"warm_disk_scan_s\": {:.4},\n  \"warm_disk_speedup\": {:.1},\n  \"daemon_warm_requests_per_sec\": {:.1},\n  \"guarded_corpus_programs\": {},\n  \"interval_programs_per_sec\": {:.1},\n  \"deep_corpus\": {{ \"programs\": {}, \"depth\": {}, \"fan_in\": {} }},\n  \"summary_scan_s\": {:.4},\n  \"inline_scan_s\": {:.4},\n  \"summary_speedup\": {:.1},\n  \"delta_corpus_files\": {},\n  \"delta_cold_scan_s\": {:.4},\n  \"delta_edit_ms\": {:.3},\n  \"delta_stat_sweep_ms\": {:.3},\n  \"delta_speedup\": {:.1},\n  \"hub_corpus_files\": {},\n  \"hub_edit_ms\": {:.3},\n  \"hub_cone_functions\": {},\n  \"fn_delta_functions\": {},\n  \"fn_delta_edit_ms\": {:.3},\n  \"fn_delta_baseline_ms\": {:.3},\n  \"fn_delta_speedup\": {:.1},\n  \"fn_delta_cone_functions\": {},\n  \"fn_hub_files\": {},\n  \"fn_hub_edit_ms\": {:.3},\n  \"fn_hub_baseline_ms\": {:.3},\n  \"fn_hub_speedup\": {:.1},\n  \"fn_hub_functions_reanalyzed\": {},\n  \"fn_hub_functions_reused\": {}\n}}\n",
         if smoke { "smoke" } else { "full" },
         corpus_size,
         runs,
@@ -451,9 +403,6 @@ fn main() {
         warm_disk_s,
         ratio(cold_disk_s, warm_disk_s),
         per_sec(daemon_warm_s, corpus_size),
-        fleet_replicas,
-        fleet_requests,
-        per_sec(fleet_slowest_s, fleet_requests),
         corpus_size,
         per_sec(interval_s, corpus_size),
         deep_programs,

@@ -26,7 +26,7 @@ use std::fs;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::cache::fnv64;
 
@@ -88,6 +88,32 @@ pub trait CacheBackend: Send + Sync + fmt::Debug {
     fn load_manifest(&self) -> Option<String>;
     /// Durably stores the delta manifest text.
     fn store_manifest(&self, text: &str) -> io::Result<()>;
+}
+
+/// A handle on one open store, so several caches can share it: a
+/// daemon opens its backend once for all its engines, because two
+/// separately opened handles on one `indexed` file would each append
+/// from their own idea of its end.
+impl CacheBackend for Arc<dyn CacheBackend> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn load(&self, key: u128) -> Option<Vec<u8>> {
+        (**self).load(key)
+    }
+
+    fn store(&self, key: u128, bytes: &[u8]) -> io::Result<()> {
+        (**self).store(key, bytes)
+    }
+
+    fn load_manifest(&self) -> Option<String> {
+        (**self).load_manifest()
+    }
+
+    fn store_manifest(&self, text: &str) -> io::Result<()> {
+        (**self).store_manifest(text)
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
 //! `dst` — the deterministic-simulation soak driver.
 //!
 //! Runs seeded schedules of mixed `pncheckd` traffic through the
-//! in-process DST harness (`detector::sim`) and reports any invariant
-//! violation together with the seed that reproduces it:
+//! in-process DST harness (`detector::sim`), which drives the daemon's
+//! production connection core, and reports any invariant violation
+//! together with the seed that reproduces it:
 //!
 //! ```text
 //! dst --seeds 1000              # soak seeds 0..1000
@@ -109,7 +110,7 @@ fn main() -> ExitCode {
         let report = run_schedule(seed, &options_for(&args, "soak"));
         println!(
             "dst: seed {seed} backend={} phases={} requests={} replies={} checks={} \
-             faults={} corrupt={} reaped={} digest={:032x}",
+             faults={} corrupt={} reaped={} busy={} held={} drains={} digest={:032x}",
             report.backend,
             report.phases,
             report.requests_sent,
@@ -118,6 +119,9 @@ fn main() -> ExitCode {
             report.faults_injected,
             report.corrupt_detected,
             report.reaped,
+            report.busy,
+            report.output_deferrals,
+            report.drains,
             report.payload_digest,
         );
         if report.ok() {
@@ -133,11 +137,16 @@ fn main() -> ExitCode {
     let mut checks = 0usize;
     let mut faults = 0u64;
     let mut corrupt = 0u64;
+    let (mut reaped, mut busy, mut held, mut drains) = (0usize, 0usize, 0usize, 0usize);
     for seed in args.seed_base..args.seed_base + args.seeds {
         let report = run_schedule(seed, &opts);
         checks += report.payload_checks + report.identity_checks;
         faults += report.faults_injected;
         corrupt += report.corrupt_detected;
+        reaped += report.reaped;
+        busy += report.busy;
+        held += report.output_deferrals;
+        drains += report.drains;
         if !report.ok() {
             failed += 1;
             print_failure(&report);
@@ -149,6 +158,10 @@ fn main() -> ExitCode {
         "dst: {} schedules, {failed} failed, {checks} invariant checks, \
          {faults} faults injected, {corrupt} corrupt entries detected and healed",
         args.seeds
+    );
+    println!(
+        "dst: connections: {reaped} idle reaps, {busy} busy at the hard cap, \
+         {held} reaps/closes held for unwritten output, {drains} shutdown drains"
     );
     if args.expect_catch {
         // Mutation-check mode: the run PASSES only if the harness

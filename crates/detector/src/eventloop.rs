@@ -1,76 +1,352 @@
-//! Readiness-driven connection machinery for `pncheckd`.
+//! The `pncheckd` connection core and the pieces it is built from.
 //!
-//! The original daemon spawned one thread per TCP connection and turned
-//! everything over [`ServerConfig::max_connections`] away with a `busy`
-//! error. This module holds the std-only building blocks the rewritten
-//! accept loop composes instead:
+//! [`Core`] is the one implementation of what happens on a connection:
+//! framing request lines ([`LineFramer`]), queuing them fairly per
+//! client ([`FairQueue`]), answering the protocol errors no request
+//! handler sees (`too-large`, bad UTF-8, `quota-exceeded`, `busy` at
+//! the hard connection cap, `idle-timeout`), buffering output, reaping
+//! idle connections, closing finished ones, and draining after a
+//! `shutdown`. It is sans-IO: it never touches a socket, a thread or
+//! the clock. Its input is a stream of events, each stamped with the
+//! caller's `now_ns` — a connection accepted, bytes read, EOF or
+//! failure, a finished [`Reply`], bytes written — and
+//! [`Core::sweep`] applies the decisions that fall due with time.
 //!
-//! * [`Poller`] / [`TickPoller`] — the loop blocks here between ticks
-//!   and worker threads wake it when a reply is ready. `TickPoller` is
-//!   a `Mutex` + `Condvar` pair: portable, `forbid(unsafe_code)`-clean,
-//!   and deliberately the *only* platform-specific seam — an
-//!   epoll/kqueue backend would implement the same two methods and
-//!   replace the fixed tick with true socket readiness.
-//! * [`FairQueue`] — a per-client request queue drained round-robin by
-//!   the worker pool, so one chatty client cannot starve the rest.
-//!   Each client is bounded by a quota over its queued **plus**
-//!   in-flight requests; pushing past it is a [`PushError::QuotaExceeded`]
-//!   the server answers with a `quota-exceeded` error (the connection
-//!   survives). The queue also answers "does this client have anything
-//!   queued or in flight?" — the question the idle reaper must ask
-//!   before closing a connection, because a connection waiting on a
-//!   slow analysis is *busy*, not idle.
-//! * [`LineFramer`] — incremental newline framing over non-blocking
-//!   reads, with the same bounded-line semantics as the blocking
-//!   reader: an oversized line is discarded through its newline and
-//!   surfaces as one [`Frame::TooLong`], and the connection stays
-//!   request-aligned.
+//! Three thin drivers feed it those events:
 //!
-//! All three pieces are exercised two ways: by the live TCP loop in
-//! [`crate::server`], and by the deterministic simulation harness in
-//! [`crate::sim`], which drives the same `FairQueue` + `LineFramer`
-//! composition from seeded byte schedules on a virtual clock (its
-//! `SimPoller` implements [`Poller`] by advancing simulated time
-//! instead of blocking).
-//!
-//! [`ServerConfig::max_connections`]: crate::server::ServerConfig::max_connections
+//! * [`Server::serve_listener`] — TCP: non-blocking sockets probed on
+//!   a [`TickPoller`] tick, plus a worker pool that pops requests
+//!   through the core and hands their replies back to it.
+//! * [`Server::serve_connection`] — stdio: input is fed one line at a
+//!   time and each request is served before the next is read.
+//! * [`crate::sim`] — the deterministic simulator: seeded read chunks,
+//!   seeded partial writes and a virtual clock, so the DST soak runs
+//!   this code rather than a model of it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use crate::server::{hard_connection_cap, Reply, Server};
+
 // ---------------------------------------------------------------------
-// Poller.
+// The connection core.
 // ---------------------------------------------------------------------
 
-/// Blocks the event loop between ticks and lets other threads wake it.
-///
-/// Wake-ups are level-style: a [`wake`](Poller::wake) with no waiter
-/// pending makes the *next* [`wait`](Poller::wait) return immediately,
-/// so a completion can never be lost between ticks.
-pub trait Poller: Send + Sync {
-    /// Blocks until woken or until `timeout` elapses. Returns `true`
-    /// when a wake-up was consumed.
-    fn wait(&self, timeout: Duration) -> bool;
-    /// Wakes the current (or next) [`wait`](Poller::wait).
-    fn wake(&self);
+/// Per-connection state owned by the [`Core`].
+#[derive(Debug, Default)]
+struct Conn {
+    framer: LineFramer,
+    /// Bytes owed to the peer; `written` of them are already out.
+    out: Vec<u8>,
+    written: usize,
+    /// `now_ns` of the last read or reply, for idle reaping.
+    last_activity_ns: u64,
+    /// The peer closed its write side: serve what is pending, then close.
+    eof: bool,
+    /// Close once the output is written (shutdown reply, idle reap, busy).
+    closing: bool,
+    /// The transport failed: nothing more can be delivered.
+    dead: bool,
+    /// Admitted by [`Core::accept`], so counted as an active connection.
+    admitted: bool,
 }
 
-/// The portable [`Poller`]: a mutex-guarded flag and a condvar.
+impl Conn {
+    fn flushed(&self) -> bool {
+        self.written == self.out.len()
+    }
+
+    /// Still reading requests: no EOF, no failure, not closing.
+    fn open(&self) -> bool {
+        !(self.eof || self.closing || self.dead)
+    }
+
+    fn push(&mut self, reply: &Reply) {
+        self.out.extend_from_slice(reply.header.as_bytes());
+        self.out.push(b'\n');
+        self.out.extend_from_slice(reply.payload.as_bytes());
+    }
+}
+
+/// What one [`Core::sweep`] decided.
+#[derive(Debug, Default)]
+pub struct Sweep {
+    /// Connections this sweep closed; the driver drops their transports.
+    pub closed: Vec<u64>,
+    /// Idle connections spared because a request is queued or in flight.
+    pub spared: usize,
+    /// Reaps and closes held back because owed output is unwritten.
+    pub held: usize,
+}
+
+/// The sans-IO connection state machine. See the [module docs](self).
+///
+/// A connection is closed by the core, never by a driver: at once when
+/// its transport failed, and otherwise only when nothing it sent is
+/// queued or in flight and every byte owed to it has been written.
+#[derive(Debug)]
+pub struct Core<'a> {
+    server: &'a Server,
+    conns: BTreeMap<u64, Conn>,
+    queue: FairQueue<String>,
+    next_id: u64,
+    /// Open connections that [`Core::accept`] admitted.
+    admitted: usize,
+}
+
+impl<'a> Core<'a> {
+    /// A core serving requests for `server` under its limits.
+    pub fn new(server: &'a Server) -> Core<'a> {
+        Core {
+            server,
+            conns: BTreeMap::new(),
+            queue: FairQueue::new(server.config().client_quota),
+            next_id: 0,
+            admitted: 0,
+        }
+    }
+
+    /// A listener accepted a connection; returns its id. Past the hard
+    /// cap (8 × `max_connections`) the connection gets one `busy` frame
+    /// and closes once that is written.
+    pub fn accept(&mut self, now_ns: u64) -> u64 {
+        let cap = hard_connection_cap(self.server.config());
+        let id = self.open(now_ns);
+        if self.admitted < cap {
+            self.admitted += 1;
+            self.server.track_connection(true);
+            self.conn(id).admitted = true;
+        } else {
+            self.refuse(id, "busy", format!("connection hard cap ({cap}) reached; retry later"));
+            self.conn(id).closing = true;
+        }
+        id
+    }
+
+    /// Opens a connection outside listener admission (stdio's one
+    /// session): no hard cap, not counted among active connections.
+    pub fn open(&mut self, now_ns: u64) -> u64 {
+        self.next_id += 1;
+        self.conns.insert(self.next_id, Conn { last_activity_ns: now_ns, ..Conn::default() });
+        self.next_id
+    }
+
+    /// Connections whose input the core still wants; none once a
+    /// `shutdown` has been served.
+    pub fn readable(&self) -> Vec<u64> {
+        if self.server.is_shutdown() {
+            return Vec::new();
+        }
+        self.conns.iter().filter(|(_, conn)| conn.open()).map(|(&id, _)| id).collect()
+    }
+
+    /// `bytes` arrived on `id`. Every request they complete is queued
+    /// or answered with a protocol error; returns whether any was
+    /// queued.
+    pub fn read(&mut self, id: u64, bytes: &[u8], now_ns: u64) -> bool {
+        let max = self.server.config().max_request_bytes;
+        let shutdown = self.server.is_shutdown();
+        let Some(conn) = self.conns.get_mut(&id).filter(|conn| conn.open() && !shutdown) else {
+            return false;
+        };
+        conn.last_activity_ns = now_ns;
+        let frames = conn.framer.feed(bytes, max);
+        self.admit(id, frames)
+    }
+
+    /// The peer of `id` closed its side: a final unterminated line is
+    /// still a request, and the connection closes once every reply it
+    /// is owed has been written. Returns whether a request was queued.
+    pub fn eof(&mut self, id: u64) -> bool {
+        let Some(conn) = self.conns.get_mut(&id).filter(|conn| conn.open()) else { return false };
+        conn.eof = true;
+        let frames = conn.framer.finish().into_iter().collect();
+        self.admit(id, frames)
+    }
+
+    /// The transport of `id` failed: the next sweep closes it, and
+    /// replies still owed to it are discarded.
+    pub fn fail(&mut self, id: u64) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.dead = true;
+        }
+    }
+
+    /// The next request in fair round-robin order. It counts against
+    /// its connection as in flight until its [`reply`](Core::reply).
+    pub fn pop(&mut self) -> Option<(u64, String)> {
+        self.queue.pop()
+    }
+
+    /// The request popped for `id` finished with `reply`.
+    pub fn reply(&mut self, id: u64, reply: &Reply, now_ns: u64) {
+        self.queue.complete(id);
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.last_activity_ns = now_ns;
+            conn.push(reply);
+            conn.closing |= reply.shutdown;
+        }
+    }
+
+    /// The bytes owed to `id` that its transport has not taken yet.
+    pub fn output(&self, id: u64) -> &[u8] {
+        self.conns.get(&id).map_or(&[], |conn| &conn.out[conn.written..])
+    }
+
+    /// Connections with owed output, in id order.
+    pub fn unwritten(&self) -> Vec<u64> {
+        self.conns.iter().filter(|(_, conn)| !conn.flushed()).map(|(&id, _)| id).collect()
+    }
+
+    /// The transport of `id` took the first `n` bytes of its
+    /// [`output`](Core::output).
+    pub fn wrote(&mut self, id: u64, n: usize) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.written = (conn.written + n).min(conn.out.len());
+            if conn.flushed() {
+                conn.out.clear();
+                conn.written = 0;
+            }
+        }
+    }
+
+    /// Applies what falls due at `now_ns`. An idle connection — nothing
+    /// queued, in flight or unwritten for `idle_timeout` — gets an
+    /// `idle-timeout` frame and closes once it is written. Finished
+    /// connections close (see [`Core`]); after a `shutdown`, once
+    /// nothing is queued or in flight and every owed byte is written,
+    /// that is all of them.
+    pub fn sweep(&mut self, now_ns: u64) -> Sweep {
+        let mut sweep = Sweep::default();
+        let shutdown = self.server.is_shutdown();
+        let idle = self.server.config().idle_timeout.filter(|_| !shutdown);
+        let mut reaped = Vec::new();
+        for (&id, conn) in &self.conns {
+            let owed = self.queue.pending(id) > 0;
+            let stale = idle.is_some_and(|idle| {
+                u128::from(now_ns.saturating_sub(conn.last_activity_ns)) >= idle.as_nanos()
+            });
+            if conn.open() && stale {
+                if owed {
+                    sweep.spared += 1;
+                } else if !conn.flushed() {
+                    sweep.held += 1;
+                } else {
+                    reaped.push(id);
+                }
+            } else if !conn.open() && !conn.dead && !owed && !conn.flushed() {
+                sweep.held += 1;
+            }
+        }
+        for id in reaped {
+            self.refuse(id, "idle-timeout", "connection idle too long".to_owned());
+            self.conn(id).closing = true;
+        }
+
+        let drained =
+            shutdown && self.queue.total_pending() == 0 && self.conns.values().all(Conn::flushed);
+        let queue = &self.queue;
+        sweep.closed = self
+            .conns
+            .iter()
+            .filter(|&(&id, conn)| {
+                drained || conn.dead || (!conn.open() && conn.flushed() && queue.pending(id) == 0)
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        for id in &sweep.closed {
+            let conn = self.conns.remove(id).expect("closing a live connection");
+            self.queue.remove(*id);
+            if conn.admitted {
+                self.admitted -= 1;
+                self.server.track_connection(false);
+            }
+        }
+        sweep
+    }
+
+    /// `true` when no connection is open and nothing is queued or in
+    /// flight: after a `shutdown`, the drain is complete.
+    pub fn is_idle(&self) -> bool {
+        self.conns.is_empty() && self.queue.total_pending() == 0
+    }
+
+    fn conn(&mut self, id: u64) -> &mut Conn {
+        self.conns.get_mut(&id).expect("known connection")
+    }
+
+    /// Queues each framed line of `id`, or answers it with a protocol
+    /// error; blank lines are skipped. Returns whether any was queued.
+    fn admit(&mut self, id: u64, frames: Vec<Frame>) -> bool {
+        let mut queued = false;
+        for frame in frames {
+            let line = match frame {
+                Frame::TooLong => {
+                    let max = self.server.config().max_request_bytes;
+                    self.refuse(id, "too-large", format!("request exceeds the {max}-byte limit"));
+                    continue;
+                }
+                Frame::Line(bytes) => match String::from_utf8(bytes) {
+                    Ok(line) => line,
+                    Err(_) => {
+                        self.refuse(id, "bad-request", "request is not valid UTF-8".to_owned());
+                        continue;
+                    }
+                },
+            };
+            if line.trim().is_empty() {
+                continue; // blank lines keep NDJSON pipelines simple
+            }
+            match self.queue.push(id, line) {
+                Ok(()) => queued = true,
+                Err(PushError::QuotaExceeded) => {
+                    let quota = self.server.config().client_quota;
+                    self.refuse(
+                        id,
+                        "quota-exceeded",
+                        format!(
+                            "client already has {quota} requests queued or in flight; \
+                             wait for replies before sending more"
+                        ),
+                    );
+                }
+            }
+        }
+        queued
+    }
+
+    /// Appends a protocol-error frame for `id` and counts it.
+    fn refuse(&mut self, id: u64, code: &'static str, message: String) {
+        let reply = self.server.refusal(code, message);
+        self.conn(id).push(&reply);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The TCP driver's poller.
+// ---------------------------------------------------------------------
+
+/// Blocks the TCP loop between ticks and lets worker threads wake it.
 ///
 /// Without `unsafe` there is no `epoll`/`kqueue`, so socket readiness
 /// is approximated by a short tick — the loop probes every socket with
-/// non-blocking reads each time `wait` returns. Replies still flush
-/// with low latency because workers [`wake`](Poller::wake) the loop the
-/// moment one is ready.
+/// non-blocking reads each time [`wait`](TickPoller::wait) returns.
+/// Replies still flush with low latency because workers
+/// [`wake`](TickPoller::wake) the loop the moment one is ready.
+/// Wake-ups are level-style: a wake with no waiter pending makes the
+/// next `wait` return immediately, so a completion is never lost
+/// between ticks.
 #[derive(Debug, Default)]
 pub struct TickPoller {
     woken: Mutex<bool>,
     cond: Condvar,
 }
 
-impl Poller for TickPoller {
-    fn wait(&self, timeout: Duration) -> bool {
+impl TickPoller {
+    /// Blocks until woken or until `timeout` elapses. Returns `true`
+    /// when a wake-up was consumed.
+    pub fn wait(&self, timeout: Duration) -> bool {
         let guard = self.woken.lock().unwrap_or_else(|e| e.into_inner());
         let (mut woken, _) = self
             .cond
@@ -79,7 +355,8 @@ impl Poller for TickPoller {
         std::mem::take(&mut *woken)
     }
 
-    fn wake(&self) {
+    /// Wakes the current (or next) [`wait`](TickPoller::wait).
+    pub fn wake(&self) {
         *self.woken.lock().unwrap_or_else(|e| e.into_inner()) = true;
         self.cond.notify_one();
     }
@@ -107,9 +384,8 @@ struct ClientQueue<T> {
 /// Workers [`pop`](FairQueue::pop) one item per ready client in
 /// rotation, so a client that pipelines 100 requests shares the pool
 /// evenly with one that sends a single request. An item stays counted
-/// against its client — as *in flight* — from `pop` until the event
-/// loop collects the finished reply and calls
-/// [`complete`](FairQueue::complete).
+/// against its client — as *in flight* — from `pop` until its reply is
+/// recorded with [`complete`](FairQueue::complete).
 #[derive(Debug)]
 pub struct FairQueue<T> {
     clients: HashMap<u64, ClientQueue<T>>,
@@ -206,11 +482,6 @@ impl<T> FairQueue<T> {
     pub fn total_pending(&self) -> usize {
         self.queued_total + self.inflight_total
     }
-
-    /// Items waiting to be popped (excludes in-flight work).
-    pub fn queued(&self) -> usize {
-        self.queued_total
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -292,8 +563,80 @@ impl LineFramer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServerConfig;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
+
+    const HOUR_NS: u64 = 3_600_000_000_000;
+
+    fn take_output(core: &mut Core<'_>, id: u64) -> String {
+        let out = String::from_utf8(core.output(id).to_vec()).expect("frames are UTF-8");
+        core.wrote(id, out.len());
+        out
+    }
+
+    #[test]
+    fn idle_reaping_spares_queued_work_and_waits_for_unwritten_output() {
+        let server = Server::new(ServerConfig::default()).expect("server builds");
+        let mut core = Core::new(&server);
+        let id = core.accept(0);
+        assert!(core.read(id, b"{\"op\":\"ping\"}\n", 0));
+        // An hour stale, but a request is queued: spared.
+        let sweep = core.sweep(HOUR_NS);
+        assert_eq!((sweep.spared, sweep.held, sweep.closed.len()), (1, 0, 0));
+        // Replied but not yet written: held, never reaped.
+        let (conn, line) = core.pop().expect("the ping is queued");
+        core.reply(conn, &server.handle_line(&line), 0);
+        let sweep = core.sweep(HOUR_NS);
+        assert_eq!((sweep.spared, sweep.held, sweep.closed.len()), (0, 1, 0));
+        assert!(take_output(&mut core, id).contains("pong"));
+        // Nothing owed: reaped, and closed once its frame is written.
+        assert!(core.sweep(HOUR_NS).closed.is_empty());
+        assert!(take_output(&mut core, id).contains("idle-timeout"));
+        assert_eq!(core.sweep(HOUR_NS).closed, vec![id]);
+        // Fresh activity is never stale.
+        let fresh = core.accept(HOUR_NS);
+        assert!(core.sweep(HOUR_NS).closed.is_empty());
+        assert!(core.output(fresh).is_empty());
+    }
+
+    #[test]
+    fn the_hard_cap_answers_busy_and_closes_once_written() {
+        let config = ServerConfig { max_connections: 1, ..ServerConfig::default() };
+        let server = Server::new(config).expect("server builds");
+        let mut core = Core::new(&server);
+        let admitted: Vec<u64> = (0..8).map(|_| core.accept(0)).collect();
+        assert!(admitted.iter().all(|&id| core.output(id).is_empty()));
+        let refused = core.accept(0);
+        assert!(!core.readable().contains(&refused), "a refused connection is not read");
+        assert!(core.sweep(0).closed.is_empty(), "busy is written before the close");
+        assert!(take_output(&mut core, refused).contains("\"code\":\"busy\""));
+        assert_eq!(core.sweep(0).closed, vec![refused]);
+        core.eof(admitted[0]);
+        assert_eq!(core.sweep(0).closed, vec![admitted[0]]);
+        let late = core.accept(0);
+        assert!(core.output(late).is_empty(), "a closed connection frees its slot");
+    }
+
+    #[test]
+    fn the_shutdown_drain_waits_for_every_owed_byte() {
+        let server = Server::new(ServerConfig::default()).expect("server builds");
+        let mut core = Core::new(&server);
+        let (a, b) = (core.accept(0), core.accept(0));
+        core.read(a, b"{\"op\":\"ping\"}\n", 0);
+        core.read(b, b"{\"op\":\"shutdown\"}\n{\"op\":\"ping\"}\n", 0);
+        while let Some((conn, line)) = core.pop() {
+            core.reply(conn, &server.handle_line(&line), 0);
+        }
+        assert!(core.readable().is_empty(), "no new requests once shutting down");
+        assert!(core.sweep(0).closed.is_empty());
+        take_output(&mut core, a);
+        assert!(core.sweep(0).closed.is_empty(), "b still has owed bytes");
+        let rest = take_output(&mut core, b);
+        assert_eq!(rest.matches("\"ok\":true").count(), 2, "{rest}");
+        assert_eq!(core.sweep(0).closed, vec![a, b]);
+        assert!(core.is_idle());
+    }
 
     #[test]
     fn tick_poller_times_out_and_consumes_wakes() {
@@ -382,7 +725,7 @@ mod tests {
         assert_eq!(q.total_pending(), 2);
         q.remove(7);
         assert_eq!(q.pending(7), 1, "in-flight survives removal");
-        assert_eq!(q.queued(), 0, "queued items were discarded");
+        assert_eq!(q.total_pending(), 1, "queued items were discarded");
         q.complete(7);
         assert_eq!(q.total_pending(), 0, "drain can terminate");
         assert!(q.pop().is_none());

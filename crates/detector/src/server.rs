@@ -55,17 +55,22 @@
 //! entries are written synchronously during each scan, so nothing is
 //! lost.
 //!
+//! Both transports — [`Server::serve_listener`] (TCP) and
+//! [`Server::serve_connection`] (stdio) — are thin drivers around the
+//! one sans-IO connection [`Core`] in [`crate::eventloop`], which owns
+//! every connection decision: framing, fair queuing, protocol errors,
+//! output buffering, idle reaping, closing and draining.
+//!
 //! # Fleet mode
 //!
-//! The TCP transport is a readiness-driven event loop
-//! (see [`crate::eventloop`]): connections are non-blocking, requests
-//! queue fairly per client, and a worker pool drains the queue. Load
-//! beyond [`ServerConfig::max_connections`] therefore degrades to
-//! *queuing*, not rejection — `busy` is only returned at the hard
-//! connection cap (8 × `max_connections`), and a client that pipelines
-//! past its per-connection quota ([`ServerConfig::client_quota`]) gets
-//! a `quota-exceeded` error for the excess request while the
-//! connection survives. Replicas can split the fingerprint space
+//! Over TCP, connections are non-blocking, requests queue fairly per
+//! client, and a worker pool drains the queue. Load beyond
+//! [`ServerConfig::max_connections`] therefore degrades to *queuing*,
+//! not rejection — `busy` is only returned at the hard connection cap
+//! (8 × `max_connections`), and a client that pipelines past its
+//! per-connection quota ([`ServerConfig::client_quota`]) gets a
+//! `quota-exceeded` error for the excess request while the connection
+//! survives. Replicas can split the fingerprint space
 //! ([`ServerConfig::shard`], CLI `--shard K/N`) so each daemon keeps
 //! only its slice warm, and the persistent tier can run on either
 //! cache backend ([`ServerConfig::cache_backend`], CLI
@@ -88,7 +93,7 @@ use crate::cache::{config_tag, PersistentCache};
 use crate::cliopts;
 use crate::clock::{Clock, SystemClock};
 use crate::emit::{self, obj, FileRecord, JsonValue, OutputFormat};
-use crate::eventloop::{FairQueue, Frame, LineFramer, Poller, PushError, TickPoller};
+use crate::eventloop::{Core, TickPoller};
 use crate::trace::TraceCollector;
 
 /// The protocol name and version announced in every response header.
@@ -615,10 +620,9 @@ pub struct ServerConfig {
     /// harness ([`crate::sim`]) installs a [`crate::clock::SimClock`]
     /// so whole schedules run on virtual time.
     pub clock: Arc<dyn Clock>,
-    /// Test seam: wraps each engine's persistent backend as it is
-    /// opened. `None` (always, outside the DST harness) uses the
-    /// backend as opened; the harness injects
-    /// [`crate::sim::FaultyBackend`] here.
+    /// Test seam: wraps the persistent backend once, as it is opened.
+    /// `None` (always, outside the DST harness) uses the backend as
+    /// opened; the harness injects [`crate::sim::FaultyBackend`] here.
     pub backend_wrap: Option<BackendWrap>,
 }
 
@@ -686,22 +690,6 @@ impl Reply {
         ]);
         Reply { header: emit::render_compact(&header), payload: String::new(), shutdown: false }
     }
-
-    /// A transport-level protocol error with no request id — the same
-    /// shape the TCP loop writes for `too-large` / `idle-timeout` /
-    /// `quota-exceeded` conditions. The DST harness uses this to
-    /// mirror those replies over its simulated transport.
-    pub(crate) fn protocol_error(code: &'static str, message: &str) -> Reply {
-        Reply::error(&RequestId::None, &RequestError::new(code, message))
-    }
-
-    /// Writes the framed reply: header line, newline, payload bytes.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(self.header.as_bytes())?;
-        w.write_all(b"\n")?;
-        w.write_all(self.payload.as_bytes())?;
-        w.flush()
-    }
 }
 
 /// The resident analysis service. See the [module docs](self) for the
@@ -710,6 +698,10 @@ impl Reply {
 #[derive(Debug)]
 pub struct Server {
     config: ServerConfig,
+    /// The persistent tier's store, opened once and shared by every
+    /// engine: entries carry their config tag, and a second handle on
+    /// one `indexed` file would append over the first one's records.
+    backend: Option<Arc<dyn CacheBackend>>,
     /// One engine per analyzer configuration, keyed by its config tag —
     /// requests with equivalent options share one engine (and its warm
     /// caches); the cache tags guarantee an engine never serves a
@@ -725,13 +717,28 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the server and eagerly constructs the base-configuration
-    /// engine, so an unusable `cache_dir` fails here — fast, with the
-    /// underlying error — instead of degrading silently per request.
+    /// Builds the server, opening the persistent store, so an unusable
+    /// `cache_dir` fails here — fast, with the underlying error —
+    /// instead of degrading silently per request; the
+    /// base-configuration engine is constructed eagerly too.
     pub fn new(config: ServerConfig) -> io::Result<Self> {
         let started_ns = config.clock.now_ns();
+        let backend = match &config.cache_dir {
+            Some(dir) => {
+                let opened: Box<dyn CacheBackend> = match config.cache_backend {
+                    BackendKind::Dir => Box::new(DirBackend::open(dir)?),
+                    BackendKind::Indexed => Box::new(IndexedBackend::open(dir)?),
+                };
+                Some(Arc::from(match &config.backend_wrap {
+                    Some(wrap) => (wrap.0)(opened),
+                    None => opened,
+                }))
+            }
+            None => None,
+        };
         let server = Server {
             config,
+            backend,
             engines: Mutex::new(HashMap::new()),
             trace: TraceCollector::new(),
             started_ns,
@@ -742,7 +749,7 @@ impl Server {
             errors: AtomicU64::new(0),
         };
         let base = server.config.base.clone();
-        server.engine_for(&base)?;
+        server.engine_for(&base);
         Ok(server)
     }
 
@@ -759,26 +766,19 @@ impl Server {
     }
 
     /// The engine for `config`, building (and caching) it on first use.
-    fn engine_for(&self, config: &AnalyzerConfig) -> io::Result<Arc<BatchEngine>> {
+    fn engine_for(&self, config: &AnalyzerConfig) -> Arc<BatchEngine> {
         let tag = config_tag(config);
         if let Some(engine) = self.engines.lock().expect("engine map poisoned").get(&tag) {
-            return Ok(Arc::clone(engine));
+            return Arc::clone(engine);
         }
         let mut engine = BatchEngine::new(Analyzer::with_config(config.clone()));
         if let Some(jobs) = self.config.jobs {
             engine = engine.with_jobs(jobs);
         }
-        if let Some(dir) = &self.config.cache_dir {
-            let backend: Box<dyn CacheBackend> = match self.config.cache_backend {
-                BackendKind::Dir => Box::new(DirBackend::open(dir)?),
-                BackendKind::Indexed => Box::new(IndexedBackend::open(dir)?),
-            };
-            let backend = match &self.config.backend_wrap {
-                Some(wrap) => (wrap.0)(backend),
-                None => backend,
-            };
+        if let (Some(dir), Some(backend)) = (&self.config.cache_dir, &self.backend) {
             // Entries are config-tagged, so every engine can share one
-            // directory without ever serving a stale verdict.
+            // store without ever serving a stale verdict.
+            let backend = Box::new(Arc::clone(backend));
             engine =
                 engine.with_persistent_cache(PersistentCache::with_backend(dir, config, backend));
         }
@@ -792,7 +792,7 @@ impl Server {
             .expect("engine map poisoned")
             .entry(tag)
             .or_insert_with(|| Arc::clone(&engine));
-        Ok(engine)
+        engine
     }
 
     /// Handles one request line and returns the framed reply. This is
@@ -863,14 +863,7 @@ impl Server {
                 let pass = if req.delta { "server.delta" } else { "server.analyze" };
                 self.trace.count(pass, 1);
                 let start_ns = self.config.clock.now_ns();
-                let reply = match self.analyze(&id, &req) {
-                    Ok(reply) => reply,
-                    Err(err) => {
-                        self.errors.fetch_add(1, Ordering::Relaxed);
-                        self.trace.count("server.errors", 1);
-                        Reply::error(&id, &err)
-                    }
-                };
+                let reply = self.analyze(&id, &req);
                 let elapsed =
                     Duration::from_nanos(self.config.clock.now_ns().saturating_sub(start_ns));
                 self.trace.record_pass(pass, elapsed);
@@ -882,12 +875,10 @@ impl Server {
     /// Serves one `analyze` request: expand inputs exactly like the
     /// CLI, scan through the shared engine, and render the same
     /// envelope `pncheck` would print.
-    fn analyze(&self, id: &RequestId, req: &AnalyzeRequest) -> Result<Reply, RequestError> {
-        let engine = self.engine_for(&req.config).map_err(|e| {
-            RequestError::new("engine-unavailable", format!("cannot open cache: {e}"))
-        })?;
+    fn analyze(&self, id: &RequestId, req: &AnalyzeRequest) -> Reply {
+        let engine = self.engine_for(&req.config);
         if req.delta {
-            return Ok(self.analyze_delta(id, req, &engine));
+            return self.analyze_delta(id, req, &engine);
         }
 
         let mut file_errors: Vec<String> = Vec::new();
@@ -942,7 +933,7 @@ impl Server {
             ));
         }
         header_fields.push(("bytes", JsonValue::U64(payload.len() as u64)));
-        Ok(Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false })
+        Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false }
     }
 
     /// Serves one `delta` request: an incremental rescan through the
@@ -1156,89 +1147,70 @@ impl Server {
         emit::render_compact(&payload) + "\n"
     }
 
-    /// Serves one connection: reads request lines, writes framed
-    /// replies, until EOF, a `shutdown` request, the server shutting
-    /// down, or an idle timeout. Used for stdio and per TCP socket.
+    /// Serves one byte-stream session — stdin/stdout — through the
+    /// connection [`Core`] until EOF (after every request is answered)
+    /// or a `shutdown` request. Input is fed one line at a time and each
+    /// request is answered before the next line is read, so a piped
+    /// client never meets its quota, however much it pipelines.
     pub fn serve_connection<R: BufRead, W: Write>(
         &self,
         mut reader: R,
         mut writer: W,
     ) -> io::Result<()> {
+        let clock = &self.config.clock;
+        let mut core = Core::new(self);
+        let id = core.open(clock.now_ns());
         loop {
-            if self.is_shutdown() {
+            while let Some((conn, line)) = core.pop() {
+                let reply = self.handle_line(&line);
+                core.reply(conn, &reply, clock.now_ns());
+            }
+            let owed = core.output(id);
+            if !owed.is_empty() {
+                writer.write_all(owed)?;
+                writer.flush()?;
+                let n = owed.len();
+                core.wrote(id, n);
+            }
+            core.sweep(clock.now_ns());
+            if core.is_idle() {
                 return Ok(());
             }
-            match read_line_bounded(&mut reader, self.config.max_request_bytes) {
-                Ok(LineRead::Eof) => return Ok(()),
-                Ok(LineRead::TooLong) => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                    self.trace.count("server.errors", 1);
-                    let err = RequestError::new(
-                        "too-large",
-                        format!("request exceeds the {}-byte limit", self.config.max_request_bytes),
-                    );
-                    Reply::error(&RequestId::None, &err).write_to(&mut writer)?;
-                }
-                Ok(LineRead::Line(bytes)) => {
-                    let Ok(line) = std::str::from_utf8(&bytes) else {
-                        self.errors.fetch_add(1, Ordering::Relaxed);
-                        self.trace.count("server.errors", 1);
-                        let err = RequestError::new("bad-request", "request is not valid UTF-8");
-                        Reply::error(&RequestId::None, &err).write_to(&mut writer)?;
-                        continue;
-                    };
-                    if line.trim().is_empty() {
-                        continue; // blank lines keep NDJSON pipelines simple
-                    }
-                    let reply = self.handle_line(line);
-                    reply.write_to(&mut writer)?;
-                    if reply.shutdown {
-                        return Ok(());
-                    }
-                }
-                Err(e)
-                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-                {
-                    // Read timeout: tell the client why and close.
-                    let err = RequestError::new("idle-timeout", "connection idle too long");
-                    let _ = Reply::error(&RequestId::None, &err).write_to(&mut writer);
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
+            let buf = reader.fill_buf()?;
+            if buf.is_empty() {
+                core.eof(id);
+                continue;
             }
+            let n = buf.iter().position(|&b| b == b'\n').map_or(buf.len(), |i| i + 1);
+            core.read(id, &buf[..n], clock.now_ns());
+            reader.consume(n);
         }
     }
 
     /// Accepts and serves TCP connections until a `shutdown` request
-    /// arrives on any of them.
+    /// arrives on any of them and the drain completes.
     ///
-    /// This is the readiness-driven event loop described in
-    /// [`crate::eventloop`]: every socket is non-blocking, request
-    /// lines queue in a [`FairQueue`] keyed by connection, and a small
-    /// worker pool drains the queue through [`Server::handle_line`].
-    /// Load beyond `max_connections` queues instead of being turned
-    /// away; `busy` only appears at the hard cap (8 ×
-    /// `max_connections`), and a client pipelining past its quota gets
-    /// `quota-exceeded` for the excess request while the connection
-    /// survives. Idle reaping only ever closes a connection with
-    /// nothing queued and nothing in flight. On shutdown the loop
-    /// stops accepting, lets in-flight requests finish, flushes every
-    /// reply, and joins the workers before returning.
+    /// This driver owns only the I/O: non-blocking sockets probed on a
+    /// [`TickPoller`] tick, and a worker pool that pops requests
+    /// through the [`Core`], runs them through [`Server::handle_line`]
+    /// and hands the replies back. Every connection decision — fair
+    /// queuing, quota and `busy` errors, idle reaping, closing, the
+    /// shutdown drain — is the core's. No socket is read or written
+    /// under the core's lock, which the workers pop under.
     pub fn serve_listener(&self, listener: TcpListener) -> io::Result<()> {
         listener.set_nonblocking(true)?;
-        let hard_cap = hard_connection_cap(&self.config);
-        let queue: Mutex<FairQueue<String>> = Mutex::new(FairQueue::new(self.config.client_quota));
+        let clock = &self.config.clock;
+        let core = Mutex::new(Core::new(self));
+        let lock_core = || core.lock().unwrap_or_else(|e| e.into_inner());
         let job_ready = Condvar::new();
-        let completions: Mutex<Vec<(u64, Reply)>> = Mutex::new(Vec::new());
         let poller = TickPoller::default();
         let workers_stop = AtomicBool::new(false);
-        let lock_queue = || queue.lock().unwrap_or_else(|e| e.into_inner());
 
         thread::scope(|scope| -> io::Result<()> {
             let workers = thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, 4);
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let mut guard = lock_queue();
+                    let mut guard = lock_core();
                     let job = loop {
                         if let Some(job) = guard.pop() {
                             break Some(job);
@@ -1249,15 +1221,15 @@ impl Server {
                         guard = job_ready.wait(guard).unwrap_or_else(|e| e.into_inner());
                     };
                     drop(guard);
-                    let Some((conn_id, line)) = job else { return };
+                    let Some((id, line)) = job else { return };
                     let reply = self.handle_line(&line);
-                    completions.lock().unwrap_or_else(|e| e.into_inner()).push((conn_id, reply));
+                    lock_core().reply(id, &reply, clock.now_ns());
                     poller.wake();
                 });
             }
 
-            let mut conns: HashMap<u64, Conn> = HashMap::new();
-            let mut next_id: u64 = 0;
+            let mut streams: HashMap<u64, TcpStream> = HashMap::new();
+            let mut buf = [0u8; 8192];
             // Remaining short ticks before the loop falls back to the
             // long idle tick. Without epoll, request *arrival* cannot
             // wake the loop — only the tick discovers new bytes — so a
@@ -1265,118 +1237,61 @@ impl Server {
             // a warm pipelined request is picked up in ~500µs instead
             // of waiting out the full 5ms tick.
             let mut hot_ticks: u32 = 0;
+            // A worker's wake means a reply landed: that is activity.
+            let mut woken = false;
             loop {
-                let draining = self.is_shutdown();
-                let mut activity = false;
-
-                // Accept everything waiting (up to the hard cap).
-                while let (false, Ok((stream, _peer))) = (draining, listener.accept()) {
+                let now_ns = clock.now_ns();
+                let mut activity = woken;
+                while let (false, Ok((stream, _peer))) = (self.is_shutdown(), listener.accept()) {
                     activity = true;
-                    if conns.len() >= hard_cap {
-                        self.rejected_connections.fetch_add(1, Ordering::Relaxed);
-                        self.trace.count("server.rejected-connections", 1);
-                        let err = RequestError::new(
-                            "busy",
-                            format!("connection hard cap ({hard_cap}) reached; retry later"),
-                        );
-                        let mut stream = stream;
-                        let _ = stream.set_nonblocking(false);
-                        let _ = Reply::error(&RequestId::None, &err).write_to(&mut stream);
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    next_id += 1;
-                    self.active_connections.fetch_add(1, Ordering::SeqCst);
-                    self.trace.count("server.connections", 1);
-                    conns.insert(next_id, Conn::new(stream, self.config.clock.now_ns()));
+                    let _ = stream.set_nodelay(true);
+                    streams.insert(lock_core().accept(now_ns), stream);
                 }
 
-                // Probe every socket; frame lines; enqueue fairly. New
-                // requests are not picked up once shutdown started.
-                let mut enqueued = false;
-                if !draining {
-                    let now_ns = self.config.clock.now_ns();
-                    for (&id, conn) in &mut conns {
-                        for frame in conn.read_frames(self.config.max_request_bytes, now_ns) {
-                            enqueued |= self.enqueue_frame(id, frame, conn, &queue);
+                let mut queued = false;
+                let readable = lock_core().readable();
+                for id in readable {
+                    let stream = streams.get_mut(&id).expect("every connection has a socket");
+                    loop {
+                        match stream.read(&mut buf) {
+                            Ok(0) => {
+                                queued |= lock_core().eof(id);
+                                break;
+                            }
+                            Ok(n) => queued |= lock_core().read(id, &buf[..n], now_ns),
+                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                            Err(_) => {
+                                lock_core().fail(id);
+                                break;
+                            }
                         }
                     }
                 }
-                if enqueued {
+                if queued {
                     // Workers are woken the moment a request is queued;
                     // nothing sleeps out a tick holding a runnable job.
                     job_ready.notify_all();
                     activity = true;
                 }
 
-                // Collect finished replies into their output buffers.
-                for (conn_id, reply) in
-                    completions.lock().unwrap_or_else(|e| e.into_inner()).drain(..)
-                {
-                    activity = true;
-                    lock_queue().complete(conn_id);
-                    if let Some(conn) = conns.get_mut(&conn_id) {
-                        conn.last_activity_ns = self.config.clock.now_ns();
-                        conn.push_reply(&reply);
-                        if reply.shutdown {
-                            conn.closing = true;
-                        }
+                let unwritten = lock_core().unwritten();
+                for id in unwritten {
+                    flush_stream(&core, id, streams.get_mut(&id).expect("a socket per connection"));
+                }
+                let closed = lock_core().sweep(clock.now_ns()).closed;
+                for id in closed {
+                    if let Some(stream) = streams.remove(&id) {
+                        let _ = stream.shutdown(Shutdown::Both);
                     }
                 }
-
-                // Flush as much as each socket accepts.
-                for conn in conns.values_mut() {
-                    conn.flush();
+                if self.is_shutdown() && lock_core().is_idle() {
+                    break;
                 }
 
-                // Reap connections that are genuinely idle: nothing
-                // queued, nothing in flight, nothing left to flush.
-                if let Some(idle) = self.config.idle_timeout {
-                    if !draining {
-                        let now_ns = self.config.clock.now_ns();
-                        let guard = lock_queue();
-                        for (&id, conn) in &mut conns {
-                            if idle_reapable(
-                                conn.closing,
-                                conn.eof,
-                                conn.flushed(),
-                                guard.pending(id),
-                                idle,
-                                now_ns,
-                                conn.last_activity_ns,
-                            ) {
-                                self.trace.count("server.idle-reaped", 1);
-                                let err =
-                                    RequestError::new("idle-timeout", "connection idle too long");
-                                conn.push_reply(&Reply::error(&RequestId::None, &err));
-                                conn.closing = true;
-                            }
-                        }
-                    }
-                }
-
-                // Close what is done: dead sockets immediately, EOF and
-                // closing connections once every owed reply is out.
-                conns.retain(|&id, conn| {
-                    let owed = !conn.flushed() || lock_queue().pending(id) > 0;
-                    let done = conn.dead || ((conn.closing || conn.eof) && !owed);
-                    if done {
-                        let _ = conn.stream.shutdown(Shutdown::Both);
-                        lock_queue().remove(id);
-                        self.active_connections.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    !done
-                });
-
-                if draining {
-                    let all_flushed = conns.values().all(Conn::flushed);
-                    if all_flushed && lock_queue().total_pending() == 0 {
-                        break;
-                    }
-                }
                 if activity {
                     hot_ticks = 40;
                 }
@@ -1386,69 +1301,85 @@ impl Server {
                 } else {
                     Duration::from_millis(5)
                 };
-                poller.wait(tick);
+                woken = poller.wait(tick);
             }
 
+            // Stop under the lock, so no worker can check the flag and
+            // then miss the wake-up.
+            let guard = lock_core();
             workers_stop.store(true, Ordering::SeqCst);
+            drop(guard);
             job_ready.notify_all();
-            for (_, conn) in conns.drain() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                self.active_connections.fetch_sub(1, Ordering::SeqCst);
-            }
             Ok(())
         })
     }
 
-    /// Turns one framed line into either a queued job (true) or an
-    /// immediate protocol error written to the connection (false).
-    fn enqueue_frame(
-        &self,
-        id: u64,
-        frame: Frame,
-        conn: &mut Conn,
-        queue: &Mutex<FairQueue<String>>,
-    ) -> bool {
-        let line = match frame {
-            Frame::TooLong => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.trace.count("server.errors", 1);
-                let err = RequestError::new(
-                    "too-large",
-                    format!("request exceeds the {}-byte limit", self.config.max_request_bytes),
-                );
-                conn.push_reply(&Reply::error(&RequestId::None, &err));
-                return false;
+    /// The server's limits, for the connection core.
+    pub(crate) fn config(&self) -> &ServerConfig {
+        &self.config
+    }
+
+    /// Counts a protocol error the connection core answers without
+    /// running a request, and renders its frame.
+    pub(crate) fn refusal(&self, code: &'static str, message: String) -> Reply {
+        match code {
+            "busy" => {
+                self.rejected_connections.fetch_add(1, Ordering::Relaxed);
+                self.trace.count("server.rejected-connections", 1);
             }
-            Frame::Line(bytes) => match String::from_utf8(bytes) {
-                Ok(line) => line,
-                Err(_) => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                    self.trace.count("server.errors", 1);
-                    let err = RequestError::new("bad-request", "request is not valid UTF-8");
-                    conn.push_reply(&Reply::error(&RequestId::None, &err));
-                    return false;
-                }
-            },
-        };
-        if line.trim().is_empty() {
-            return false; // blank lines keep NDJSON pipelines simple
-        }
-        match queue.lock().unwrap_or_else(|e| e.into_inner()).push(id, line) {
-            Ok(()) => true,
-            Err(PushError::QuotaExceeded) => {
+            "idle-timeout" => self.trace.count("server.idle-reaped", 1),
+            _ => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 self.trace.count("server.errors", 1);
-                self.trace.count("server.quota-exceeded", 1);
-                let err = RequestError::new(
-                    "quota-exceeded",
-                    format!(
-                        "client already has {} requests queued or in flight; \
-                         wait for replies before sending more",
-                        self.config.client_quota
-                    ),
-                );
-                conn.push_reply(&Reply::error(&RequestId::None, &err));
-                false
+                if code == "quota-exceeded" {
+                    self.trace.count("server.quota-exceeded", 1);
+                }
+            }
+        }
+        Reply::error(&RequestId::None, &RequestError::new(code, message))
+    }
+
+    /// Counts a listener connection the core admitted (`true`) or
+    /// closed (`false`).
+    pub(crate) fn track_connection(&self, opened: bool) {
+        if opened {
+            self.active_connections.fetch_add(1, Ordering::SeqCst);
+            self.trace.count("server.connections", 1);
+        } else {
+            self.active_connections.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// The most owed output copied out of the core per socket write.
+const FLUSH_CHUNK: usize = 256 * 1024;
+
+/// Writes as much of `id`'s owed output as `stream` accepts. Each chunk
+/// is copied out of the core first, so the socket write happens with
+/// the lock released.
+fn flush_stream(core: &Mutex<Core<'_>>, id: u64, stream: &mut TcpStream) {
+    let lock_core = || core.lock().unwrap_or_else(|e| e.into_inner());
+    loop {
+        let chunk = {
+            let core = lock_core();
+            let owed = core.output(id);
+            owed[..owed.len().min(FLUSH_CHUNK)].to_vec()
+        };
+        if chunk.is_empty() {
+            return;
+        }
+        match stream.write(&chunk) {
+            Ok(n) if n > 0 => {
+                lock_core().wrote(id, n);
+                if n < chunk.len() {
+                    return;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            _ => {
+                lock_core().fail(id);
+                return;
             }
         }
     }
@@ -1457,128 +1388,8 @@ impl Server {
 /// The `busy` threshold: fair queuing absorbs pressure up to eight
 /// times the configured connection count before the daemon turns a
 /// connection away outright.
-fn hard_connection_cap(config: &ServerConfig) -> usize {
+pub(crate) fn hard_connection_cap(config: &ServerConfig) -> usize {
     config.max_connections.saturating_mul(8).max(1)
-}
-
-/// The idle-reap predicate, shared verbatim by the TCP event loop and
-/// the DST sim loop so the simulated server cannot drift from the real
-/// one: only a connection with nothing queued, nothing in flight, and
-/// nothing left to flush may be reaped, no matter how stale its last
-/// activity looks on the clock.
-pub(crate) fn idle_reapable(
-    closing: bool,
-    eof: bool,
-    flushed: bool,
-    pending: usize,
-    idle: Duration,
-    now_ns: u64,
-    last_activity_ns: u64,
-) -> bool {
-    !closing
-        && !eof
-        && flushed
-        && pending == 0
-        && u128::from(now_ns.saturating_sub(last_activity_ns)) >= idle.as_nanos()
-}
-
-/// Per-connection state owned by the event loop.
-struct Conn {
-    stream: TcpStream,
-    framer: LineFramer,
-    /// Bytes owed to the client; `written` of them are already out.
-    outbuf: Vec<u8>,
-    written: usize,
-    /// [`Clock::now_ns`] of the last read or reply, for idle reaping.
-    last_activity_ns: u64,
-    /// Peer closed its write side; serve what is pending, then close.
-    eof: bool,
-    /// Close once the output buffer drains (shutdown reply, idle reap).
-    closing: bool,
-    /// The socket failed; drop without further ceremony.
-    dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, now_ns: u64) -> Self {
-        Conn {
-            stream,
-            framer: LineFramer::default(),
-            outbuf: Vec::new(),
-            written: 0,
-            last_activity_ns: now_ns,
-            eof: false,
-            closing: false,
-            dead: false,
-        }
-    }
-
-    /// Drains everything the socket has to offer right now and returns
-    /// the complete frames it produced.
-    fn read_frames(&mut self, max_request_bytes: usize, now_ns: u64) -> Vec<Frame> {
-        let mut frames = Vec::new();
-        if self.eof || self.dead || self.closing {
-            return frames;
-        }
-        let mut buf = [0u8; 8192];
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.eof = true;
-                    if let Some(frame) = self.framer.finish() {
-                        frames.push(frame);
-                    }
-                    break;
-                }
-                Ok(n) => {
-                    self.last_activity_ns = now_ns;
-                    frames.extend(self.framer.feed(&buf[..n], max_request_bytes));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        frames
-    }
-
-    /// Appends one framed reply to the output buffer.
-    fn push_reply(&mut self, reply: &Reply) {
-        self.outbuf.extend_from_slice(reply.header.as_bytes());
-        self.outbuf.push(b'\n');
-        self.outbuf.extend_from_slice(reply.payload.as_bytes());
-    }
-
-    /// Writes as much buffered output as the socket accepts.
-    fn flush(&mut self) {
-        while self.written < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[self.written..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => self.written += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        if self.written == self.outbuf.len() && !self.outbuf.is_empty() {
-            self.outbuf.clear();
-            self.written = 0;
-        }
-    }
-
-    /// `true` when nothing buffered remains unwritten.
-    fn flushed(&self) -> bool {
-        self.written == self.outbuf.len()
-    }
 }
 
 /// Renders the analyze/delta payload in the request's format — exactly
@@ -1619,53 +1430,6 @@ fn exit_code(records: &[FileRecord], had_errors: bool) -> u64 {
         1
     } else {
         0
-    }
-}
-
-/// Outcome of one bounded line read.
-enum LineRead {
-    /// A complete line (newline stripped), or the final unterminated
-    /// line before EOF.
-    Line(Vec<u8>),
-    /// The line exceeded the limit; it was discarded through its
-    /// newline (or EOF) so the stream stays request-aligned.
-    TooLong,
-    /// The stream is exhausted.
-    Eof,
-}
-
-/// Reads one `\n`-terminated line of at most `max` bytes. Longer lines
-/// are consumed and discarded — the connection survives, the request
-/// does not.
-fn read_line_bounded(reader: &mut impl BufRead, max: usize) -> io::Result<LineRead> {
-    let mut line = Vec::new();
-    let mut discarding = false;
-    loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            return Ok(match (discarding, line.is_empty()) {
-                (true, _) => LineRead::TooLong,
-                (false, true) => LineRead::Eof,
-                (false, false) => LineRead::Line(line),
-            });
-        }
-        let (chunk, found_newline) = match buf.iter().position(|&b| b == b'\n') {
-            Some(i) => (&buf[..i], true),
-            None => (buf, false),
-        };
-        if !discarding {
-            if line.len() + chunk.len() > max {
-                discarding = true;
-                line.clear();
-            } else {
-                line.extend_from_slice(chunk);
-            }
-        }
-        let consumed = chunk.len() + usize::from(found_newline);
-        reader.consume(consumed);
-        if found_newline {
-            return Ok(if discarding { LineRead::TooLong } else { LineRead::Line(line) });
-        }
     }
 }
 
@@ -1936,12 +1700,13 @@ mod tests {
     }
 
     #[test]
-    fn bounded_reader_handles_eof_without_newline() {
-        let mut input: &[u8] = b"{\"op\":\"ping\"}";
-        match read_line_bounded(&mut input, 1024).unwrap() {
-            LineRead::Line(line) => assert_eq!(line, b"{\"op\":\"ping\"}"),
-            other => panic!("{:?}", std::mem::discriminant(&other)),
-        }
+    fn serve_connection_answers_an_unterminated_final_line() {
+        let s = server();
+        let mut out = Vec::new();
+        s.serve_connection(&b"{\"op\":\"ping\",\"id\":1}"[..], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.contains("\"id\":1") && text.contains("pong"), "{text}");
     }
 
     /// Renders a JsonNode back to compact JSON (tests only).

@@ -12,21 +12,21 @@
 //! A schedule ([`run_schedule`]) builds a scratch corpus of generated
 //! `.pnx` sources, then runs one or more server "phases" — each phase
 //! a fresh in-process [`Server`] over the same cache directory, i.e. a
-//! restart — on one shared virtual [`SimClock`]. Inside a phase, a
-//! single-threaded event loop mirrors the real TCP loop's composition:
-//! simulated connections feed seeded byte chunks (1-byte reads,
-//! mid-line stalls, mid-request drops) through [`LineFramer`], framed
-//! requests queue through [`FairQueue`] under the real quota rules,
-//! jobs execute through [`Server::handle_line`], and idle connections
-//! are reaped through the *same* predicate the TCP loop uses — all on
-//! virtual time, with no real sleeps anywhere.
+//! restart — on one shared virtual [`SimClock`]. Inside a phase the
+//! simulator is the third driver of the production connection
+//! [`Core`], beside TCP and stdio: it accepts its simulated peers
+//! through the real hard cap, feeds seeded byte chunks (1-byte reads,
+//! mid-line stalls, mid-request drops), runs a seeded number of queued
+//! requests per tick through [`Server::handle_line`], takes seeded
+//! partial writes of the owed output, and lets the core reap, close and
+//! drain — all on virtual time, with no real sleeps anywhere.
 //!
 //! The persistent tier runs behind [`FaultyBackend`], which applies a
 //! seeded [`FaultPlan`] of short (torn) writes, bit flips, disk-full
 //! errors, and kill points after which every write silently vanishes
 //! (a crash, observed by the next phase's restart).
 //!
-//! Three invariants are asserted on every schedule:
+//! Four invariants are asserted on every schedule:
 //!
 //! 1. **Envelope identity** — every successfully delivered `analyze` /
 //!    `delta` payload is byte-identical (and `exit`-identical) to a
@@ -40,6 +40,10 @@
 //!    and per delta reply `functions_reanalyzed + functions_reused`
 //!    equals the function count of the re-analyzed files (every
 //!    generated file has exactly [`FUNCTIONS_PER_FILE`] functions).
+//! 4. **Connection integrity** — on every connection its peer did not
+//!    drop, every framed non-blank request gets exactly one whole reply
+//!    frame (header plus exactly `bytes` payload bytes) before the core
+//!    closes it, and nothing follows an `idle-timeout` or `busy` frame.
 //!
 //! A failing schedule names its seed in every violation, and
 //! re-running [`run_schedule`] with the same seed and options replays
@@ -48,12 +52,12 @@
 //! witness). The `dst` binary drives soaks and single-seed replays
 //! from the command line; `docs/pnx-syntax.md` has the operator guide.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -61,10 +65,8 @@ use crate::analysis::AnalyzerConfig;
 use crate::backend::{BackendKind, CacheBackend, DirBackend, IndexedBackend};
 use crate::cache::{fnv128, CacheLookup, PersistentCache, SUMMARY_STORE_KEY};
 use crate::clock::{Clock, SimClock};
-use crate::eventloop::{FairQueue, Frame, LineFramer, Poller, PushError};
-use crate::server::{
-    idle_reapable, parse_json, BackendWrap, JsonNode, Reply, Server, ServerConfig,
-};
+use crate::eventloop::Core;
+use crate::server::{parse_json, BackendWrap, JsonNode, Reply, Server, ServerConfig};
 
 /// Functions in every generated workload file (`main` plus two
 /// helpers) — the constant behind the delta accounting identity.
@@ -113,42 +115,6 @@ impl SimRng {
     /// A decorrelated child RNG for an independent stream.
     pub fn fork(&mut self) -> SimRng {
         SimRng::new(self.next_u64() ^ 0x2545_f491_4f6c_dd1d)
-    }
-}
-
-// ---------------------------------------------------------------------
-// The simulated poller.
-// ---------------------------------------------------------------------
-
-/// A [`Poller`] that advances a shared [`SimClock`] instead of
-/// blocking: `wait` consumes a pending wake if one exists, otherwise
-/// moves virtual time forward by the full timeout and reports it
-/// elapsed. A loop driven by this can "sleep" hours of virtual time in
-/// microseconds of wall time.
-#[derive(Debug)]
-pub struct SimPoller {
-    clock: Arc<SimClock>,
-    woken: AtomicBool,
-}
-
-impl SimPoller {
-    /// A poller over `clock`.
-    pub fn new(clock: Arc<SimClock>) -> SimPoller {
-        SimPoller { clock, woken: AtomicBool::new(false) }
-    }
-}
-
-impl Poller for SimPoller {
-    fn wait(&self, timeout: Duration) -> bool {
-        if self.woken.swap(false, Ordering::SeqCst) {
-            return true;
-        }
-        self.clock.advance(timeout);
-        false
-    }
-
-    fn wake(&self) {
-        self.woken.store(true, Ordering::SeqCst);
     }
 }
 
@@ -508,7 +474,7 @@ impl Default for SimOptions {
 /// What one schedule did and whether the invariants held. Equal
 /// `(seed, options)` produce equal reports, including the byte-level
 /// `payload_digest`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimReport {
     /// The schedule's seed.
     pub seed: u64,
@@ -518,7 +484,8 @@ pub struct SimReport {
     pub phases: usize,
     /// Request lines sent across all connections and phases.
     pub requests_sent: usize,
-    /// Replies delivered to live connections (error replies included).
+    /// Whole reply frames received by peers that did not drop (error
+    /// frames included).
     pub replies_delivered: usize,
     /// Analyze/delta payloads compared byte-for-byte against a fresh
     /// one-shot server.
@@ -530,12 +497,21 @@ pub struct SimReport {
     pub faults_injected: u64,
     /// Corrupt persistent entries the stack detected (and healed).
     pub corrupt_detected: u64,
-    /// Connections reaped as idle on the virtual clock.
+    /// Connections reaped as idle on the virtual clock (`idle-timeout`
+    /// frames received).
     pub reaped: usize,
-    /// Ticks where a stale-but-busy connection was (correctly) spared.
+    /// Sweeps that spared a stale connection with a request queued or
+    /// in flight.
     pub reap_deferrals: usize,
-    /// FNV-128 over every delivered reply's header + payload bytes in
-    /// delivery order — the byte-for-byte replay witness.
+    /// Sweeps that held back a reap or close because owed output was
+    /// still unwritten.
+    pub output_deferrals: usize,
+    /// Connections turned away at the hard cap (`busy` frames received).
+    pub busy: usize,
+    /// Phases that ended in a completed `shutdown` drain.
+    pub drains: usize,
+    /// FNV-128 over every byte peers received, in the order they took
+    /// it — the byte-for-byte replay witness.
     pub payload_digest: u128,
     /// Invariant violations; empty means the schedule passed.
     pub violations: Vec<String>,
@@ -573,24 +549,17 @@ struct CheckSpec {
     delta: bool,
 }
 
-struct SimConn {
-    id: u64,
+/// One simulated peer: its byte script and everything it received.
+struct Peer {
     script: Vec<u8>,
-    pos: usize,
-    framer: LineFramer,
+    /// Bytes of `script` fed to the core so far.
+    sent: usize,
     end: EndKind,
-    eof: bool,
-    dead: bool,
-    closing: bool,
-    reaped: bool,
-    removed_from_queue: bool,
-    last_activity_ns: u64,
-}
-
-impl SimConn {
-    fn finished(&self) -> bool {
-        self.dead || self.reaped || self.closing || self.eof
-    }
+    /// The EOF event was delivered.
+    eof_sent: bool,
+    /// The peer vanished: exempt from the connection invariant.
+    dropped: bool,
+    received: Vec<u8>,
 }
 
 /// Escapes one string as a JSON literal (paths are plain ASCII here,
@@ -700,6 +669,11 @@ fn build_traffic(
         let line = format!("{{\"op\":\"shutdown\",\"id\":{id}}}");
         scripts[conn].extend_from_slice(line.as_bytes());
         scripts[conn].push(b'\n');
+    }
+    if rng.chance(4) {
+        // A connection flood past the hard cap (8 with the simulated
+        // `max_connections` of 1): the latecomers must get `busy`.
+        scripts.resize(clients + 7 + rng.below(3) as usize, Vec::new());
     }
 
     let scripts = scripts
@@ -911,21 +885,7 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
     let clock = Arc::new(SimClock::default());
     let stats = Arc::new(FaultStats::default());
     let base = AnalyzerConfig::default();
-    let mut report = SimReport {
-        seed,
-        backend: backend.name(),
-        phases,
-        requests_sent: 0,
-        replies_delivered: 0,
-        payload_checks: 0,
-        identity_checks: 0,
-        faults_injected: 0,
-        corrupt_detected: 0,
-        reaped: 0,
-        reap_deferrals: 0,
-        payload_digest: 0,
-        violations: Vec::new(),
-    };
+    let mut report = SimReport { seed, backend: backend.name(), phases, ..SimReport::default() };
 
     let mut next_request_id = 0u64;
     let mut digest_buf: Vec<u8> = Vec::new();
@@ -992,55 +952,6 @@ struct PhaseContext<'a> {
     report: &'a mut SimReport,
 }
 
-/// Appends a delivered reply to the digest and delivery count, unless
-/// the connection is already gone (a dead socket receives nothing).
-fn deliver(conn: &SimConn, reply: &Reply, report: &mut SimReport, digest_buf: &mut Vec<u8>) {
-    if conn.dead || conn.reaped {
-        return;
-    }
-    digest_buf.extend_from_slice(reply.header.as_bytes());
-    digest_buf.push(b'\n');
-    digest_buf.extend_from_slice(reply.payload.as_bytes());
-    report.replies_delivered += 1;
-}
-
-/// Frame → queue, replicating the TCP loop's protocol errors
-/// (too-large, bad UTF-8, blank skip, quota) for the simulated
-/// transport.
-fn enqueue_sim_frame(
-    conn: &SimConn,
-    frame: Frame,
-    queue: &mut FairQueue<String>,
-    report: &mut SimReport,
-    digest_buf: &mut Vec<u8>,
-) {
-    let line = match frame {
-        Frame::TooLong => {
-            let reply = Reply::protocol_error("too-large", "request exceeds the limit");
-            deliver(conn, &reply, report, digest_buf);
-            return;
-        }
-        Frame::Line(bytes) => match String::from_utf8(bytes) {
-            Ok(line) => line,
-            Err(_) => {
-                let reply = Reply::protocol_error("bad-request", "request is not valid UTF-8");
-                deliver(conn, &reply, report, digest_buf);
-                return;
-            }
-        },
-    };
-    if line.trim().is_empty() {
-        return;
-    }
-    match queue.push(conn.id, line) {
-        Ok(()) => {}
-        Err(PushError::QuotaExceeded) => {
-            let reply = Reply::protocol_error("quota-exceeded", "client queue full");
-            deliver(conn, &reply, report, digest_buf);
-        }
-    }
-}
-
 fn run_phase(ctx: PhaseContext<'_>) {
     let PhaseContext {
         rng,
@@ -1059,14 +970,9 @@ fn run_phase(ctx: PhaseContext<'_>) {
     } = ctx;
 
     let wrap = {
-        let plan = plan.clone();
         let stats = Arc::clone(stats);
-        let seeds = AtomicU64::new(rng.next_u64());
+        let seed = rng.next_u64();
         BackendWrap(Arc::new(move |inner: Box<dyn CacheBackend>| {
-            // One fault stream per opened backend (one per engine
-            // configuration). Engines open in a deterministic order
-            // under jobs=1 traffic, so the streams replay too.
-            let seed = seeds.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::SeqCst);
             Box::new(FaultyBackend::new(inner, plan.clone(), seed, Arc::clone(&stats)))
                 as Box<dyn CacheBackend>
         }))
@@ -1077,6 +983,7 @@ fn run_phase(ctx: PhaseContext<'_>) {
         cache_dir: Some(cache_dir.to_path_buf()),
         cache_backend: backend,
         max_request_bytes: MAX_REQUEST_BYTES,
+        max_connections: 1,
         client_quota: 4,
         idle_timeout: Some(IDLE_TIMEOUT),
         clock: Arc::clone(clock) as Arc<dyn Clock>,
@@ -1089,168 +996,121 @@ fn run_phase(ctx: PhaseContext<'_>) {
     report.requests_sent +=
         scripts.iter().map(|(s, _)| s.iter().filter(|&&b| b == b'\n').count()).sum::<usize>();
 
-    let poller = SimPoller::new(Arc::clone(clock));
-    let mut queue: FairQueue<String> = FairQueue::new(4);
-    let mut conns: Vec<SimConn> = scripts
-        .into_iter()
-        .enumerate()
-        .map(|(i, (script, end))| SimConn {
-            id: i as u64 + 1,
-            script,
-            pos: 0,
-            framer: LineFramer::default(),
-            end,
-            eof: false,
-            dead: false,
-            closing: false,
-            reaped: false,
-            removed_from_queue: false,
-            last_activity_ns: clock.now_ns(),
-        })
-        .collect();
+    let mut core = Core::new(&server);
+    let mut peers: BTreeMap<u64, Peer> = BTreeMap::new();
+    for (script, end) in scripts {
+        let peer =
+            Peer { script, sent: 0, end, eof_sent: false, dropped: false, received: Vec::new() };
+        peers.insert(core.accept(clock.now_ns()), peer);
+    }
 
-    let mut draining = false;
-    for tick in 0.. {
-        if tick >= TICK_LIMIT {
+    let mut tick = 0;
+    while !core.is_idle() {
+        if tick == TICK_LIMIT {
             report.violations.push(format!(
                 "seed {}: schedule did not terminate in {TICK_LIMIT} ticks",
                 report.seed
             ));
-            break;
+            return;
         }
+        tick += 1;
         let now = clock.now_ns();
 
-        // 1. Seeded partial reads: each live connection hands the
-        // framer 0, 1, or up-to-18 bytes this tick, so every header /
+        // 1. Seeded partial reads: each connection the core still reads
+        // gets 0, 1, or up-to-18 bytes this tick, so every header /
         // boundary split eventually happens. Corpus churn lands here
         // too — between reads, never mid-request.
-        if !draining {
-            if rng.chance(8) {
-                let _ = match rng.below(6) {
-                    0 => corpus.add_file(rng),
-                    1 => corpus.remove_file(rng),
-                    _ => corpus.edit_file(rng),
-                };
-            }
-            for conn in conns.iter_mut() {
-                if conn.finished() {
-                    continue;
-                }
-                if conn.pos >= conn.script.len() {
-                    match conn.end {
-                        EndKind::CleanEof => {
-                            conn.eof = true;
-                            if let Some(frame) = conn.framer.finish() {
-                                enqueue_sim_frame(conn, frame, &mut queue, report, digest_buf);
-                            }
-                        }
-                        EndKind::Drop => conn.dead = true,
-                        EndKind::Linger => {}
+        if !server.is_shutdown() && rng.chance(8) {
+            let _ = match rng.below(6) {
+                0 => corpus.add_file(rng),
+                1 => corpus.remove_file(rng),
+                _ => corpus.edit_file(rng),
+            };
+        }
+        for id in core.readable() {
+            let peer = peers.get_mut(&id).expect("every connection has a peer");
+            let rest = &peer.script[peer.sent..];
+            if rest.is_empty() {
+                match peer.end {
+                    EndKind::CleanEof => {
+                        peer.eof_sent = true;
+                        core.eof(id);
                     }
-                    continue;
+                    EndKind::Drop => {
+                        peer.dropped = true;
+                        core.fail(id);
+                    }
+                    EndKind::Linger => {}
                 }
-                let n = match rng.below(6) {
-                    0 => 0,
-                    1 => 1,
-                    _ => 1 + rng.below(18) as usize,
-                };
-                let n = n.min(conn.script.len() - conn.pos);
-                if n == 0 {
-                    continue;
-                }
-                let chunk: Vec<u8> = conn.script[conn.pos..conn.pos + n].to_vec();
-                conn.pos += n;
-                conn.last_activity_ns = now;
-                for frame in conn.framer.feed(&chunk, MAX_REQUEST_BYTES) {
-                    enqueue_sim_frame(conn, frame, &mut queue, report, digest_buf);
-                }
+                continue;
+            }
+            let n = match rng.below(6) {
+                0 => 0,
+                1 => 1,
+                _ => 1 + rng.below(18) as usize,
+            }
+            .min(rest.len());
+            if n > 0 {
+                core.read(id, &rest[..n], now);
+                peer.sent += n;
             }
         }
 
-        // 2. Idle reaping on the virtual clock, through the same
-        // predicate as the TCP loop. A stale connection with queued
-        // work must always be spared — that is satellite invariant
-        // material, so a firing predicate there is a violation.
-        if !draining {
-            for conn in conns.iter_mut() {
-                if conn.finished() {
-                    continue;
-                }
-                let pending = queue.pending(conn.id);
-                let stale = u128::from(now.saturating_sub(conn.last_activity_ns))
-                    >= IDLE_TIMEOUT.as_nanos();
-                let reap = idle_reapable(
-                    conn.closing,
-                    conn.eof,
-                    true,
-                    pending,
-                    IDLE_TIMEOUT,
-                    now,
-                    conn.last_activity_ns,
-                );
-                if stale && pending > 0 {
-                    report.reap_deferrals += 1;
-                    if reap {
-                        report.violations.push(format!(
-                            "seed {}: idle reap fired for conn {} with {pending} requests pending",
-                            report.seed, conn.id
-                        ));
-                    }
-                }
-                if reap {
-                    let err = Reply::protocol_error("idle-timeout", "connection idle too long");
-                    deliver(conn, &err, report, digest_buf);
-                    conn.reaped = true;
-                    report.reaped += 1;
-                    queue.remove(conn.id);
-                    conn.removed_from_queue = true;
-                }
-            }
-        }
-
-        // 3. A seeded number of "workers" drain the fair queue; each
-        // job runs the full protocol path and its reply is verified at
-        // execution time against a fresh one-shot server. A draw of
-        // zero stalls the pool for a tick (workers busy elsewhere), so
+        // 2. A seeded number of "workers" run queued requests; each
+        // reply is verified at execution time against a fresh one-shot
+        // server. A draw of zero stalls the pool for a tick, so
         // backlogs survive tick boundaries — including clock jumps,
-        // which is what exercises the reap-deferral path.
+        // which is what exercises the reap deferral.
         for _ in 0..rng.below(3) {
-            let Some((conn_id, line)) = queue.pop() else { break };
+            let Some((id, line)) = core.pop() else { break };
             let reply = server.handle_line(&line);
-            queue.complete(conn_id);
             verify_reply(&reply, checks.get(&line), clock, base, report);
-            let conn = &mut conns[(conn_id - 1) as usize];
-            conn.last_activity_ns = clock.now_ns();
-            deliver(conn, &reply, report, digest_buf);
-            if reply.shutdown {
-                conn.closing = true;
-                draining = true;
+            core.reply(id, &reply, clock.now_ns());
+        }
+
+        // 3. Seeded partial writes: a peer takes none, some, or all of
+        // what it is owed, so reaps, closes and the drain meet output
+        // that is still unwritten.
+        for id in core.unwritten() {
+            let owed = core.output(id);
+            let n = match rng.below(4) {
+                0 => 0,
+                1 => 1 + rng.below(owed.len() as u64) as usize,
+                _ => owed.len(),
+            };
+            let peer = peers.get_mut(&id).expect("every connection has a peer");
+            if !peer.dropped {
+                peer.received.extend_from_slice(&owed[..n]);
+                digest_buf.extend_from_slice(&owed[..n]);
+                core.wrote(id, n);
             }
         }
 
-        // 4. Dead sockets abandon their queue slice, like the real
-        // loop's cleanup pass.
-        for conn in conns.iter_mut() {
-            if conn.dead && !conn.removed_from_queue {
-                queue.remove(conn.id);
-                conn.removed_from_queue = true;
-            }
-        }
+        let sweep = core.sweep(clock.now_ns());
+        report.reap_deferrals += sweep.spared;
+        report.output_deferrals += sweep.held;
 
-        // 5. Termination: drained after shutdown, or every connection
-        // finished with nothing left queued or in flight.
-        if queue.total_pending() == 0 && (draining || conns.iter().all(SimConn::finished)) {
-            break;
-        }
-
-        // 6. Advance virtual time: mostly short event-loop ticks, with
+        // Advance virtual time: mostly short event-loop ticks, with
         // occasional long stalls that cross the idle timeout.
-        let step = if rng.chance(10) {
+        clock.advance(if rng.chance(10) {
             Duration::from_secs(31 + rng.below(240))
         } else {
             Duration::from_millis(5)
-        };
-        poller.wait(step);
+        });
+    }
+    report.drains += usize::from(server.is_shutdown());
+
+    // Invariant 4, once every connection is closed.
+    for peer in peers.values().filter(|peer| !peer.dropped) {
+        let sent = &peer.script[..peer.sent];
+        match check_connection(sent, peer.eof_sent, &peer.received, MAX_REQUEST_BYTES) {
+            Ok(got) => {
+                report.replies_delivered += got.frames;
+                report.busy += got.busy;
+                report.reaped += got.reaped;
+            }
+            Err(what) => report.violations.push(format!("seed {}: {what}", report.seed)),
+        }
     }
 
     // Phase-final stats probe (a monitoring client) keeps the
@@ -1260,6 +1120,83 @@ fn run_phase(ctx: PhaseContext<'_>) {
     let mut verifier = Verifier { seed: report.seed, clock: Arc::clone(clock), base, report };
     let corrupt = verifier.check_stats_payload(&reply.payload);
     report.corrupt_detected += corrupt;
+}
+
+/// What one peer received, frame by frame.
+#[derive(Debug, Default, PartialEq)]
+struct Received {
+    /// Whole frames.
+    frames: usize,
+    /// `busy` frames.
+    busy: usize,
+    /// `idle-timeout` frames.
+    reaped: usize,
+}
+
+/// Invariant 4 for one connection its peer did not drop: `received`
+/// is whole reply frames — each a header line plus exactly `bytes`
+/// payload bytes — one per framed non-blank request in `sent` (the
+/// final unterminated line too, once `eof` was delivered), and nothing
+/// follows an `idle-timeout` or `busy` frame.
+fn check_connection(
+    sent: &[u8],
+    eof: bool,
+    received: &[u8],
+    max: usize,
+) -> Result<Received, String> {
+    let mut lines: Vec<&[u8]> = sent.split(|&b| b == b'\n').collect();
+    let tail = lines.pop().unwrap_or_default();
+    if eof && !tail.is_empty() {
+        lines.push(tail);
+    }
+    let requests = lines
+        .iter()
+        .filter(|line| {
+            line.len() > max || std::str::from_utf8(line).map_or(true, |t| !t.trim().is_empty())
+        })
+        .count();
+
+    let mut got = Received::default();
+    let mut last_word: Option<String> = None;
+    let mut rest = received;
+    while !rest.is_empty() {
+        if let Some(code) = &last_word {
+            return Err(format!("a reply frame follows the {code} frame"));
+        }
+        let Some(newline) = rest.iter().position(|&b| b == b'\n') else {
+            return Err(format!("torn frame: {} header bytes without a newline", rest.len()));
+        };
+        let header = std::str::from_utf8(&rest[..newline]).ok().and_then(|h| parse_json(h).ok());
+        let Some(JsonNode::Obj(fields)) = header else {
+            return Err("unparseable reply header on the wire".to_owned());
+        };
+        let payload = int_field(&fields, "bytes").and_then(|n| usize::try_from(n).ok());
+        let Some(end) = payload.map(|n| newline + 1 + n).filter(|&end| end <= rest.len()) else {
+            return Err(format!(
+                "torn frame: {} payload bytes of {payload:?}",
+                rest.len() - newline - 1
+            ));
+        };
+        rest = &rest[end..];
+        got.frames += 1;
+        let code = match field(&fields, "error") {
+            Some(JsonNode::Obj(error)) => field(error, "code").cloned(),
+            _ => None,
+        };
+        match code {
+            Some(JsonNode::Str(code)) if code == "busy" || code == "idle-timeout" => {
+                got.busy += usize::from(code == "busy");
+                got.reaped += usize::from(code == "idle-timeout");
+                last_word = Some(code);
+            }
+            _ => {}
+        }
+    }
+    let replies = got.frames - got.busy - got.reaped;
+    if replies != requests {
+        return Err(format!("{requests} requests framed but {replies} replies received"));
+    }
+    Ok(got)
 }
 
 /// Invariant 2 at the decode level: reopen the store cold and probe
@@ -1328,17 +1265,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_poller_advances_virtual_time_and_honors_wakes() {
-        let clock = Arc::new(SimClock::default());
-        let poller = SimPoller::new(Arc::clone(&clock));
-        assert!(!poller.wait(Duration::from_millis(5)));
-        assert_eq!(clock.now_ns(), 5_000_000);
-        poller.wake();
-        assert!(poller.wait(Duration::from_secs(100)), "a wake preempts the wait");
-        assert_eq!(clock.now_ns(), 5_000_000, "a woken wait must not advance time");
-    }
-
-    #[test]
     fn faulty_backend_disk_full_leaves_prior_entries_intact() {
         for kind in [BackendKind::Dir, BackendKind::Indexed] {
             let dir = std::env::temp_dir().join(format!("pnx-sim-diskfull-{}", kind.name()));
@@ -1398,19 +1324,25 @@ mod tests {
     }
 
     #[test]
-    fn idle_connection_with_queued_work_is_never_reaped() {
-        let clock = SimClock::default();
-        clock.advance(Duration::from_secs(3600));
-        let now = clock.now_ns();
-        let idle = Duration::from_secs(300);
-        // An hour stale, but one request queued: must be spared.
-        assert!(!idle_reapable(false, false, true, 1, idle, now, 0));
-        // Unflushed reply bytes also defer the reap.
-        assert!(!idle_reapable(false, false, false, 0, idle, now, 0));
-        // Same staleness with nothing owed: reapable.
-        assert!(idle_reapable(false, false, true, 0, idle, now, 0));
-        // Fresh activity: not reapable.
-        assert!(!idle_reapable(false, false, true, 0, idle, now, now));
+    fn connection_checker_flags_torn_missing_and_late_frames() {
+        let frame = |header: &str, payload: &str| format!("{header}\n{payload}").into_bytes();
+        let pong = frame(r#"{"ok":true,"event":"pong","bytes":0}"#, "");
+        let stats = frame(r#"{"ok":true,"op":"stats","bytes":5}"#, "{}\n\n\n");
+        let idle = frame(r#"{"ok":false,"error":{"code":"idle-timeout"},"bytes":0}"#, "");
+        let two = b"{\"op\":\"ping\"}\n\n{\"op\":\"stats\"}\n";
+        let whole = [pong.clone(), stats.clone(), idle.clone()].concat();
+        let got = check_connection(two, false, &whole, 64).expect("a whole exchange passes");
+        assert_eq!(got, Received { frames: 3, busy: 0, reaped: 1 });
+
+        let torn = &whole[..pong.len() + stats.len() - 2];
+        assert!(check_connection(two, false, torn, 64).unwrap_err().contains("torn"));
+        let missing = [pong.clone(), idle.clone()].concat();
+        assert!(check_connection(two, false, &missing, 64).unwrap_err().contains("2 requests"));
+        let late = [pong, idle, stats].concat();
+        assert!(check_connection(two, false, &late, 64).unwrap_err().contains("follows"));
+        // An unterminated tail is a request only once EOF framed it.
+        assert!(check_connection(b"{\"op\"", true, b"", 64).is_err());
+        assert!(check_connection(b"{\"op\"", false, b"", 64).is_ok());
     }
 
     #[test]

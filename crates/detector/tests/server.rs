@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use pnew_detector::server::{parse_json, JsonNode, Server, ServerConfig};
+use pnew_detector::BackendKind;
 
 const PNCHECKD: &str = env!("CARGO_BIN_EXE_pncheckd");
 const PNCHECK: &str = env!("CARGO_BIN_EXE_pncheck");
@@ -226,6 +227,33 @@ fn stdio_analyze_is_byte_identical_to_one_shot_pncheck() {
     assert_eq!(payload, cli_sarif, "daemon SARIF envelope differs from pncheck");
 }
 
+/// Stdio serves one request at a time, so a client piping far past its
+/// quota still gets every reply, in order, and never `quota-exceeded`.
+#[test]
+fn stdio_pipelining_never_meets_the_client_quota() {
+    let mut child = Command::new(PNCHECKD)
+        .args(["--client-quota", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("pncheckd spawns");
+    let pings: String = (1..=40).map(|id| format!("{{\"op\":\"ping\",\"id\":{id}}}\n")).collect();
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    stdin.write_all(pings.as_bytes()).unwrap();
+    drop(stdin);
+
+    let out = child.wait_with_output().expect("pncheckd runs");
+    assert!(out.status.success(), "{:?}", out.status);
+    let mut reader = BufReader::new(&out.stdout[..]);
+    for id in 1..=40 {
+        let (header, _) = read_reply(&mut reader);
+        assert_eq!(int_field(&header, "id"), id, "replies arrive in request order");
+        assert_eq!(field(&header, "event"), &JsonNode::Str("pong".into()));
+    }
+    assert!(reader.fill_buf().unwrap().is_empty(), "exactly one reply per request");
+}
+
 #[test]
 fn inline_source_matches_pncheck_reading_stdin() {
     let mut cli = Command::new(PNCHECK)
@@ -326,6 +354,41 @@ fn persistent_cache_survives_a_daemon_restart() {
     let JsonNode::Obj(analysis) = field(&fields, "analysis").clone() else { panic!() };
     assert_eq!(int_field(&analysis, "parses"), 0, "disk-warm scan must not parse: {stats}");
     assert!(int_field(&analysis, "persistent_hits") > 0, "{stats}");
+}
+
+/// Every engine of one daemon shares its persistent store: requests
+/// under two analyzer configurations must not overwrite each other's
+/// entries in one `indexed` file, so a restart finds all of them.
+#[test]
+fn engines_under_different_configs_share_one_indexed_store() {
+    let sources = TempDir::new("indexed-configs-src");
+    let cache = TempDir::new("indexed-configs-cache");
+    let files: Vec<String> = (1..=3)
+        .map(|i| {
+            let path = sources.0.join(format!("f{i}.pnx"));
+            std::fs::write(&path, VULNERABLE.replace("served-demo", &format!("file-{i}"))).unwrap();
+            path.to_str().unwrap().to_owned()
+        })
+        .collect();
+    let run = || {
+        let server = Server::new(ServerConfig {
+            cache_dir: Some(cache.0.clone()),
+            cache_backend: BackendKind::Indexed,
+            ..ServerConfig::default()
+        })
+        .expect("server builds");
+        for (i, file) in files.iter().enumerate() {
+            let severity = if i == 1 { ",\"min_severity\":\"error\"" } else { "" };
+            let line = format!("{{\"op\":\"analyze\",\"paths\":[{}]{severity}}}", json_str(file));
+            assert!(server.handle_line(&line).header.contains("\"ok\":true"));
+        }
+        let stats = server.handle_line("{\"op\":\"stats\"}").payload;
+        let JsonNode::Obj(fields) = parse_json(stats.trim()).unwrap() else { panic!() };
+        let JsonNode::Obj(analysis) = field(&fields, "analysis").clone() else { panic!() };
+        (int_field(&analysis, "persistent_hits"), int_field(&analysis, "parses"))
+    };
+    assert_eq!(run(), (0, 3), "cold run parses every file");
+    assert_eq!(run(), (3, 0), "a restart finds every stored entry");
 }
 
 #[test]

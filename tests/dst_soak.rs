@@ -2,17 +2,19 @@
 //!
 //! Each test drives `detector::sim::run_schedule`: seeded schedules of
 //! mixed analyze/delta/stats/shutdown traffic against an in-process
-//! server on a virtual clock, with fault injection in the persistent
-//! tier. Any failure names its seed; `dst --replay-seed N` (with the
+//! server on a virtual clock, through the daemon's own connection
+//! core, with fault injection in the persistent tier. Any failure names its seed; `dst --replay-seed N` (with the
 //! matching flags) re-runs exactly that schedule.
 
 use placement_new_attacks::detector::sim::{run_schedule, SimOptions, SimReport};
 use placement_new_attacks::detector::BackendKind;
 
-/// The acceptance soak: a thousand seeded schedules, three invariants
+/// The acceptance soak: a thousand seeded schedules, four invariants
 /// each, and the aggregate must prove the harness actually exercised
 /// the interesting machinery (faults landed, corruption was detected
-/// and healed, idle reaping both fired and was correctly deferred).
+/// and healed, idle reaping both fired and was correctly deferred,
+/// floods met the hard cap, unwritten output held back reaps and
+/// closes, and shutdowns drained).
 #[test]
 fn soak_one_thousand_seeds_holds_all_invariants() {
     let opts = SimOptions { tag: "soak-test".to_owned(), ..SimOptions::default() };
@@ -21,6 +23,7 @@ fn soak_one_thousand_seeds_holds_all_invariants() {
     let mut corrupt = 0u64;
     let mut reaped = 0usize;
     let mut deferrals = 0usize;
+    let (mut busy, mut held, mut drains) = (0usize, 0usize, 0usize);
     let mut payload_checks = 0usize;
     let mut identity_checks = 0usize;
     for seed in 0..1000 {
@@ -29,6 +32,9 @@ fn soak_one_thousand_seeds_holds_all_invariants() {
         corrupt += report.corrupt_detected;
         reaped += report.reaped;
         deferrals += report.reap_deferrals;
+        busy += report.busy;
+        held += report.output_deferrals;
+        drains += report.drains;
         payload_checks += report.payload_checks;
         identity_checks += report.identity_checks;
         if !report.ok() {
@@ -44,6 +50,9 @@ fn soak_one_thousand_seeds_holds_all_invariants() {
     assert!(corrupt > 0, "the soak must detect (and heal) corrupt entries");
     assert!(reaped > 0, "the soak must reap idle connections on the virtual clock");
     assert!(deferrals > 0, "the soak must defer reaping stale-but-busy connections");
+    assert!(busy > 0, "the soak must turn connections away with busy at the hard cap");
+    assert!(held > 0, "the soak must hold reaps or closes for unwritten output");
+    assert!(drains > 0, "the soak must drain after shutdown");
     assert!(payload_checks > 100, "the soak must compare warm payloads against one-shot scans");
     assert!(identity_checks > 100, "the soak must check accounting identities");
 }
