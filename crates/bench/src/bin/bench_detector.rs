@@ -28,17 +28,25 @@
 //!   tracked scan), plus the hub-edit worst case over the fan-in
 //!   corpus, where one edit invalidates a wide summary cone;
 //! * `function_delta` — function-granular rescan: a single-function
-//!   knob edit in a wide 300-function file (`fn_delta_edit_ms`,
-//!   `fn_delta_speedup` vs whole-file re-analysis with function
-//!   granularity off), and a shared-helper edit across every file of
-//!   the hub corpus, where each file re-analyzes only its cone.
+//!   knob edit in a wide 300-function file (`fn_delta_edit_ms`), and a
+//!   shared-helper edit across every file of the hub corpus, where each
+//!   file re-analyzes only its cone (`fn_hub_edit_ms`). Each is timed
+//!   as write + hinted or stat-swept `rescan_delta`. Their baselines
+//!   (`fn_delta_baseline_ms`, `fn_hub_baseline_ms`) are a plain
+//!   whole-file analysis of the changed texts — `parse_program_recovering`
+//!   then `Analyzer::analyze_full` with no summary store, per changed
+//!   file, no file I/O — and the `*_speedup` fields divide baseline by
+//!   edit time.
 
 use std::path::Path;
 use std::time::Instant;
 
 use pnew_corpus::workload;
 use pnew_detector::server::{Server, ServerConfig};
-use pnew_detector::{pretty_program, Analyzer, AnalyzerConfig, BatchEngine, PersistentCache};
+use pnew_detector::{
+    parse_program_recovering, pretty_program, Analyzer, AnalyzerConfig, BatchEngine,
+    PersistentCache,
+};
 
 /// A JSON string literal for embedding a source in an analyze request.
 fn json_str(text: &str) -> String {
@@ -284,14 +292,12 @@ fn main() {
     let (_, hub_edit_s, _, hub_cone) = delta_scenario(&hub_dir, &hub_sources, &hub_edited, runs);
 
     // Function-granular delta: a two-digit knob edit in the middle
-    // function of one wide 300-function file. With function granularity
-    // the warm rescan re-analyzes the one-function cone and hydrates
-    // every other summary from the old record; the baseline engine
-    // (granularity off) re-analyzes the whole file — the
-    // pre-function-granular `--delta` cost for the same edit. Knobs
-    // advance every round so no source-fingerprint tier can serve the
-    // edit from memory, and all texts are pre-rendered so the timed
-    // region pays exactly write + rescan.
+    // function of one wide 300-function file. The warm rescan
+    // re-analyzes the one-function cone and hydrates every other
+    // summary from the old record; the baseline is a whole-file parse
+    // and analysis of the same edited text. Knobs advance every round
+    // so the memo can never serve the edit, and all texts are
+    // pre-rendered so the timed region pays exactly write + rescan.
     let wide_fns = workload::WIDE_FUNCTIONS;
     let fn_runs = runs.max(2);
     let mut knobs = (0..).map(|k| 10 + (k % 90) as i64);
@@ -322,21 +328,21 @@ fn main() {
     });
     assert_eq!(fn_reused, wide_fns - 1, "every untouched function's summary is reused");
 
-    let baseline = BatchEngine::new(Analyzer::new()).with_function_granularity(false);
-    baseline.scan_paths_tracked(&wide_paths);
+    // The baseline: a plain whole-file analysis of one changed text.
+    let whole_file = |text: &str| {
+        let program = parse_program_recovering(text).expect("generated text parses");
+        Analyzer::new().analyze_full(&program, None, None).summaries.len()
+    };
     let fn_baseline_s = median_secs(fn_runs, || {
         flip += 1;
-        std::fs::write(&wide_path, &wide_texts[flip]).expect("edit writes");
-        let (_, _, delta) = baseline.rescan_delta(&wide_paths, Some(wide_paths.as_slice()));
-        assert_eq!(delta.changed_files, 1, "exactly the wide file re-analyzes");
-        assert_eq!(delta.functions_reanalyzed, wide_fns, "granularity off re-analyzes everything");
+        assert_eq!(whole_file(&wide_texts[flip]), wide_fns, "the baseline walks every function");
     });
     let _ = std::fs::remove_dir_all(&wide_dir);
 
     // Hub-helper edit: the shared `helper_0` changes in every file of
     // the hub corpus at once. Function granularity re-analyzes only
     // each file's cone (the helper plus its callers) and reuses the
-    // rest; the baseline re-analyzes every function of every file.
+    // rest; the baseline parses and analyzes every changed file whole.
     let fnhub_files = if smoke { 30 } else { 200 };
     let fnhub_rounds: Vec<Vec<String>> = (&mut knobs)
         .take(2 * fn_runs + 2)
@@ -377,13 +383,11 @@ fn main() {
     });
     assert_eq!(fnhub_reused, (per_file - cone_per_file) * fnhub_files);
 
-    let fnhub_baseline = BatchEngine::new(Analyzer::new()).with_function_granularity(false);
-    fnhub_baseline.scan_paths_tracked(&fnhub_paths);
     let fnhub_baseline_s = median_secs(fn_runs, || {
         round += 1;
-        write_round(&fnhub_rounds[round]);
-        let (_, _, delta) = fnhub_baseline.rescan_delta(&fnhub_paths, None);
-        assert_eq!(delta.changed_files, fnhub_files, "the hub edit touches every file");
+        for text in &fnhub_rounds[round] {
+            assert_eq!(whole_file(text), per_file, "the baseline walks every function");
+        }
     });
     let _ = std::fs::remove_dir_all(&fnhub_dir);
 

@@ -6,22 +6,23 @@
 //! [`Report`] per input, **in input order**, regardless of how many
 //! workers ran or how the queue interleaved.
 //!
-//! Results are memoized behind a content-fingerprint cache: the key is a
-//! stable FNV-1a hash of the program's canonical pretty-printed form
-//! (which round-trips through the parser, so equal programs — even ones
-//! built independently — hash equally, and any semantic difference
-//! changes the key). A second scan of an unchanged corpus is pure cache
-//! hits.
-//!
-//! Source-text scans ([`BatchEngine::scan_sources_with_stats`]) add a
-//! second in-memory tier keyed on a fingerprint of the **raw source
-//! bytes**: a warm re-scan of unchanged text skips the parser as well as
-//! the analyzer, which is what keeps a resident `pncheckd` serving
-//! repeat requests without re-parsing anything. With
-//! [`BatchEngine::with_persistent_cache`], an *on-disk* tier under the
-//! same key extends that across process restarts. Corrupt or stale disk
-//! entries degrade to a normal analysis (and get rewritten), never to an
-//! error.
+//! Results are memoized in one in-memory map, keyed by what the input
+//! was. A program handed to [`BatchEngine::scan`] is keyed by
+//! [`fingerprint`], a stable FNV-1a hash of its canonical pretty-printed
+//! form (which round-trips through the parser, so equal programs — even
+//! ones built independently — hash equally, and any semantic difference
+//! changes the key). A source text handed to
+//! [`BatchEngine::scan_sources_with_stats`] is keyed by
+//! [`source_fingerprint`], a hash of its **raw bytes**: a warm re-scan
+//! of unchanged text skips the parser as well as the analyzer, which is
+//! what keeps a resident `pncheckd` serving repeat requests without
+//! re-parsing anything. The two kinds of key never answer each other: a
+//! parsed program carries source spans and a built one does not, and
+//! two texts that differ only in layout share a pretty form but not
+//! their spans. With [`BatchEngine::with_persistent_cache`], an
+//! *on-disk* tier under the source key extends the memo across process
+//! restarts. Corrupt or stale disk entries degrade to a normal analysis
+//! (and get rewritten), never to an error.
 //!
 //! ```
 //! use pnew_detector::{Analyzer, BatchEngine, Expr, ProgramBuilder, Ty};
@@ -86,7 +87,7 @@ pub struct BatchStats {
     pub programs: usize,
     /// Total findings across all reports.
     pub findings: usize,
-    /// Reports served from the fingerprint cache.
+    /// Reports served from the memo.
     pub cache_hits: u64,
     /// Reports that required a fresh analysis.
     pub cache_misses: u64,
@@ -95,9 +96,9 @@ pub struct BatchStats {
     /// Worker threads used.
     pub jobs: usize,
     /// Source texts that actually went through the parser during this
-    /// scan. A fully warm scan — every input served from the source
-    /// fingerprint tier or the disk tier — runs zero parses. Always 0
-    /// for program-based scans, which never parse.
+    /// scan. A fully warm scan — every input served from the memo or
+    /// the disk tier — runs zero parses. Always 0 for program-based
+    /// scans, which never parse.
     pub parses: u64,
     /// Files served whole from the on-disk cache (no parse, no
     /// analysis). Always 0 without a persistent cache.
@@ -141,18 +142,16 @@ impl BatchStats {
 /// reader racing live requests can never observe a torn pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Scans answered from either in-memory fingerprint tier (program
-    /// or source) since construction.
+    /// Inputs answered from the in-memory memo since construction.
     pub hits: u64,
-    /// Scans that ran the analyzer since construction.
+    /// Inputs that ran the analyzer since construction.
     pub misses: u64,
-    /// Fingerprint-tier probes since construction — always exactly
-    /// `hits + misses` within one snapshot.
+    /// Memo lookups that ended in a hit or an analysis — always exactly
+    /// `hits + misses` within one snapshot. A source served from the
+    /// disk tier is neither.
     pub lookups: u64,
-    /// Reports currently cached in the program-fingerprint tier.
+    /// Analyses currently held in the memo.
     pub entries: usize,
-    /// Outcomes currently cached in the source-fingerprint tier.
-    pub source_entries: usize,
     /// Source texts parsed since construction.
     pub parses: u64,
 }
@@ -178,7 +177,7 @@ impl ShardSpec {
 /// The engine's live hit/miss/parse counters, mutated and snapshotted
 /// under one mutex so readers never see a half-updated set (the
 /// `pncheckd-stats/1` torn-pair bug: `hits + misses != lookups`).
-/// The hot path already takes the cache-map mutexes, so the extra
+/// The hot path already takes the memo mutex, so the extra
 /// uncontended lock is noise next to a parse or an analysis.
 #[derive(Debug, Clone, Copy, Default)]
 struct EngineCounters {
@@ -186,6 +185,19 @@ struct EngineCounters {
     misses: u64,
     lookups: u64,
     parses: u64,
+}
+
+/// A memo key: the fingerprint plus the kind of input it was taken
+/// from, so a program-scan entry never answers a source probe, nor the
+/// reverse. A built program carries no spans and a parsed one does, so
+/// serving one for the other would return the wrong report even when
+/// the source text is exactly the program's pretty form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum MemoKey {
+    /// [`fingerprint`] of a program handed to [`BatchEngine::scan`].
+    Program(u128),
+    /// [`source_fingerprint`] of a source text.
+    Source(u128),
 }
 
 /// What scanning one source text produced.
@@ -209,12 +221,40 @@ pub struct SourceOutcome {
     /// The report came straight from the on-disk cache: neither the
     /// parser nor the analyzer ran for this file.
     pub from_disk_cache: bool,
-    /// The report came from the in-memory source-fingerprint tier:
-    /// neither the parser nor the analyzer ran for this file.
+    /// The report came from the in-memory memo: neither the parser nor
+    /// the analyzer ran for this file.
     pub from_source_cache: bool,
     /// An on-disk entry existed but was corrupt; the file was
     /// re-analyzed from source and the entry rewritten.
     pub cache_corrupt: bool,
+}
+
+impl SourceOutcome {
+    /// A fresh analysis's outcome; callers mark the tier that served it.
+    fn analyzed(entry: CachedAnalysis) -> SourceOutcome {
+        SourceOutcome {
+            report: Some(entry.report),
+            summaries: entry.summaries,
+            finding_pool: entry.finding_pool,
+            errors: Vec::new(),
+            from_disk_cache: false,
+            from_source_cache: false,
+            cache_corrupt: false,
+        }
+    }
+
+    /// The outcome of a source that did not parse.
+    fn unparsed(errors: Vec<ParseError>) -> SourceOutcome {
+        SourceOutcome {
+            report: None,
+            summaries: Vec::new(),
+            finding_pool: Vec::new(),
+            errors,
+            from_disk_cache: false,
+            from_source_cache: false,
+            cache_corrupt: false,
+        }
+    }
 }
 
 /// What the engine remembers about one scanned path between delta
@@ -297,9 +337,8 @@ pub struct DeltaStats {
     /// analysis has not been hydrated from disk yet contribute zero.
     pub tracked_functions: usize,
     /// Functions actually re-walked this rescan, summed over
-    /// re-analyzed files. With function granularity on, this equals the
-    /// invalidation cone of the edit; with it off (or on the first
-    /// sight of a file) every function of a changed file counts.
+    /// re-analyzed files. This equals the invalidation cone of the
+    /// edit; on the first sight of a file every function counts.
     pub functions_reanalyzed: usize,
     /// Functions hydrated from prior `.pnc` records instead of being
     /// re-walked, summed over re-analyzed files.
@@ -313,15 +352,14 @@ pub struct DeltaStats {
     pub stat_fastpath_hits: usize,
 }
 
-/// A parallel batch scanner with a content-fingerprint report cache.
+/// A parallel batch scanner with a content-fingerprint memo.
 ///
 /// See the [module docs](self) for the concurrency and caching model.
 #[derive(Debug)]
 pub struct BatchEngine {
     analyzer: Analyzer,
     jobs: usize,
-    cache: Mutex<HashMap<u128, CachedAnalysis>>,
-    source_cache: Mutex<HashMap<u128, CachedAnalysis>>,
+    memo: Mutex<HashMap<MemoKey, CachedAnalysis>>,
     counters: Mutex<EngineCounters>,
     trace: Option<Arc<TraceCollector>>,
     persistent: Option<PersistentCache>,
@@ -331,11 +369,6 @@ pub struct BatchEngine {
     /// closure fingerprint, shared by every file analyzed through this
     /// engine (and persisted behind the cache backend).
     summary_store: Arc<SummaryStore>,
-    /// Whether delta rescans may re-analyze only a changed file's
-    /// invalidation cone (and share summaries across files). Off, every
-    /// changed file re-analyzes whole — the pre-function-granular
-    /// behavior, kept as the benchmark baseline.
-    function_granularity: bool,
     /// Serializes whole delta operations (seed + rescan + manifest and
     /// store persistence) against each other and against tracked full
     /// scans, so no request ever snapshots a half-updated tracked
@@ -365,15 +398,13 @@ impl BatchEngine {
         BatchEngine {
             analyzer,
             jobs,
-            cache: Mutex::new(HashMap::new()),
-            source_cache: Mutex::new(HashMap::new()),
+            memo: Mutex::new(HashMap::new()),
             counters: Mutex::new(EngineCounters::default()),
             trace: None,
             persistent: None,
             shard: None,
             tracked: Mutex::new(HashMap::new()),
             summary_store: Arc::new(SummaryStore::new()),
-            function_granularity: true,
             delta_gate: Mutex::new(()),
             fn_reanalyzed_total: AtomicU64::new(0),
             fn_reused_total: AtomicU64::new(0),
@@ -415,26 +446,16 @@ impl BatchEngine {
         self
     }
 
-    /// Restricts the warm tiers (source fingerprint, on-disk, program
-    /// memo) to the keys this replica owns: an unowned source still
-    /// analyzes correctly, but takes the full uncached path and leaves
-    /// no warm state behind, so N sharded replicas split the
-    /// fingerprint space instead of each holding all of it. The
-    /// tracked/delta index is deliberately unsharded — change
-    /// detection is stat-based and cheap, and delta correctness must
-    /// not depend on shard placement.
+    /// Restricts the warm tiers (memo, on-disk, summary store) to the
+    /// keys this replica owns: an unowned source still analyzes
+    /// correctly, but takes the full uncached path and leaves no warm
+    /// state behind, so N sharded replicas split the fingerprint space
+    /// instead of each holding all of it. The tracked/delta index is
+    /// deliberately unsharded — change detection is stat-based and
+    /// cheap, and delta correctness must not depend on shard placement.
     #[must_use]
     pub fn with_shard(mut self, shard: ShardSpec) -> Self {
         self.shard = Some(shard);
-        self
-    }
-
-    /// Turns function-granular re-analysis (and cross-file summary
-    /// sharing) on or off. On by default; the benchmark baseline turns
-    /// it off to measure whole-file delta behavior.
-    #[must_use]
-    pub fn with_function_granularity(mut self, on: bool) -> Self {
-        self.function_granularity = on;
         self
     }
 
@@ -494,11 +515,10 @@ impl BatchEngine {
     /// Scans raw source texts through every cache tier, returning one
     /// [`SourceOutcome`] per input, in input order.
     ///
-    /// Per file: probe the in-memory source-fingerprint tier (hit →
-    /// done, no parse); probe the on-disk cache (hit → done, no parse);
-    /// parse; analyze through the program-fingerprint tier; write the
-    /// entry back to the source tier and to disk. Parse failures are
-    /// reported in the outcome and never cached.
+    /// Per file: probe the memo by source fingerprint (hit → done, no
+    /// parse); probe the on-disk cache (hit → done, no parse); parse;
+    /// analyze; write the entry back to the memo and to disk. Parse
+    /// failures are reported in the outcome and never cached.
     pub fn scan_sources_with_stats<S: AsRef<str> + Sync>(
         &self,
         sources: &[S],
@@ -813,13 +833,10 @@ impl BatchEngine {
     }
 
     /// Preloads the cross-file summary store from the attached
-    /// persistent cache (no-op when the store already has entries, when
-    /// no cache is attached, or with function granularity off). Returns
-    /// the entries resident afterwards.
+    /// persistent cache (no-op when the store already has entries or
+    /// when no cache is attached). Returns the entries resident
+    /// afterwards.
     pub fn load_summary_store(&self) -> usize {
-        if !self.function_granularity {
-            return self.summary_store.len();
-        }
         if let Some(pc) = &self.persistent {
             if self.summary_store.is_empty() {
                 self.summary_store.preload(pc.load_summary_entries());
@@ -846,8 +863,7 @@ impl BatchEngine {
     }
 
     /// Primes the tracked index from the manifest of the attached
-    /// persistent cache (the `manifest.pnm` file of a `dir` backend,
-    /// or the manifest record of an `indexed` store), so the very
+    /// persistent cache (its `manifest.pnm`), so the very
     /// first [`rescan_delta`](Self::rescan_delta) of a new process can
     /// serve unchanged files from disk instead of re-parsing the
     /// world. Already-tracked paths are left alone. Returns the number
@@ -969,8 +985,8 @@ impl BatchEngine {
     }
 
     /// Drains `items` through the worker pool, preserving input order,
-    /// and accounts both cache tiers over the run. `findings` in the
-    /// returned stats is left at 0 for the caller to fill.
+    /// and accounts the memo and the disk tier over the run. `findings`
+    /// in the returned stats is left at 0 for the caller to fill.
     fn run_queue<I: Sync, R: Send>(
         &self,
         items: &[I],
@@ -1054,25 +1070,24 @@ impl BatchEngine {
         self.analyzer.analyze_full(program, self.trace.as_deref(), store)
     }
 
-    /// Analyzes one parsed program through the in-memory cache tier.
-    fn analyze_cached(&self, program: &Program) -> CachedAnalysis {
-        let key = fingerprint(program);
-        let owned = self.owns(key);
-        if owned {
-            if let Some(hit) = self.cache.lock().expect("batch cache poisoned").get(&key) {
-                self.bump(|c| {
-                    c.lookups += 1;
-                    c.hits += 1;
-                });
-                if let Some(t) = &self.trace {
-                    t.count("batch.cache-hit", 1);
-                }
-                return hit.clone();
-            }
+    /// Probes the memo. A hit counts one lookup and one hit; a miss
+    /// counts nothing until the caller commits to an analysis
+    /// ([`count_miss`](Self::count_miss)), so an input served from the
+    /// disk tier is neither.
+    fn memo_get(&self, key: MemoKey) -> Option<CachedAnalysis> {
+        let hit = self.memo.lock().expect("memo poisoned").get(&key).cloned()?;
+        self.bump(|c| {
+            c.lookups += 1;
+            c.hits += 1;
+        });
+        if let Some(t) = &self.trace {
+            t.count("batch.cache-hit", 1);
         }
-        // The lock is dropped during analysis: concurrent misses on the
-        // same key may both analyze (identical, deterministic results),
-        // but workers never serialize behind a slow analysis.
+        Some(hit)
+    }
+
+    /// Counts one memo lookup that ends in a fresh analysis.
+    fn count_miss(&self) {
         self.bump(|c| {
             c.lookups += 1;
             c.misses += 1;
@@ -1080,18 +1095,35 @@ impl BatchEngine {
         if let Some(t) = &self.trace {
             t.count("batch.cache-miss", 1);
         }
-        let store = (owned && self.function_granularity).then_some(&*self.summary_store);
-        let entry = self.analyze_uncached(program, store);
+    }
+
+    fn memo_put(&self, key: MemoKey, entry: &CachedAnalysis) {
+        self.memo.lock().expect("memo poisoned").insert(key, entry.clone());
+    }
+
+    /// Analyzes one parsed program through the memo. The lock is
+    /// dropped during analysis: concurrent misses on the same key may
+    /// both analyze (identical, deterministic results), but workers
+    /// never serialize behind a slow analysis.
+    fn analyze_cached(&self, program: &Program) -> CachedAnalysis {
+        let key = fingerprint(program);
+        let owned = self.owns(key);
         if owned {
-            self.cache.lock().expect("batch cache poisoned").insert(key, entry.clone());
+            if let Some(hit) = self.memo_get(MemoKey::Program(key)) {
+                return hit;
+            }
+        }
+        self.count_miss();
+        let entry = self.analyze_uncached(program, owned.then_some(&*self.summary_store));
+        if owned {
+            self.memo_put(MemoKey::Program(key), &entry);
         }
         entry
     }
 
-    /// Analyzes one source text through every cache tier: the in-memory
-    /// source-fingerprint tier first (fastest, and the one a resident
-    /// daemon stays warm on), then the on-disk tier, then parse +
-    /// program-fingerprint tier.
+    /// Analyzes one source text through every cache tier: the memo
+    /// first (fastest, and the one a resident daemon stays warm on),
+    /// then the on-disk tier, then parse and analysis.
     fn analyze_source(&self, source: &str) -> SourceOutcome {
         self.analyze_source_partial(source, None).0
     }
@@ -1125,60 +1157,18 @@ impl BatchEngine {
                 t.count("batch.shard-unowned", 1);
             }
             return match parse_program_recovering(source) {
-                Err(errors) => (
-                    SourceOutcome {
-                        report: None,
-                        summaries: Vec::new(),
-                        finding_pool: Vec::new(),
-                        errors,
-                        from_disk_cache: false,
-                        from_source_cache: false,
-                        cache_corrupt: false,
-                    },
-                    0,
-                    0,
-                ),
+                Err(errors) => (SourceOutcome::unparsed(errors), 0, 0),
                 Ok(program) => {
                     let entry = self.analyze_uncached(&program, None);
                     let reanalyzed = entry.summaries.len();
-                    (
-                        SourceOutcome {
-                            report: Some(entry.report),
-                            summaries: entry.summaries,
-                            finding_pool: entry.finding_pool,
-                            errors: Vec::new(),
-                            from_disk_cache: false,
-                            from_source_cache: false,
-                            cache_corrupt: false,
-                        },
-                        reanalyzed,
-                        0,
-                    )
+                    (SourceOutcome::analyzed(entry), reanalyzed, 0)
                 }
             };
         }
-        if let Some(hit) = self.source_cache.lock().expect("source cache poisoned").get(&key) {
-            self.bump(|c| {
-                c.lookups += 1;
-                c.hits += 1;
-            });
-            if let Some(t) = &self.trace {
-                t.count("batch.source-hit", 1);
-            }
+        if let Some(hit) = self.memo_get(MemoKey::Source(key)) {
             let reused = hit.summaries.len();
-            return (
-                SourceOutcome {
-                    report: Some(hit.report.clone()),
-                    summaries: hit.summaries.clone(),
-                    finding_pool: hit.finding_pool.clone(),
-                    errors: Vec::new(),
-                    from_disk_cache: false,
-                    from_source_cache: true,
-                    cache_corrupt: false,
-                },
-                0,
-                reused,
-            );
+            let outcome = SourceOutcome { from_source_cache: true, ..SourceOutcome::analyzed(hit) };
+            return (outcome, 0, reused);
         }
         let mut cache_corrupt = false;
         if let Some(pc) = &self.persistent {
@@ -1187,24 +1177,11 @@ impl BatchEngine {
                     if let Some(t) = &self.trace {
                         t.count("batch.persistent-hit", 1);
                     }
-                    self.source_cache
-                        .lock()
-                        .expect("source cache poisoned")
-                        .insert(key, entry.clone());
+                    self.memo_put(MemoKey::Source(key), &entry);
                     let reused = entry.summaries.len();
-                    return (
-                        SourceOutcome {
-                            report: Some(entry.report),
-                            summaries: entry.summaries,
-                            finding_pool: entry.finding_pool,
-                            errors: Vec::new(),
-                            from_disk_cache: true,
-                            from_source_cache: false,
-                            cache_corrupt: false,
-                        },
-                        0,
-                        reused,
-                    );
+                    let outcome =
+                        SourceOutcome { from_disk_cache: true, ..SourceOutcome::analyzed(entry) };
+                    return (outcome, 0, reused);
                 }
                 CacheLookup::Corrupt => {
                     cache_corrupt = true;
@@ -1220,75 +1197,40 @@ impl BatchEngine {
             }
         }
         self.bump(|c| c.parses += 1);
-        match parse_program_recovering(source) {
-            Err(errors) => (
-                SourceOutcome {
-                    report: None,
-                    summaries: Vec::new(),
-                    finding_pool: Vec::new(),
-                    errors,
-                    from_disk_cache: false,
-                    from_source_cache: false,
-                    cache_corrupt,
-                },
-                0,
-                0,
-            ),
-            Ok(program) => {
-                // Every tier missed: try the cone-only partial path
-                // before paying for a whole-file analysis. The result
-                // is byte-identical either way (asserted in debug
-                // builds), so it feeds the same caches.
-                let partial = old.filter(|_| self.function_granularity).and_then(|o| {
-                    self.analyzer.analyze_partial(&program, o, Some(&self.summary_store))
-                });
-                let (entry, reanalyzed, reused) = match partial {
-                    Some(p) => {
-                        self.bump(|c| {
-                            c.lookups += 1;
-                            c.misses += 1;
-                        });
-                        if let Some(t) = &self.trace {
-                            t.count("batch.partial-analysis", 1);
-                            t.count("batch.cache-miss", 1);
-                        }
-                        let pkey = fingerprint(&program);
-                        if self.owns(pkey) {
-                            self.cache
-                                .lock()
-                                .expect("batch cache poisoned")
-                                .insert(pkey, p.analysis.clone());
-                        }
-                        (p.analysis, p.functions_reanalyzed as usize, p.functions_reused as usize)
-                    }
-                    None => {
-                        let entry = self.analyze_cached(&program);
-                        let reanalyzed = entry.summaries.len();
-                        (entry, reanalyzed, 0)
-                    }
-                };
-                self.source_cache.lock().expect("source cache poisoned").insert(key, entry.clone());
-                if let Some(pc) = &self.persistent {
-                    pc.put(key, &entry);
-                }
-                (
-                    SourceOutcome {
-                        report: Some(entry.report),
-                        summaries: entry.summaries,
-                        finding_pool: entry.finding_pool,
-                        errors: Vec::new(),
-                        from_disk_cache: false,
-                        from_source_cache: false,
-                        cache_corrupt,
-                    },
-                    reanalyzed,
-                    reused,
-                )
+        let program = match parse_program_recovering(source) {
+            Ok(program) => program,
+            Err(errors) => {
+                return (SourceOutcome { cache_corrupt, ..SourceOutcome::unparsed(errors) }, 0, 0)
             }
+        };
+        // Every tier missed: try the cone-only partial path before
+        // paying for a whole-file analysis. The result is byte-identical
+        // either way (asserted in debug builds), so it feeds the same
+        // caches.
+        self.count_miss();
+        let partial =
+            old.and_then(|o| self.analyzer.analyze_partial(&program, o, Some(&self.summary_store)));
+        let (entry, reanalyzed, reused) = match partial {
+            Some(p) => {
+                if let Some(t) = &self.trace {
+                    t.count("batch.partial-analysis", 1);
+                }
+                (p.analysis, p.functions_reanalyzed as usize, p.functions_reused as usize)
+            }
+            None => {
+                let entry = self.analyze_uncached(&program, Some(&self.summary_store));
+                let reanalyzed = entry.summaries.len();
+                (entry, reanalyzed, 0)
+            }
+        };
+        self.memo_put(MemoKey::Source(key), &entry);
+        if let Some(pc) = &self.persistent {
+            pc.put(key, &entry);
         }
+        (SourceOutcome { cache_corrupt, ..SourceOutcome::analyzed(entry) }, reanalyzed, reused)
     }
 
-    /// Lifetime hit/miss/parse counters and the current cache sizes.
+    /// Lifetime hit/miss/parse counters and the current memo size.
     /// The counters come from one consistent snapshot, so
     /// `hits + misses == lookups` holds even while requests race this
     /// read.
@@ -1298,17 +1240,15 @@ impl BatchEngine {
             hits: counters.hits,
             misses: counters.misses,
             lookups: counters.lookups,
-            entries: self.cache.lock().expect("batch cache poisoned").len(),
-            source_entries: self.source_cache.lock().expect("source cache poisoned").len(),
+            entries: self.memo.lock().expect("memo poisoned").len(),
             parses: counters.parses,
         }
     }
 
-    /// Drops every cached report in both in-memory tiers (counters are
-    /// kept; the on-disk tier is untouched).
+    /// Drops every analysis in the memo (counters are kept; the on-disk
+    /// tier is untouched).
     pub fn clear_cache(&self) {
-        self.cache.lock().expect("batch cache poisoned").clear();
-        self.source_cache.lock().expect("source cache poisoned").clear();
+        self.memo.lock().expect("memo poisoned").clear();
     }
 }
 
@@ -1316,7 +1256,7 @@ impl BatchEngine {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::ir::{Expr, Ty};
+    use crate::ir::{Expr, Span, Ty};
 
     fn vulnerable(name: &str) -> Program {
         let mut p = ProgramBuilder::new(name);
@@ -1515,8 +1455,8 @@ mod tests {
 
     #[test]
     fn corrupt_disk_entries_degrade_to_reanalysis_and_heal() {
-        // Fresh engines per scan: the in-memory source tier would
-        // otherwise (correctly) answer before the disk probe, and this
+        // Fresh engines per scan: the in-memory memo would otherwise
+        // (correctly) answer before the disk probe, and this
         // test is about the cross-process path where memory is cold.
         let dir = tmp_cache_dir("corrupt");
         let sources = [VULN_SRC];
@@ -1545,8 +1485,8 @@ mod tests {
     }
 
     #[test]
-    fn source_tier_shields_a_corrupted_disk_entry_within_a_process() {
-        // Same engine, same text: the source tier answers without ever
+    fn memo_shields_a_corrupted_disk_entry_within_a_process() {
+        // Same engine, same text: the memo answers without ever
         // touching the (now corrupt) disk entry — the in-memory copy is
         // current, so serving it is both correct and faster.
         let dir = tmp_cache_dir("shield");
@@ -1567,7 +1507,7 @@ mod tests {
         let (outcomes, stats) = engine.scan_sources_with_stats(&[VULN_SRC, VULN_SRC, SAFE_SRC]);
         assert_eq!(outcomes.len(), 3);
         assert_eq!(stats.persistent_hits + stats.persistent_misses, 0);
-        // The in-memory tiers still dedup equal inputs.
+        // The memo still dedups equal inputs.
         assert_eq!(stats.cache_hits + stats.cache_misses, 3);
         assert_eq!(outcomes[0].report, outcomes[1].report);
     }
@@ -1592,13 +1532,58 @@ mod tests {
         );
         let lifetime = engine.cache_stats();
         assert_eq!(lifetime.parses, 2);
-        assert_eq!(lifetime.source_entries, 2);
+        assert_eq!(lifetime.entries, 2, "one memo entry per text, no second copy");
+    }
+
+    #[test]
+    fn program_and_source_scans_never_share_a_memo_entry() {
+        // A built program carries no spans; the same program parsed from
+        // its pretty form does. Scanning one must not serve the other.
+        let program = vulnerable("shared-key");
+        let text = crate::pretty::pretty(&program);
+        let engine = BatchEngine::default().with_jobs(1);
+        engine.scan(std::slice::from_ref(&program));
+
+        let (outcomes, stats) = engine.scan_sources_with_stats(&[text.as_str()]);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1), "the source probe misses");
+        assert!(!outcomes[0].from_source_cache);
+        let (fresh, _) = BatchEngine::default().scan_sources_with_stats(&[text.as_str()]);
+        assert_eq!(outcomes, fresh, "the source outcome is the fresh engine's");
+        assert_eq!(spans(&outcomes[0]), spans(&fresh[0]));
+        assert!(spans(&outcomes[0]).iter().all(Option::is_some), "parsed sites carry spans");
+
+        // Nor the reverse: the program scan still hits its own entry.
+        let (_, stats) = engine.scan_with_stats(std::slice::from_ref(&program));
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 0));
+        assert_eq!(engine.cache_stats().entries, 2);
+    }
+
+    #[test]
+    fn texts_differing_only_in_layout_keep_their_own_spans() {
+        // Equal programs, different spans: each text is its own entry.
+        let shifted = format!("\n\n\n{VULN_SRC}");
+        let engine = BatchEngine::default().with_jobs(1);
+        let (outcomes, stats) = engine.scan_sources_with_stats(&[VULN_SRC, shifted.as_str()]);
+        assert_eq!(stats.cache_misses, 2);
+        let (fresh, _) = BatchEngine::default().scan_sources_with_stats(&[shifted.as_str()]);
+        assert_eq!(outcomes[1], fresh[0]);
+        assert_eq!(spans(&outcomes[1]), spans(&fresh[0]));
+        assert_ne!(spans(&outcomes[0]), spans(&outcomes[1]), "the spans moved three lines");
+    }
+
+    /// Every finding's source span. `Site` equality ignores spans, so a
+    /// comparison that must see them compares these too.
+    fn spans(outcome: &SourceOutcome) -> Vec<Option<Span>> {
+        outcome.report.iter().flat_map(|r| &r.findings).map(|f| f.site.span).collect()
     }
 
     #[test]
     fn per_scan_jobs_override_matches_engine_default() {
+        // Three distinct keys: no two workers can race one memo entry,
+        // so every outcome, provenance flags included, is deterministic.
+        let again = VULN_SRC.replace("program vuln", "program vuln_again");
         let engine = BatchEngine::default().with_jobs(1);
-        let sources = [VULN_SRC, SAFE_SRC, VULN_SRC];
+        let sources = [VULN_SRC, SAFE_SRC, again.as_str()];
         let (default_run, _) = engine.scan_sources_with_stats(&sources);
         engine.clear_cache();
         let (override_run, stats) = engine.scan_sources_with_stats_jobs(&sources, 8);
@@ -1676,7 +1661,7 @@ mod tests {
         assert_eq!(delta.unchanged_files, 2);
         assert_eq!(delta.tracked_files, 4);
         // The hinted file is re-read, but its unchanged content hits
-        // the in-memory source tier — no parse, same bytes out.
+        // the in-memory memo — no parse, same bytes out.
         assert!(!outcomes[1].reanalyzed, "hinted-but-identical content serves from cache");
         assert!(outcomes[3].analysis.as_ref().unwrap().report.detected(), "added file scanned");
         assert!(!std::path::Path::new(&removed).to_string_lossy().is_empty());
@@ -1819,7 +1804,7 @@ mod tests {
                 got.iter().map(|o| &o.report).collect::<Vec<_>>(),
                 "sharding must never change verdicts"
             );
-            // Warm rescan: owned keys hit the source tier, unowned
+            // Warm rescan: owned keys hit the memo, unowned
             // keys re-parse — the replica holds only its slice warm.
             let owned = sources
                 .iter()
@@ -1829,7 +1814,7 @@ mod tests {
             assert_eq!(stats.cache_hits, owned, "only owned keys stay warm");
             assert_eq!(stats.parses, sources.len() as u64 - owned);
             let cache = replica.cache_stats();
-            assert_eq!(cache.source_entries, owned as usize, "no warm state for unowned keys");
+            assert_eq!(cache.entries, owned as usize, "no warm state for unowned keys");
         }
     }
 
@@ -1879,6 +1864,11 @@ mod tests {
                         engine.scan_sources_with_stats_jobs(&sources, 2);
                     }
                 });
+            }
+            // Sample only once a scan has counted a lookup, so the 500
+            // samples provably overlap live scans.
+            while engine.cache_stats().lookups == 0 {
+                thread::yield_now();
             }
             let mut sampled = 0u64;
             while sampled < 500 {

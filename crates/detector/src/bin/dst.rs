@@ -109,9 +109,8 @@ fn main() -> ExitCode {
         // the failing run).
         let report = run_schedule(seed, &options_for(&args, "soak"));
         println!(
-            "dst: seed {seed} backend={} phases={} requests={} replies={} checks={} \
+            "dst: seed {seed} phases={} requests={} replies={} checks={} \
              faults={} corrupt={} reaped={} busy={} held={} drains={} digest={:032x}",
-            report.backend,
             report.phases,
             report.requests_sent,
             report.replies_delivered,

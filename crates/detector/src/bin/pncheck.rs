@@ -32,12 +32,6 @@
 //!                           are re-analyzed (with a warning), never
 //!                           trusted. Ignored under --baseline and
 //!                           --oracle.
-//!   --cache-backend KIND    on-disk layout for --cache-dir: "dir"
-//!                           (one file per entry, shareable between
-//!                           processes; the default) or "indexed" (one
-//!                           append-only indexed store — faster to
-//!                           open, single writer). Both serve
-//!                           byte-identical results.
 //!   --delta                 incremental rescan against --cache-dir:
 //!                           classify each input by stat against the
 //!                           cache's delta manifest, re-analyze only
@@ -82,7 +76,7 @@ use pnew_detector::{
     PersistentCache, Program, Severity,
 };
 
-const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--cache-backend dir|indexed] [--delta] [--no-summaries] [--stats] PATH... | -";
+const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--delta] [--no-summaries] [--stats] PATH... | -";
 
 /// One input after reading: raw text, not yet parsed. The default scan
 /// path hands sources to the batch engine unparsed, so a warm
@@ -129,7 +123,6 @@ fn main() -> ExitCode {
     let mut delta = false;
     let mut opts = CommonOpts::default();
     let mut cache_dir: Option<PathBuf> = None;
-    let mut cache_backend = pnew_detector::BackendKind::Dir;
     let mut inputs = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -152,19 +145,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 };
                 cache_dir = Some(PathBuf::from(dir));
-            }
-            "--cache-backend" => {
-                let Some(kind) = args.next() else {
-                    eprintln!("pncheck: --cache-backend needs a value (dir|indexed)");
-                    return ExitCode::from(2);
-                };
-                match cliopts::parse_cache_backend(&kind) {
-                    Ok(kind) => cache_backend = kind,
-                    Err(e) => {
-                        eprintln!("pncheck: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
             }
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
@@ -210,7 +190,7 @@ fn main() -> ExitCode {
     // pipelines from silently running uncached forever. With --format
     // json the failure still produces a parseable envelope on stdout.
     let persistent = match (&cache_dir, baseline || oracle) {
-        (Some(dir), false) => match PersistentCache::open_with(dir, &config, cache_backend) {
+        (Some(dir), false) => match PersistentCache::open(dir, &config) {
             Ok(pc) => Some(pc),
             Err(e) => {
                 let message = format!("cannot open cache dir {}: {e}", dir.display());

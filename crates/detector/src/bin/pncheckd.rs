@@ -19,10 +19,6 @@
 //!   --no-summaries           analyze without function summaries
 //!   --cache-dir DIR          persistent cache shared across restarts;
 //!                            an unusable DIR fails startup (exit 2)
-//!   --cache-backend KIND     persistent-tier layout: "dir" (one file
-//!                            per entry, shareable between processes;
-//!                            the default) or "indexed" (one
-//!                            append-only indexed store, one writer)
 //!   --shard K/N              serve replica K of an N-way fleet: only
 //!                            fingerprints with key % N == K are kept
 //!                            warm or written to the cache (results
@@ -62,7 +58,7 @@ use std::time::Duration;
 use pnew_detector::cliopts::CommonOpts;
 use pnew_detector::server::{parse_json, JsonNode, Server, ServerConfig};
 
-const USAGE: &str = "usage: pncheckd [--listen ADDR:PORT] [--jobs N] [--min-severity LEVEL] [--disable KIND]... [--no-summaries] [--cache-dir DIR] [--cache-backend dir|indexed] [--shard K/N] [--max-request-bytes N] [--max-connections N] [--client-quota N] [--idle-timeout-secs N] [--watch ROOT]... [--watch-interval-ms N] [--watch-cycles N]";
+const USAGE: &str = "usage: pncheckd [--listen ADDR:PORT] [--jobs N] [--min-severity LEVEL] [--disable KIND]... [--no-summaries] [--cache-dir DIR] [--shard K/N] [--max-request-bytes N] [--max-connections N] [--client-quota N] [--idle-timeout-secs N] [--watch ROOT]... [--watch-interval-ms N] [--watch-cycles N]";
 
 fn main() -> ExitCode {
     let mut listen: Option<String> = None;
@@ -106,19 +102,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 };
                 cache_dir = Some(PathBuf::from(dir));
-            }
-            "--cache-backend" => {
-                let Some(kind) = args.next() else {
-                    eprintln!("pncheckd: --cache-backend needs a value (dir|indexed)");
-                    return ExitCode::from(2);
-                };
-                match pnew_detector::cliopts::parse_cache_backend(&kind) {
-                    Ok(kind) => server_config.cache_backend = kind,
-                    Err(e) => {
-                        eprintln!("pncheckd: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
             }
             "--shard" => {
                 let Some(spec) = args.next() else {

@@ -18,23 +18,22 @@
 //!   torn writes and bit rot surface as [`CacheLookup::Corrupt`], which
 //!   callers degrade to a re-analysis (plus a warning), never a crash or
 //!   a wrong report;
-//! * writes are atomic-by-construction in every backend (unique temp
-//!   file + `rename`, or checksummed append), so a concurrent reader
-//!   sees either the old entry or the new one, never a half-written
-//!   file.
+//! * writes are atomic by construction (unique temp file + `rename`),
+//!   so a concurrent reader sees either the old entry or the new one,
+//!   never a half-written file.
 //!
-//! Byte *storage* is pluggable: a [`CacheBackend`] moves opaque entry
-//! and manifest bytes, while everything semantic — encoding, checksum,
-//! schema/config staleness, corrupt accounting — stays here, so every
-//! backend inherits the same invariants. See [`crate::backend`] for
-//! the two layouts (`dir`, `indexed`).
+//! Byte *storage* sits behind a [`CacheBackend`], which moves opaque
+//! entry and manifest bytes, while everything semantic — encoding,
+//! checksum, schema/config staleness, corrupt accounting — stays here,
+//! so a wrapped backend (see [`crate::backend`]) inherits the same
+//! invariants.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::analysis::AnalyzerConfig;
-use crate::backend::{BackendKind, CacheBackend, DirBackend, IndexedBackend};
+use crate::backend::{CacheBackend, DirBackend};
 use crate::findings::{Finding, FindingKind, Report, Severity};
 use crate::ir::{Site, Span};
 use crate::summary::{FunctionSummaryRecord, StoredSummary};
@@ -67,20 +66,6 @@ pub(crate) fn fnv128(bytes: &[u8]) -> u128 {
     let mut hash = OFFSET;
     for &byte in bytes {
         hash ^= u128::from(byte);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
-/// 64-bit FNV-1a over raw bytes — the indexed backend's frame
-/// checksum. (Function fingerprints are 128-bit since schema v4: they
-/// address the corpus-wide summary store, not just "same text?".)
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
         hash = hash.wrapping_mul(PRIME);
     }
     hash
@@ -178,9 +163,8 @@ pub(crate) fn config_tag(config: &AnalyzerConfig) -> u64 {
 }
 
 impl PersistentCache {
-    /// Opens (creating if needed) the cache directory with the default
-    /// `dir` backend, bound to the analyzer configuration whose
-    /// results it stores.
+    /// Opens (creating if needed) the cache directory, bound to the
+    /// analyzer configuration whose results it stores.
     ///
     /// The store is probed for writability up front: a cache that
     /// could never store an entry (read-only directory, permission
@@ -188,23 +172,13 @@ impl PersistentCache {
     /// silently degrading every later `put`, so callers can fail fast
     /// with a clear message.
     pub fn open(dir: &Path, config: &AnalyzerConfig) -> io::Result<Self> {
-        Self::open_with(dir, config, BackendKind::Dir)
+        Ok(Self::with_backend(dir, config, Box::new(DirBackend::open(dir)?)))
     }
 
-    /// Like [`PersistentCache::open`] but with an explicit storage
-    /// backend (`--cache-backend dir|indexed`).
-    pub fn open_with(dir: &Path, config: &AnalyzerConfig, kind: BackendKind) -> io::Result<Self> {
-        let backend: Box<dyn CacheBackend> = match kind {
-            BackendKind::Dir => Box::new(DirBackend::open(dir)?),
-            BackendKind::Indexed => Box::new(IndexedBackend::open(dir)?),
-        };
-        Ok(Self::with_backend(dir, config, backend))
-    }
-
-    /// Binds an already-open [`CacheBackend`] instead of opening one by
-    /// kind. This is how the daemon injects a wrapped backend (the DST
-    /// harness's fault injector) between the cache layer and the real
-    /// store; `open`/`open_with` remain the fail-fast constructors for
+    /// Binds an already-open [`CacheBackend`]. This is how the daemon
+    /// shares one store across its engines and injects a wrapped
+    /// backend (the DST harness's fault injector) between the cache
+    /// layer and the disk; `open` remains the fail-fast constructor for
     /// plain directories.
     pub fn with_backend(
         dir: &Path,
@@ -332,11 +306,6 @@ impl PersistentCache {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
         }
         wrote
-    }
-
-    /// The flag spelling of the storage backend in use.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
     }
 
     /// Lifetime probe/store counters of this handle.
@@ -829,52 +798,17 @@ mod tests {
     }
 
     #[test]
-    fn indexed_backend_preserves_hit_miss_corrupt_heal_semantics() {
-        let dir = tmp_dir("indexed-semantics");
-        let key = source_fingerprint("indexed");
-        // Seed the store with garbage bytes under the key, as a torn
-        // or foreign writer would leave them.
-        {
-            let be = crate::backend::IndexedBackend::open(&dir).unwrap();
-            be.store(key, b"not a pnc entry at all").unwrap();
-        }
-        let cache =
-            PersistentCache::open_with(&dir, &AnalyzerConfig::default(), BackendKind::Indexed)
-                .unwrap();
-        assert_eq!(cache.backend_name(), "indexed");
-        assert_eq!(cache.get(key), CacheLookup::Corrupt, "garbage decodes as corrupt");
-        let entry = sample_entry();
-        cache.put(key, &entry); // heal
-        assert_eq!(cache.get(key), CacheLookup::Hit(entry.clone()));
-        assert_eq!(cache.get(source_fingerprint("absent")), CacheLookup::Miss);
-
-        // Entries survive reopen, and a config change reads as stale.
-        drop(cache);
-        let warm =
-            PersistentCache::open_with(&dir, &AnalyzerConfig::default(), BackendKind::Indexed)
-                .unwrap();
-        assert_eq!(warm.get(key), CacheLookup::Hit(entry));
-        let stricter =
-            AnalyzerConfig { min_severity: Severity::Error, ..AnalyzerConfig::default() };
-        let other = PersistentCache::open_with(&dir, &stricter, BackendKind::Indexed).unwrap();
-        assert_eq!(other.get(key), CacheLookup::Miss, "different config must not hit");
+    fn manifest_round_trips() {
+        let dir = tmp_dir("manifest");
+        let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
+        assert_eq!(cache.load_manifest(), None);
+        cache.store_manifest("pnx-delta-manifest/1\n3 4 00000000000000000000000000000005 a\n");
+        assert_eq!(
+            cache.load_manifest().as_deref(),
+            Some("pnx-delta-manifest/1\n3 4 00000000000000000000000000000005 a\n")
+        );
+        assert_eq!(cache.stats().write_errors, 0);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_round_trips_through_both_backends() {
-        for kind in [BackendKind::Dir, BackendKind::Indexed] {
-            let dir = tmp_dir(&format!("manifest-{}", kind.name()));
-            let cache = PersistentCache::open_with(&dir, &AnalyzerConfig::default(), kind).unwrap();
-            assert_eq!(cache.load_manifest(), None);
-            cache.store_manifest("pnx-delta-manifest/1\n3 4 00000000000000000000000000000005 a\n");
-            assert_eq!(
-                cache.load_manifest().as_deref(),
-                Some("pnx-delta-manifest/1\n3 4 00000000000000000000000000000005 a\n")
-            );
-            assert_eq!(cache.stats().write_errors, 0);
-            let _ = fs::remove_dir_all(&dir);
-        }
     }
 
     #[test]
@@ -926,7 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_store_blob_round_trips_through_both_backends() {
+    fn summary_store_blob_round_trips() {
         let mut site = Site::new("hub_helper", 3);
         site.span = Some(Span::new(3, 9, 77, 12));
         let items = vec![
@@ -946,23 +880,21 @@ mod tests {
             ),
             (9u128, StoredSummary { findings: vec![], region_effects: 0, clobbers: true }),
         ];
-        for kind in [BackendKind::Dir, BackendKind::Indexed] {
-            let dir = tmp_dir(&format!("sumstore-{}", kind.name()));
-            let cache = PersistentCache::open_with(&dir, &AnalyzerConfig::default(), kind).unwrap();
-            assert!(cache.load_summary_entries().is_empty());
-            assert!(cache.store_summary_entries(&items));
-            assert_eq!(cache.load_summary_entries(), items);
-            // The blob never touches entry hit/miss/store accounting.
-            let stats = cache.stats();
-            assert_eq!((stats.hits, stats.misses, stats.stores), (0, 0, 0));
+        let dir = tmp_dir("sumstore");
+        let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
+        assert!(cache.load_summary_entries().is_empty());
+        assert!(cache.store_summary_entries(&items));
+        assert_eq!(cache.load_summary_entries(), items);
+        // The blob never touches entry hit/miss/store accounting.
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.stores), (0, 0, 0));
 
-            // A different config reads the blob as absent, not corrupt.
-            let stricter =
-                AnalyzerConfig { min_severity: Severity::Error, ..AnalyzerConfig::default() };
-            let other = PersistentCache::open_with(&dir, &stricter, kind).unwrap();
-            assert!(other.load_summary_entries().is_empty());
-            let _ = fs::remove_dir_all(&dir);
-        }
+        // A different config reads the blob as absent, not corrupt.
+        let stricter =
+            AnalyzerConfig { min_severity: Severity::Error, ..AnalyzerConfig::default() };
+        let other = PersistentCache::open(&dir, &stricter).unwrap();
+        assert!(other.load_summary_entries().is_empty());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use crate::analysis::AnalyzerConfig;
-use crate::backend::BackendKind;
 use crate::batch::ShardSpec;
 use crate::emit::OutputFormat;
 use crate::findings::{FindingKind, Severity};
@@ -39,11 +38,6 @@ pub fn parse_disable(value: &str) -> Result<FindingKind, String> {
 /// Parses an output format (`text|json|sarif`).
 pub fn parse_format(value: &str) -> Result<OutputFormat, String> {
     value.parse::<OutputFormat>()
-}
-
-/// Parses a cache backend selection (`dir|indexed`).
-pub fn parse_cache_backend(value: &str) -> Result<BackendKind, String> {
-    BackendKind::parse(value)
 }
 
 /// Parses a shard slice `K/N`: replica K (zero-based) of N, so `0/2`
@@ -172,8 +166,6 @@ mod tests {
         assert!(parse_disable("bogus").unwrap_err().contains("unknown finding kind"));
         assert_eq!(parse_format("sarif"), Ok(OutputFormat::Sarif));
         assert!(parse_format("yaml").unwrap_err().contains("unknown format"));
-        assert_eq!(parse_cache_backend("indexed"), Ok(BackendKind::Indexed));
-        assert!(parse_cache_backend("tape").unwrap_err().contains("unknown cache backend"));
     }
 
     #[test]

@@ -124,9 +124,7 @@ pub struct ManifestRow {
 
 const MANIFEST_HEADER: &str = "pnx-delta-manifest/1";
 
-/// The manifest location inside a `dir`-backend cache directory. (The
-/// `indexed` backend stores the same text as a record in its store
-/// file instead — see [`crate::backend`].)
+/// The manifest location inside a cache directory.
 pub fn manifest_path(cache_dir: &Path) -> PathBuf {
     cache_dir.join(crate::backend::MANIFEST_FILE)
 }

@@ -69,7 +69,7 @@ mod summary;
 pub mod trace;
 
 pub use analysis::{Analyzer, AnalyzerConfig, PartialAnalysis};
-pub use backend::{BackendKind, CacheBackend, DirBackend, IndexedBackend};
+pub use backend::{CacheBackend, DirBackend};
 pub use baseline::BaselineChecker;
 pub use batch::{
     fingerprint, BatchEngine, BatchStats, CacheStats, DeltaStats, ShardSpec, SourceOutcome,

@@ -3,10 +3,10 @@
 //! Every one-shot `pncheck` run pays process startup, cache open, and
 //! engine construction before it analyzes a single file. A [`Server`]
 //! pays them once: it holds one [`BatchEngine`] per analyzer
-//! configuration — each with its in-memory source/program fingerprint
-//! tiers and (optionally) an open [`PersistentCache`] — across requests,
-//! so a warm `analyze` of unchanged text runs zero parses and zero
-//! analyses. Requests fan out onto the engine's worker pool with a
+//! configuration — each with its in-memory memo and (optionally) a
+//! [`PersistentCache`] over the one store the daemon opened — across
+//! requests, so a warm `analyze` of unchanged text runs zero parses and
+//! zero analyses. Requests fan out onto the engine's worker pool with a
 //! per-request `jobs` override.
 //!
 //! # The `pncheckd/1` protocol
@@ -72,9 +72,7 @@
 //! `quota-exceeded` error for the excess request while the connection
 //! survives. Replicas can split the fingerprint space
 //! ([`ServerConfig::shard`], CLI `--shard K/N`) so each daemon keeps
-//! only its slice warm, and the persistent tier can run on either
-//! cache backend ([`ServerConfig::cache_backend`], CLI
-//! `--cache-backend dir|indexed`).
+//! only its slice warm, in memory and on disk.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -87,7 +85,7 @@ use std::thread;
 use std::time::Duration;
 
 use crate::analysis::{Analyzer, AnalyzerConfig};
-use crate::backend::{BackendKind, CacheBackend, DirBackend, IndexedBackend};
+use crate::backend::{CacheBackend, DirBackend};
 use crate::batch::{BatchEngine, BatchStats, ShardSpec};
 use crate::cache::{config_tag, PersistentCache};
 use crate::cliopts;
@@ -100,7 +98,7 @@ use crate::trace::TraceCollector;
 pub const PROTOCOL: &str = "pncheckd/1";
 
 /// The stats payload schema.
-pub const STATS_SCHEMA: &str = "pncheckd-stats/1";
+pub const STATS_SCHEMA: &str = "pncheckd-stats/2";
 
 // ---------------------------------------------------------------------
 // A minimal, defensive JSON parser.
@@ -593,10 +591,6 @@ pub struct ServerConfig {
     pub jobs: Option<usize>,
     /// Directory for the persistent cache tier; `None` disables it.
     pub cache_dir: Option<PathBuf>,
-    /// On-disk layout of the persistent tier: one file per entry
-    /// (`dir`, the default — safe to share between processes) or a
-    /// single indexed store (`indexed` — one file, one writer).
-    pub cache_backend: BackendKind,
     /// This replica's slice of the fingerprint space (`--shard K/N`);
     /// `None` serves (and warms) every key.
     pub shard: Option<ShardSpec>,
@@ -652,7 +646,6 @@ impl Default for ServerConfig {
             base: AnalyzerConfig::default(),
             jobs: None,
             cache_dir: None,
-            cache_backend: BackendKind::Dir,
             shard: None,
             max_request_bytes: 4 * 1024 * 1024,
             max_connections: 32,
@@ -698,9 +691,9 @@ impl Reply {
 #[derive(Debug)]
 pub struct Server {
     config: ServerConfig,
-    /// The persistent tier's store, opened once and shared by every
-    /// engine: entries carry their config tag, and a second handle on
-    /// one `indexed` file would append over the first one's records.
+    /// The persistent tier's store, opened (and wrapped) once and
+    /// shared by every engine: entries carry their config tag, so one
+    /// store serves every configuration.
     backend: Option<Arc<dyn CacheBackend>>,
     /// One engine per analyzer configuration, keyed by its config tag —
     /// requests with equivalent options share one engine (and its warm
@@ -725,10 +718,7 @@ impl Server {
         let started_ns = config.clock.now_ns();
         let backend = match &config.cache_dir {
             Some(dir) => {
-                let opened: Box<dyn CacheBackend> = match config.cache_backend {
-                    BackendKind::Dir => Box::new(DirBackend::open(dir)?),
-                    BackendKind::Indexed => Box::new(IndexedBackend::open(dir)?),
-                };
+                let opened: Box<dyn CacheBackend> = Box::new(DirBackend::open(dir)?);
                 Some(Arc::from(match &config.backend_wrap {
                     Some(wrap) => (wrap.0)(opened),
                     None => opened,
@@ -1016,7 +1006,7 @@ impl Server {
         Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false }
     }
 
-    /// The `pncheckd-stats/1` payload: request counters, connection
+    /// The `pncheckd-stats/2` payload: request counters, connection
     /// state, and the aggregated cache/parse counters of every engine.
     fn render_stats(&self) -> String {
         let engines = self.engines.lock().expect("engine map poisoned");
@@ -1024,8 +1014,7 @@ impl Server {
         let mut misses = 0u64;
         let mut lookups = 0u64;
         let mut parses = 0u64;
-        let mut entries = 0u64;
-        let mut source_entries = 0u64;
+        let mut memo_entries = 0u64;
         let (mut p_hits, mut p_misses, mut p_corrupt, mut p_stores) = (0u64, 0u64, 0u64, 0u64);
         let mut p_write_errors = 0u64;
         let mut tracked_files = 0u64;
@@ -1040,8 +1029,7 @@ impl Server {
             misses += c.misses;
             lookups += c.lookups;
             parses += c.parses;
-            entries += c.entries as u64;
-            source_entries += c.source_entries as u64;
+            memo_entries += c.entries as u64;
             tracked_files += engine.tracked_files() as u64;
             let (re, used) = engine.function_delta_totals();
             fn_reanalyzed += re;
@@ -1106,16 +1094,13 @@ impl Server {
             ),
             (
                 "fleet",
-                obj(vec![
-                    (
-                        "shard",
-                        match self.config.shard {
-                            Some(shard) => emit::s(format!("{}/{}", shard.index, shard.count)),
-                            None => JsonValue::Null,
-                        },
-                    ),
-                    ("cache_backend", emit::s(self.config.cache_backend.name())),
-                ]),
+                obj(vec![(
+                    "shard",
+                    match self.config.shard {
+                        Some(shard) => emit::s(format!("{}/{}", shard.index, shard.count)),
+                        None => JsonValue::Null,
+                    },
+                )]),
             ),
             (
                 "analysis",
@@ -1127,8 +1112,7 @@ impl Server {
                     ("fingerprint_hits", JsonValue::U64(hits)),
                     ("fingerprint_misses", JsonValue::U64(misses)),
                     ("fingerprint_lookups", JsonValue::U64(lookups)),
-                    ("program_cache_entries", JsonValue::U64(entries)),
-                    ("source_cache_entries", JsonValue::U64(source_entries)),
+                    ("memo_entries", JsonValue::U64(memo_entries)),
                     ("persistent_hits", JsonValue::U64(p_hits)),
                     ("persistent_misses", JsonValue::U64(p_misses)),
                     ("persistent_corrupt", JsonValue::U64(p_corrupt)),

@@ -2,8 +2,8 @@
 //! stack.
 //!
 //! The analysis core is deterministic and differential-tested end to
-//! end, but the service layer — event loop, fair queue, cache
-//! backends, delta tracking — normally runs under real threads, real
+//! end, but the service layer — event loop, fair queue, cache tiers,
+//! delta tracking — normally runs under real threads, real
 //! clocks, and a well-behaved filesystem. This module soaks that
 //! layer through thousands of *seeded schedules* instead: every
 //! schedule is a pure function of one `u64` seed, so any failure is a
@@ -26,7 +26,7 @@
 //! errors, and kill points after which every write silently vanishes
 //! (a crash, observed by the next phase's restart).
 //!
-//! Four invariants are asserted on every schedule:
+//! Five invariants are asserted on every schedule:
 //!
 //! 1. **Envelope identity** — every successfully delivered `analyze` /
 //!    `delta` payload is byte-identical (and `exit`-identical) to a
@@ -44,6 +44,12 @@
 //!    drop, every framed non-blank request gets exactly one whole reply
 //!    frame (header plus exactly `bytes` payload bytes) before the core
 //!    closes it, and nothing follows an `idle-timeout` or `busy` frame.
+//! 5. **Warm memory never forgets** — faults are never injected into
+//!    the in-memory memo, so in every phase the `parses` counter stays
+//!    at or below the number of distinct (analyzer config, source text)
+//!    pairs the phase's executed `analyze` and `delta` requests
+//!    presented. A memo that drops entries still returns identical
+//!    envelopes, so only this count can see it.
 //!
 //! A failing schedule names its seed in every violation, and
 //! re-running [`run_schedule`] with the same seed and options replays
@@ -52,7 +58,7 @@
 //! witness). The `dst` binary drives soaks and single-seed replays
 //! from the command line; `docs/pnx-syntax.md` has the operator guide.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -62,8 +68,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::analysis::AnalyzerConfig;
-use crate::backend::{BackendKind, CacheBackend, DirBackend, IndexedBackend};
-use crate::cache::{fnv128, CacheLookup, PersistentCache, SUMMARY_STORE_KEY};
+use crate::backend::{CacheBackend, DirBackend};
+use crate::cache::{fnv128, source_fingerprint, CacheLookup, PersistentCache, SUMMARY_STORE_KEY};
+use crate::cliopts::expand_inputs;
 use crate::clock::{Clock, SimClock};
 use crate::eventloop::Core;
 use crate::server::{parse_json, BackendWrap, JsonNode, Reply, Server, ServerConfig};
@@ -438,8 +445,6 @@ pub struct SimOptions {
     /// Server phases (restarts over the same cache dir); `0` lets the
     /// seed pick 1–2.
     pub phases: usize,
-    /// Persistent-tier backend; `None` lets the seed pick.
-    pub backend: Option<BackendKind>,
     /// Inject torn writes / bit flips / disk-full faults.
     pub faults: bool,
     /// Force a kill point (silently dropped writes) in the first
@@ -462,7 +467,6 @@ impl Default for SimOptions {
             requests: 8,
             clients: 2,
             phases: 0,
-            backend: None,
             faults: true,
             kill: false,
             mutate: false,
@@ -478,8 +482,6 @@ impl Default for SimOptions {
 pub struct SimReport {
     /// The schedule's seed.
     pub seed: u64,
-    /// The persistent backend the seed (or options) picked.
-    pub backend: &'static str,
     /// Server phases run (each one a restart over the same cache).
     pub phases: usize,
     /// Request lines sent across all connections and phases.
@@ -547,6 +549,38 @@ struct CheckSpec {
     reference_line: String,
     /// The request is a `delta` (check the function accounting too).
     delta: bool,
+    /// The request overrides `min_severity`, so a second engine (with
+    /// its own memo) serves it.
+    strict: bool,
+    /// The inline source, or the path (file or directory) it scans.
+    input: Input,
+}
+
+/// What one request hands the engine.
+#[derive(Debug, Clone)]
+enum Input {
+    Source(String),
+    Path(String),
+}
+
+impl CheckSpec {
+    /// Records the (config, text) pairs this request presents, reading
+    /// each file as it is now — just before the request runs, since
+    /// corpus churn lands between ticks (invariant 5).
+    fn present(&self, presented: &mut HashSet<(bool, u128)>) {
+        match &self.input {
+            Input::Source(text) => {
+                presented.insert((self.strict, source_fingerprint(text)));
+            }
+            Input::Path(path) => {
+                for file in expand_inputs(std::slice::from_ref(path)).0 {
+                    if let Ok(text) = fs::read_to_string(&file) {
+                        presented.insert((self.strict, source_fingerprint(&text)));
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// One simulated peer: its byte script and everything it received.
@@ -605,7 +639,8 @@ fn build_traffic(
         // Optional per-request config overrides, mirrored verbatim in
         // the reference line so the comparison is config-for-config.
         let mut extras = String::new();
-        if rng.chance(5) {
+        let strict = rng.chance(5);
+        if strict {
             extras.push_str(",\"min_severity\":\"error\"");
         }
         match rng.below(6) {
@@ -617,16 +652,19 @@ fn build_traffic(
         let line = match rng.below(10) {
             // Weighted mix: delta-heavy, stats/ping/hostile sprinkled.
             0 | 1 => {
-                let target = if rng.below(2) == 0 {
-                    json_quote(&dir)
+                let path = if rng.below(2) == 0 {
+                    dir.clone()
                 } else {
                     let pick = rng.below(corpus.files.len() as u64) as usize;
-                    json_quote(&corpus.files[pick].path.to_string_lossy())
+                    corpus.files[pick].path.to_string_lossy().into_owned()
                 };
+                let target = json_quote(&path);
                 let line =
                     format!("{{\"op\":\"analyze\",\"id\":{id},\"paths\":[{target}]{extras}}}");
                 let reference = format!("{{\"op\":\"analyze\",\"paths\":[{target}]{extras}}}");
-                checks.insert(line.clone(), CheckSpec { reference_line: reference, delta: false });
+                let input = Input::Path(path);
+                let spec = CheckSpec { reference_line: reference, delta: false, strict, input };
+                checks.insert(line.clone(), spec);
                 line
             }
             2 => {
@@ -635,14 +673,18 @@ fn build_traffic(
                 let line =
                     format!("{{\"op\":\"analyze\",\"id\":{id},\"source\":{quoted}{extras}}}");
                 let reference = format!("{{\"op\":\"analyze\",\"source\":{quoted}{extras}}}");
-                checks.insert(line.clone(), CheckSpec { reference_line: reference, delta: false });
+                let input = Input::Source(source);
+                let spec = CheckSpec { reference_line: reference, delta: false, strict, input };
+                checks.insert(line.clone(), spec);
                 line
             }
             3..=6 => {
                 let target = json_quote(&dir);
                 let line = format!("{{\"op\":\"delta\",\"id\":{id},\"paths\":[{target}]{extras}}}");
                 let reference = format!("{{\"op\":\"analyze\",\"paths\":[{target}]{extras}}}");
-                checks.insert(line.clone(), CheckSpec { reference_line: reference, delta: true });
+                let input = Input::Path(dir.clone());
+                let spec = CheckSpec { reference_line: reference, delta: true, strict, input };
+                checks.insert(line.clone(), spec);
                 line
             }
             7 => format!("{{\"op\":\"stats\",\"id\":{id}}}"),
@@ -793,9 +835,10 @@ impl Verifier<'_> {
         }
     }
 
-    /// Invariant 3b: the stats payload's cache accounting adds up.
-    /// Returns the cumulative corrupt-entry count it reports.
-    fn check_stats_payload(&mut self, payload: &str) -> u64 {
+    /// Invariant 3b: the stats payload's cache accounting adds up; with
+    /// `max_parses`, invariant 5 too: the server parsed no more texts
+    /// than that. Returns the cumulative corrupt-entry count it reports.
+    fn check_stats_payload(&mut self, payload: &str, max_parses: Option<usize>) -> u64 {
         let Ok(JsonNode::Obj(stats)) = parse_json(payload.trim()) else {
             self.violation(format!("stats payload does not parse: {payload}"));
             return 0;
@@ -812,6 +855,15 @@ impl Verifier<'_> {
             self.violation(format!(
                 "stats identity broken: {hits} hits + {misses} misses != {lookups} lookups"
             ));
+        }
+        if let Some(bound) = max_parses {
+            self.report.identity_checks += 1;
+            if count("parses") > bound as i64 {
+                self.violation(format!(
+                    "warm memory forgot: {} parses for {bound} distinct (config, text) pairs",
+                    count("parses")
+                ));
+            }
         }
         count("persistent_corrupt").max(0) as u64
     }
@@ -845,7 +897,7 @@ fn verify_reply(
             }
         }
         if op == "stats" {
-            verifier.check_stats_payload(&reply.payload);
+            verifier.check_stats_payload(&reply.payload, None);
         }
     }
 }
@@ -871,11 +923,6 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
     let mut corpus =
         Corpus::generate(&src_dir, &mut rng, opts.files).expect("scratch corpus writes");
 
-    let backend = opts.backend.unwrap_or(if rng.below(2) == 0 {
-        BackendKind::Dir
-    } else {
-        BackendKind::Indexed
-    });
     let phases = match opts.phases {
         0 => 1 + rng.below(2) as usize,
         n => n,
@@ -885,7 +932,7 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
     let clock = Arc::new(SimClock::default());
     let stats = Arc::new(FaultStats::default());
     let base = AnalyzerConfig::default();
-    let mut report = SimReport { seed, backend: backend.name(), phases, ..SimReport::default() };
+    let mut report = SimReport { seed, phases, ..SimReport::default() };
 
     let mut next_request_id = 0u64;
     let mut digest_buf: Vec<u8> = Vec::new();
@@ -905,7 +952,6 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
             opts,
             clock: &clock,
             cache_dir: &cache_dir,
-            backend,
             plan,
             stats: &stats,
             base: &base,
@@ -927,7 +973,7 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
     // Invariant 2 at the decode level: any key whose last landed write
     // was sabotage (and which still holds exactly those bytes) must
     // read back as corrupt or missing — never as a servable hit.
-    verify_unhealed_sabotage(&cache_dir, backend, &stats, &base, &mut report);
+    verify_unhealed_sabotage(&cache_dir, &stats, &base, &mut report);
 
     report.faults_injected = stats.faults_injected();
     report.payload_digest = fnv128(&digest_buf);
@@ -942,7 +988,6 @@ struct PhaseContext<'a> {
     opts: &'a SimOptions,
     clock: &'a Arc<SimClock>,
     cache_dir: &'a Path,
-    backend: BackendKind,
     plan: FaultPlan,
     stats: &'a Arc<FaultStats>,
     base: &'a AnalyzerConfig,
@@ -959,7 +1004,6 @@ fn run_phase(ctx: PhaseContext<'_>) {
         opts,
         clock,
         cache_dir,
-        backend,
         plan,
         stats,
         base,
@@ -981,7 +1025,6 @@ fn run_phase(ctx: PhaseContext<'_>) {
         base: base.clone(),
         jobs: Some(1),
         cache_dir: Some(cache_dir.to_path_buf()),
-        cache_backend: backend,
         max_request_bytes: MAX_REQUEST_BYTES,
         max_connections: 1,
         client_quota: 4,
@@ -996,6 +1039,9 @@ fn run_phase(ctx: PhaseContext<'_>) {
     report.requests_sent +=
         scripts.iter().map(|(s, _)| s.iter().filter(|&&b| b == b'\n').count()).sum::<usize>();
 
+    // Invariant 5's bound: every (config, text) pair the executed
+    // analyze and delta requests presented.
+    let mut presented: HashSet<(bool, u128)> = HashSet::new();
     let mut core = Core::new(&server);
     let mut peers: BTreeMap<u64, Peer> = BTreeMap::new();
     for (script, end) in scripts {
@@ -1063,6 +1109,9 @@ fn run_phase(ctx: PhaseContext<'_>) {
         // which is what exercises the reap deferral.
         for _ in 0..rng.below(3) {
             let Some((id, line)) = core.pop() else { break };
+            if let Some(spec) = checks.get(&line) {
+                spec.present(&mut presented);
+            }
             let reply = server.handle_line(&line);
             verify_reply(&reply, checks.get(&line), clock, base, report);
             core.reply(id, &reply, clock.now_ns());
@@ -1115,10 +1164,11 @@ fn run_phase(ctx: PhaseContext<'_>) {
 
     // Phase-final stats probe (a monitoring client) keeps the
     // accounting identity under test even when the seeded traffic drew
-    // no stats request, and accounts detected corruption.
+    // no stats request, checks invariant 5, and accounts detected
+    // corruption.
     let reply = server.handle_line("{\"op\":\"stats\"}");
     let mut verifier = Verifier { seed: report.seed, clock: Arc::clone(clock), base, report };
-    let corrupt = verifier.check_stats_payload(&reply.payload);
+    let corrupt = verifier.check_stats_payload(&reply.payload, Some(presented.len()));
     report.corrupt_detected += corrupt;
 }
 
@@ -1204,7 +1254,6 @@ fn check_connection(
 /// exactly the sabotaged bytes must never decode as a hit.
 fn verify_unhealed_sabotage(
     cache_dir: &Path,
-    backend: BackendKind,
     stats: &FaultStats,
     base: &AnalyzerConfig,
     report: &mut SimReport,
@@ -1213,13 +1262,7 @@ fn verify_unhealed_sabotage(
     if sabotaged.is_empty() || !cache_dir.exists() {
         return;
     }
-    let open = |dir: &Path| -> io::Result<Box<dyn CacheBackend>> {
-        Ok(match backend {
-            BackendKind::Dir => Box::new(DirBackend::open(dir)?),
-            BackendKind::Indexed => Box::new(IndexedBackend::open(dir)?),
-        })
-    };
-    let Ok(raw) = open(cache_dir) else { return };
+    let Ok(raw) = DirBackend::open(cache_dir) else { return };
     let mut survivors: Vec<u128> = sabotaged
         .iter()
         .filter(|&(&key, bytes)| {
@@ -1228,12 +1271,10 @@ fn verify_unhealed_sabotage(
         .map(|(&key, _)| key)
         .collect();
     survivors.sort_unstable();
-    drop(raw);
     if survivors.is_empty() {
         return;
     }
-    let cache =
-        PersistentCache::with_backend(cache_dir, base, open(cache_dir).expect("reopen store"));
+    let cache = PersistentCache::with_backend(cache_dir, base, Box::new(raw));
     for key in survivors {
         if matches!(cache.get(key), CacheLookup::Hit(_)) {
             report.violations.push(format!(
@@ -1266,34 +1307,23 @@ mod tests {
 
     #[test]
     fn faulty_backend_disk_full_leaves_prior_entries_intact() {
-        for kind in [BackendKind::Dir, BackendKind::Indexed] {
-            let dir = std::env::temp_dir().join(format!("pnx-sim-diskfull-{}", kind.name()));
-            let _ = fs::remove_dir_all(&dir);
-            let open = || -> Box<dyn CacheBackend> {
-                match kind {
-                    BackendKind::Dir => Box::new(DirBackend::open(&dir).unwrap()),
-                    BackendKind::Indexed => Box::new(IndexedBackend::open(&dir).unwrap()),
-                }
-            };
-            let honest = FaultyBackend::new(
-                open(),
-                FaultPlan::default(),
-                7,
-                Arc::new(FaultStats::default()),
-            );
-            honest.store(1, b"survivor").unwrap();
-            drop(honest);
+        let dir = std::env::temp_dir().join("pnx-sim-diskfull");
+        let _ = fs::remove_dir_all(&dir);
+        let open = || -> Box<dyn CacheBackend> { Box::new(DirBackend::open(&dir).unwrap()) };
+        let honest =
+            FaultyBackend::new(open(), FaultPlan::default(), 7, Arc::new(FaultStats::default()));
+        honest.store(1, b"survivor").unwrap();
+        drop(honest);
 
-            let plan = FaultPlan { disk_full_one_in: 1, ..FaultPlan::default() };
-            let stats = Arc::new(FaultStats::default());
-            let broken = FaultyBackend::new(open(), plan, 7, Arc::clone(&stats));
-            assert!(broken.store(2, b"doomed").is_err(), "every store fails disk-full");
-            assert!(broken.store_manifest("m").is_err());
-            assert_eq!(broken.load(1).as_deref(), Some(b"survivor".as_slice()));
-            assert_eq!(broken.load(2), None);
-            assert_eq!(stats.faults_injected(), 2);
-            let _ = fs::remove_dir_all(&dir);
-        }
+        let plan = FaultPlan { disk_full_one_in: 1, ..FaultPlan::default() };
+        let stats = Arc::new(FaultStats::default());
+        let broken = FaultyBackend::new(open(), plan, 7, Arc::clone(&stats));
+        assert!(broken.store(2, b"doomed").is_err(), "every store fails disk-full");
+        assert!(broken.store_manifest("m").is_err());
+        assert_eq!(broken.load(1).as_deref(), Some(b"survivor".as_slice()));
+        assert_eq!(broken.load(2), None);
+        assert_eq!(stats.faults_injected(), 2);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use pnew_detector::server::{parse_json, JsonNode, Server, ServerConfig};
-use pnew_detector::BackendKind;
 
 const PNCHECKD: &str = env!("CARGO_BIN_EXE_pncheckd");
 const PNCHECK: &str = env!("CARGO_BIN_EXE_pncheck");
@@ -357,12 +356,12 @@ fn persistent_cache_survives_a_daemon_restart() {
 }
 
 /// Every engine of one daemon shares its persistent store: requests
-/// under two analyzer configurations must not overwrite each other's
-/// entries in one `indexed` file, so a restart finds all of them.
+/// under two analyzer configurations must not lose each other's
+/// entries, so a restart finds all of them.
 #[test]
-fn engines_under_different_configs_share_one_indexed_store() {
-    let sources = TempDir::new("indexed-configs-src");
-    let cache = TempDir::new("indexed-configs-cache");
+fn engines_under_different_configs_share_one_store() {
+    let sources = TempDir::new("configs-src");
+    let cache = TempDir::new("configs-cache");
     let files: Vec<String> = (1..=3)
         .map(|i| {
             let path = sources.0.join(format!("f{i}.pnx"));
@@ -373,7 +372,6 @@ fn engines_under_different_configs_share_one_indexed_store() {
     let run = || {
         let server = Server::new(ServerConfig {
             cache_dir: Some(cache.0.clone()),
-            cache_backend: BackendKind::Indexed,
             ..ServerConfig::default()
         })
         .expect("server builds");
@@ -532,22 +530,15 @@ fn idle_reaping_never_tears_a_frame_at_the_timeout_boundary() {
     assert!(rest.is_empty(), "expected EOF, got {rest:?}");
 }
 
-/// Two sharded replicas over indexed backends split the warm state but
-/// serve byte-identical envelopes — each equal to one-shot `pncheck`.
+/// Two sharded replicas split the warm state — in memory and on disk —
+/// but serve byte-identical envelopes, each equal to one-shot `pncheck`.
 #[test]
-fn sharded_replicas_with_indexed_backends_serve_identical_envelopes() {
+fn sharded_replicas_serve_identical_envelopes() {
     let (cli_json, _) = pncheck_output(&["--format", "json", EXAMPLES]);
     let caches = [TempDir::new("shard0"), TempDir::new("shard1")];
     for (replica, cache) in caches.iter().enumerate() {
         let shard = format!("{replica}/2");
-        let daemon = Daemon::start(&[
-            "--shard",
-            &shard,
-            "--cache-backend",
-            "indexed",
-            "--cache-dir",
-            cache.0.to_str().unwrap(),
-        ]);
+        let daemon = Daemon::start(&["--shard", &shard, "--cache-dir", cache.0.to_str().unwrap()]);
         let (mut reader, mut writer) = daemon.connect();
         writer.write_all(analyze_paths_request(1, EXAMPLES).as_bytes()).unwrap();
         let (_, cold) = read_reply(&mut reader);
@@ -564,7 +555,6 @@ fn sharded_replicas_with_indexed_backends_serve_identical_envelopes() {
             panic!("no fleet block: {stats}")
         };
         assert_eq!(field(&fleet, "shard"), &JsonNode::Str(shard.clone()));
-        assert_eq!(field(&fleet, "cache_backend"), &JsonNode::Str("indexed".into()));
         let JsonNode::Obj(analysis) = field(&fields, "analysis").clone() else { panic!() };
         assert_eq!(
             int_field(&analysis, "fingerprint_lookups"),
@@ -575,6 +565,15 @@ fn sharded_replicas_with_indexed_backends_serve_identical_envelopes() {
         writer.write_all(b"{\"op\":\"shutdown\",\"id\":4}\n").unwrap();
         read_reply(&mut reader);
         daemon.wait_clean(Duration::from_secs(10));
+
+        // Only the replica's own keys reach its disk tier.
+        for entry in std::fs::read_dir(&cache.0).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            if let Some(stem) = name.strip_suffix(".pnc") {
+                let key = u128::from_str_radix(stem, 16).unwrap();
+                assert_eq!(key % 2, replica as u128, "{name} is not owned by shard {shard}");
+            }
+        }
     }
 }
 
@@ -597,11 +596,11 @@ fn startup_fails_fast_on_an_unusable_cache_dir() {
 // Concurrency soak: many clients, interleaved requests, one daemon.
 // ---------------------------------------------------------------------
 
-/// N clients × M interleaved requests against one daemon: every
-/// response must carry its request's id, identical sources must get
-/// identical envelopes regardless of thread, the whole soak must finish
-/// well within a bound, and the post-soak stats must show the cache
-/// absorbed the repeats.
+/// N clients × M interleaved requests against one daemon, after one
+/// priming request per source: every response must carry its request's
+/// id, identical sources must get identical envelopes regardless of
+/// thread, the whole soak must finish well within a bound, and every
+/// soak request must be a memo hit.
 #[test]
 fn concurrent_clients_get_deterministic_per_request_results() {
     const THREADS: usize = 8;
@@ -616,8 +615,20 @@ fn concurrent_clients_get_deterministic_per_request_results() {
         .collect();
 
     let daemon = Daemon::start(&[]);
+    // Prime the memo one source at a time, so no two workers can both
+    // miss on one new source and the hit count below is exact.
+    let mut per_source: Vec<Vec<String>> = {
+        let (mut reader, mut writer) = daemon.connect();
+        sources
+            .iter()
+            .map(|source| {
+                let line = format!("{{\"op\":\"analyze\",\"source\":{}}}\n", json_str(source));
+                writer.write_all(line.as_bytes()).unwrap();
+                vec![read_reply(&mut reader).1]
+            })
+            .collect()
+    };
     let start = Instant::now();
-    let mut per_source: Vec<Vec<String>> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
@@ -648,7 +659,6 @@ fn concurrent_clients_get_deterministic_per_request_results() {
                 })
             })
             .collect();
-        per_source = vec![Vec::new(); sources.len()];
         for handle in handles {
             for (which, payload) in handle.join().expect("soak thread") {
                 per_source[which].push(payload);
@@ -657,22 +667,21 @@ fn concurrent_clients_get_deterministic_per_request_results() {
     });
     assert!(start.elapsed() < Duration::from_secs(60), "soak took {:?}", start.elapsed());
     for (which, payloads) in per_source.iter().enumerate() {
-        assert_eq!(payloads.len(), THREADS * REQUESTS / sources.len());
+        assert_eq!(payloads.len(), 1 + THREADS * REQUESTS / sources.len());
         assert!(
             payloads.windows(2).all(|w| w[0] == w[1]),
             "source {which} got divergent envelopes across threads"
         );
     }
 
-    // The cache must have absorbed every repeat: hits ≥ rescans.
+    // The memo absorbed every soak request.
     let (mut reader, mut writer) = daemon.connect();
     writer.write_all(b"{\"op\":\"stats\",\"id\":\"post-soak\"}\n").unwrap();
     let (_, stats) = read_reply(&mut reader);
     let JsonNode::Obj(fields) = parse_json(stats.trim()).unwrap() else { panic!() };
     let JsonNode::Obj(analysis) = field(&fields, "analysis").clone() else { panic!() };
     let hits = int_field(&analysis, "fingerprint_hits");
-    let rescans = (THREADS * REQUESTS - sources.len()) as i64;
-    assert!(hits >= rescans, "expected >= {rescans} warm hits, saw {hits}: {stats}");
+    assert_eq!(hits, (THREADS * REQUESTS) as i64, "every soak request is a memo hit: {stats}");
 }
 
 // ---------------------------------------------------------------------

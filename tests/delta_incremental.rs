@@ -21,8 +21,8 @@ use proptest::prelude::*;
 use placement_new_attacks::corpus::workload;
 use placement_new_attacks::detector::emit::{render_json, render_sarif, FileRecord};
 use placement_new_attacks::detector::{
-    invalidation_cone, pretty_program, Analyzer, AnalyzerConfig, BackendKind, BatchEngine, CmpOp,
-    Expr, FunctionSummaryRecord, PersistentCache, ProgramBuilder, TrackedOutcome, Ty,
+    invalidation_cone, pretty_program, Analyzer, AnalyzerConfig, BatchEngine, CmpOp, Expr,
+    FunctionSummaryRecord, PersistentCache, ProgramBuilder, TrackedOutcome, Ty,
 };
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -168,10 +168,10 @@ proptest! {
     ) {
         // Every edit kind the partial path must survive — body edit,
         // rename, add function, delete function, signature change —
-        // replayed under both `--jobs` settings and both cache
-        // backends. After each round the function-granular rescan's
-        // envelopes must be byte-identical to a from-scratch engine's.
-        for (jobs, backend) in [(1usize, BackendKind::Dir), (4, BackendKind::Indexed)] {
+        // replayed under both `--jobs` settings. After each round the
+        // function-granular rescan's envelopes must be byte-identical
+        // to a from-scratch engine's.
+        for jobs in [1usize, 4] {
             let dir = case_dir();
             let cache_dir = dir.join("cache");
             std::fs::create_dir_all(&cache_dir).unwrap();
@@ -180,11 +180,7 @@ proptest! {
             std::fs::write(&path, render_model(&specs)).unwrap();
             let paths = vec![path.to_string_lossy().into_owned()];
 
-            let cache = PersistentCache::open_with(
-                &cache_dir,
-                &AnalyzerConfig::default(),
-                backend,
-            ).unwrap();
+            let cache = PersistentCache::open(&cache_dir, &AnalyzerConfig::default()).unwrap();
             let engine = BatchEngine::new(Analyzer::new())
                 .with_jobs(jobs)
                 .with_persistent_cache(cache);
@@ -222,15 +218,15 @@ proptest! {
                     prop_assert_eq!(
                         delta.functions_reanalyzed + delta.functions_reused,
                         specs.len(),
-                        "jobs {} backend {:?}: accounting must cover every function",
-                        jobs, backend
+                        "jobs {}: accounting must cover every function",
+                        jobs
                     );
                 }
                 prop_assert_eq!(
                     envelopes(&warm),
                     reference_envelopes(&paths),
-                    "jobs {} backend {:?}: edit kind {} on slot {} must match a fresh scan",
-                    jobs, backend, kind, k
+                    "jobs {}: edit kind {} on slot {} must match a fresh scan",
+                    jobs, kind, k
                 );
             }
             std::fs::remove_dir_all(&dir).unwrap();

@@ -3,13 +3,13 @@
 //! Each test drives `detector::sim::run_schedule`: seeded schedules of
 //! mixed analyze/delta/stats/shutdown traffic against an in-process
 //! server on a virtual clock, through the daemon's own connection
-//! core, with fault injection in the persistent tier. Any failure names its seed; `dst --replay-seed N` (with the
-//! matching flags) re-runs exactly that schedule.
+//! core, with fault injection in the persistent tier. Any failure
+//! names its seed; `dst --replay-seed N` (with the matching flags)
+//! re-runs exactly that schedule.
 
 use placement_new_attacks::detector::sim::{run_schedule, SimOptions, SimReport};
-use placement_new_attacks::detector::BackendKind;
 
-/// The acceptance soak: a thousand seeded schedules, four invariants
+/// The acceptance soak: a thousand seeded schedules, five invariants
 /// each, and the aggregate must prove the harness actually exercised
 /// the interesting machinery (faults landed, corruption was detected
 /// and healed, idle reaping both fired and was correctly deferred,
@@ -100,31 +100,23 @@ fn planted_stale_swap_bug_is_caught_and_replays() {
     assert_eq!(report, again, "the catching seed must replay to the identical failure");
 }
 
-/// Kill-restart durability matrix: for each backend, kill the daemon's
-/// persistence at a seeded write in phase 1 (writes silently vanish),
-/// restart in phase 2 over the same cache directory, and require every
-/// warm envelope to equal a fresh scan — whatever subset of the cache
-/// survived the crash.
+/// Kill-restart durability matrix: kill the daemon's persistence at a
+/// seeded write in phase 1 (writes silently vanish), restart in phase 2
+/// over the same cache directory, and require every warm envelope to
+/// equal a fresh scan — whatever subset of the cache survived the
+/// crash.
 #[test]
-fn kill_restart_matrix_serves_correct_envelopes_on_both_backends() {
-    for backend in [BackendKind::Dir, BackendKind::Indexed] {
-        let opts = SimOptions {
-            backend: Some(backend),
-            kill: true,
-            faults: false,
-            phases: 2,
-            tag: format!("kill-{}", backend.name()),
-            ..SimOptions::default()
-        };
-        for seed in 0..40 {
-            let report = run_schedule(seed, &opts);
-            assert!(
-                report.ok(),
-                "{} backend, seed {seed}: {:?}",
-                backend.name(),
-                report.violations
-            );
-            assert_eq!(report.phases, 2);
-        }
+fn kill_restart_matrix_serves_correct_envelopes() {
+    let opts = SimOptions {
+        kill: true,
+        faults: false,
+        phases: 2,
+        tag: "kill".to_owned(),
+        ..SimOptions::default()
+    };
+    for seed in 0..40 {
+        let report = run_schedule(seed, &opts);
+        assert!(report.ok(), "seed {seed}: {:?}", report.violations);
+        assert_eq!(report.phases, 2);
     }
 }
