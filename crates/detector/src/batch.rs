@@ -365,14 +365,17 @@ pub struct BatchEngine {
     persistent: Option<PersistentCache>,
     shard: Option<ShardSpec>,
     tracked: Mutex<HashMap<String, TrackedFile>>,
+    /// The manifest text this engine last stored successfully, so a
+    /// delta that changed no row skips the rewrite.
+    saved_manifest: Mutex<Option<String>>,
     /// Cross-file summary exchange: entry-context summaries keyed by
     /// closure fingerprint, shared by every file analyzed through this
-    /// engine (and persisted behind the cache backend).
+    /// engine. Never persisted: a delta rebuilds it from the `.pnc`
+    /// entries it hydrates off disk.
     summary_store: Arc<SummaryStore>,
-    /// Serializes whole delta operations (seed + rescan + manifest and
-    /// store persistence) against each other and against tracked full
-    /// scans, so no request ever snapshots a half-updated tracked
-    /// index.
+    /// Serializes whole delta operations (seed + rescan + manifest
+    /// persistence) against each other and against tracked full scans,
+    /// so no request ever snapshots a half-updated tracked index.
     delta_gate: Mutex<()>,
     /// Lifetime sums of the per-rescan `functions_reanalyzed` /
     /// `functions_reused` counters, for daemon stats.
@@ -404,6 +407,7 @@ impl BatchEngine {
             persistent: None,
             shard: None,
             tracked: Mutex::new(HashMap::new()),
+            saved_manifest: Mutex::new(None),
             summary_store: Arc::new(SummaryStore::new()),
             delta_gate: Mutex::new(()),
             fn_reanalyzed_total: AtomicU64::new(0),
@@ -709,10 +713,17 @@ impl BatchEngine {
         if !hydrate.is_empty() {
             // Pull manifest-seeded results off disk in parallel, with
             // the tracked lock released; a missing or corrupt entry
-            // degrades to a re-analysis (and heals the cache).
+            // degrades to a re-analysis (and heals the cache). Each
+            // entry's summaries go into the summary store, which is how
+            // a new process rebuilds it.
             let (hydrated, _) = self.run_queue(&hydrate, jobs, |&(_, _, key)| {
                 match self.persistent.as_ref().map(|pc| pc.get(key)) {
-                    Some(CacheLookup::Hit(hit)) => Some(Arc::new(hit)),
+                    Some(CacheLookup::Hit(hit)) => {
+                        if self.owns(key) {
+                            self.summary_store.publish(&hit);
+                        }
+                        Some(Arc::new(hit))
+                    }
                     _ => None,
                 }
             });
@@ -807,9 +818,11 @@ impl BatchEngine {
     }
 
     /// One whole delta operation under the engine's delta gate: seed
-    /// the tracked index and the summary store from the persistent
-    /// cache if this is the engine's first delta, rescan, then persist
-    /// the manifest and the store for the next process.
+    /// the tracked index from the persistent cache's manifest if this
+    /// is the engine's first delta, rescan, then persist the manifest
+    /// for the next process. The rescan's hydration of manifest-seeded
+    /// files from disk is what refills the summary store after a
+    /// restart.
     ///
     /// Callers that interleave delta requests with tracked full scans
     /// on one shared engine (the daemon) must come through here: the
@@ -825,41 +838,26 @@ impl BatchEngine {
         if self.tracked.lock().expect("tracked index poisoned").is_empty() {
             self.seed_tracked_from_manifest();
         }
-        self.load_summary_store();
         let result = self.rescan_delta_jobs(paths, changed_hint, jobs);
         self.save_tracked_manifest();
-        self.save_summary_store();
         result
     }
 
-    /// Preloads the cross-file summary store from the attached
-    /// persistent cache (no-op when the store already has entries or
-    /// when no cache is attached). Returns the entries resident
-    /// afterwards.
+    /// Loads nothing: the summary store is rebuilt from the `.pnc`
+    /// entries a delta hydrates ([`SummaryStore::publish`]), not read
+    /// from disk. Returns the entries resident. Kept, like
+    /// [`save_summary_store`](Self::save_summary_store), because
+    /// perfbench's layered replay times a load and a save step around
+    /// every delta.
     pub fn load_summary_store(&self) -> usize {
-        if let Some(pc) = &self.persistent {
-            if self.summary_store.is_empty() {
-                self.summary_store.preload(pc.load_summary_entries());
-            }
-        }
         self.summary_store.len()
     }
 
-    /// Persists the summary store behind the cache backend when it has
-    /// unsaved entries. Best-effort, like every cache write: returns
-    /// whether a write landed.
+    /// Writes nothing and returns `false`: every `.pnc` entry already
+    /// holds its functions' summaries, so the store has no file of its
+    /// own.
     pub fn save_summary_store(&self) -> bool {
-        let Some(pc) = &self.persistent else {
-            return false;
-        };
-        if !self.summary_store.is_dirty() {
-            return false;
-        }
-        let ok = pc.store_summary_entries(&self.summary_store.snapshot());
-        if ok {
-            self.summary_store.mark_clean();
-        }
-        ok
+        false
     }
 
     /// Primes the tracked index from the manifest of the attached
@@ -886,8 +884,12 @@ impl BatchEngine {
     }
 
     /// Writes the tracked index to the attached persistent cache's
-    /// manifest for the next process to seed from. Best-effort, like
-    /// every cache write: returns whether the manifest landed.
+    /// manifest for the next process to seed from, unless it renders
+    /// to the text this engine last stored: a delta that changed no row
+    /// (a watch cycle with no edit) writes nothing. Best-effort, like
+    /// every cache write: returns whether the stored manifest is
+    /// current. A failed write forgets the last text, so the next call
+    /// writes again.
     pub fn save_tracked_manifest(&self) -> bool {
         let Some(pc) = &self.persistent else {
             return false;
@@ -904,7 +906,14 @@ impl BatchEngine {
                 })
                 .collect()
         };
-        pc.store_manifest(&render_manifest(&mut rows))
+        let text = render_manifest(&mut rows);
+        let mut saved = self.saved_manifest.lock().expect("saved manifest poisoned");
+        if saved.as_deref() == Some(text.as_str()) {
+            return true;
+        }
+        let wrote = pc.store_manifest(&text);
+        *saved = wrote.then_some(text);
+        wrote
     }
 
     /// Paths currently in the tracked index.
@@ -1881,6 +1890,79 @@ mod tests {
         let final_snap = engine.cache_stats();
         assert_eq!(final_snap.hits + final_snap.misses, final_snap.lookups);
         assert!(final_snap.lookups > 0);
+    }
+
+    /// A directory backend that counts manifest writes and fails the
+    /// first one.
+    #[derive(Debug)]
+    struct CountingBackend {
+        inner: crate::backend::DirBackend,
+        manifest_writes: Arc<AtomicU64>,
+        fail_next: std::sync::atomic::AtomicBool,
+    }
+
+    impl crate::backend::CacheBackend for CountingBackend {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn load(&self, key: u128) -> Option<Vec<u8>> {
+            self.inner.load(key)
+        }
+
+        fn store(&self, key: u128, bytes: &[u8]) -> std::io::Result<()> {
+            self.inner.store(key, bytes)
+        }
+
+        fn load_manifest(&self) -> Option<String> {
+            self.inner.load_manifest()
+        }
+
+        fn store_manifest(&self, text: &str) -> std::io::Result<()> {
+            self.manifest_writes.fetch_add(1, Ordering::Relaxed);
+            if self.fail_next.swap(false, Ordering::Relaxed) {
+                return Err(std::io::Error::other("injected failure"));
+            }
+            self.inner.store_manifest(text)
+        }
+    }
+
+    #[test]
+    fn an_unchanged_manifest_is_not_rewritten() {
+        let dir = tmp_cache_dir("manifest-writes");
+        let paths = write_corpus(&dir.join("src"), 4);
+        let cache_dir = dir.join("cache");
+        let writes = Arc::new(AtomicU64::new(0));
+        let backend = CountingBackend {
+            inner: crate::backend::DirBackend::open(&cache_dir).unwrap(),
+            manifest_writes: Arc::clone(&writes),
+            fail_next: std::sync::atomic::AtomicBool::new(true),
+        };
+        let analyzer = Analyzer::new();
+        let cache = PersistentCache::with_backend(&cache_dir, analyzer.config(), Box::new(backend));
+        let engine = BatchEngine::new(analyzer).with_jobs(1).with_persistent_cache(cache);
+        let count = || writes.load(Ordering::Relaxed);
+
+        engine.delta_scan(&paths, None, 1);
+        assert_eq!((count(), engine.persistent_cache().unwrap().stats().write_errors), (1, 1));
+        engine.delta_scan(&paths, None, 1);
+        assert_eq!(count(), 2, "the failed first write is redone by a no-op delta");
+        engine.delta_scan(&paths, None, 1);
+        assert_eq!(count(), 2, "two deltas over an unchanged tree write the manifest once");
+
+        std::fs::write(&paths[0], VULN_SRC).unwrap();
+        engine.delta_scan(&paths, None, 1);
+        assert_eq!(count(), 3, "an edit changes a row");
+        engine.delta_scan(&paths, None, 1);
+        assert_eq!(count(), 3);
+
+        // What is on disk is the current index: a new engine seeds
+        // every path from it and serves the tree unchanged.
+        let fresh = engine_with_disk_cache(&cache_dir);
+        assert_eq!(fresh.seed_tracked_from_manifest(), 4);
+        let (_, stats, delta) = fresh.rescan_delta(&paths, None);
+        assert_eq!((stats.parses, delta.unchanged_files), (0, 4));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -433,12 +433,10 @@ fn run_delta(
     mut had_errors: bool,
 ) -> ExitCode {
     let seeded = engine.seed_tracked_from_manifest();
-    engine.load_summary_store();
     let (outcomes, scan_stats, delta) = engine.rescan_delta(paths, None);
     if !engine.save_tracked_manifest() {
         eprintln!("pncheck: warning: could not write the delta manifest; next run rescans cold");
     }
-    engine.save_summary_store();
 
     // Replicate the full-scan error reporting exactly: unreadable files
     // are named on stderr and never become a record; parse errors are

@@ -36,7 +36,7 @@ use crate::analysis::AnalyzerConfig;
 use crate::backend::{CacheBackend, DirBackend};
 use crate::findings::{Finding, FindingKind, Report, Severity};
 use crate::ir::{Site, Span};
-use crate::summary::{FunctionSummaryRecord, StoredSummary};
+use crate::summary::FunctionSummaryRecord;
 
 const MAGIC: &[u8; 8] = b"PNXCACHE";
 /// Bumped whenever the payload layout or the meaning of any field
@@ -48,16 +48,13 @@ const MAGIC: &[u8; 8] = b"PNXCACHE";
 /// added the worst-case overflow width to every serialized finding —
 /// v2 entries must decode as misses, never as servable results.
 /// Version 4 widened function fingerprints to 128 bits (position- and
-/// preamble-sensitive, program name excluded), added the file-level
+/// preamble-sensitive, program name excluded) and added the file-level
 /// finding pool with per-record `finding_ids` (the substrate of
-/// function-granular re-analysis), and introduced the cross-file
-/// summary-store blob under a reserved key.
+/// function-granular re-analysis, and what the cross-file summary store
+/// is rebuilt from). Builds of version 4 before the store was rebuilt
+/// that way also wrote a summary-store blob under the reserved key
+/// `ffff…ff`; it is never read, and a leftover one can be deleted.
 pub const SCHEMA_VERSION: u32 = 4;
-
-/// Reserved backend key the cross-file summary-store blob is stored
-/// under: all 1-bits, colliding with a real source fingerprint only
-/// with probability 2⁻¹²⁸.
-pub(crate) const SUMMARY_STORE_KEY: u128 = u128::MAX;
 
 /// 128-bit FNV-1a over raw bytes.
 pub(crate) fn fnv128(bytes: &[u8]) -> u128 {
@@ -260,48 +257,6 @@ impl PersistentCache {
     /// manifests.)
     pub fn store_manifest(&self, text: &str) -> bool {
         let wrote = self.backend.store_manifest(text).is_ok();
-        if !wrote {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        wrote
-    }
-
-    /// Loads the persisted cross-file summary-store blob, if a valid
-    /// one exists for this schema and config. Absent, stale, or corrupt
-    /// blobs all return an empty list (the store simply starts cold) and
-    /// leave the entry counters untouched — the blob is an accelerator,
-    /// not an entry.
-    pub fn load_summary_entries(&self) -> Vec<(u128, StoredSummary)> {
-        let Some(bytes) = self.backend.load(SUMMARY_STORE_KEY) else {
-            return Vec::new();
-        };
-        if bytes.len() < 36 || &bytes[..8] != MAGIC {
-            return Vec::new();
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let tag = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        if version != SCHEMA_VERSION || tag != self.config_tag {
-            return Vec::new();
-        }
-        let check = u128::from_le_bytes(bytes[20..36].try_into().expect("16 bytes"));
-        let payload = &bytes[36..];
-        if fnv128(payload) != check {
-            return Vec::new();
-        }
-        decode_summary_store(payload).unwrap_or_default()
-    }
-
-    /// Durably stores the cross-file summary-store blob under the
-    /// reserved key. Best-effort like `put`; failed writes are counted.
-    pub fn store_summary_entries(&self, items: &[(u128, StoredSummary)]) -> bool {
-        let payload = encode_summary_store(items);
-        let mut bytes = Vec::with_capacity(payload.len() + 36);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&self.config_tag.to_le_bytes());
-        bytes.extend_from_slice(&fnv128(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let wrote = self.backend.store(SUMMARY_STORE_KEY, &bytes).is_ok();
         if !wrote {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -513,50 +468,6 @@ fn decode_payload(payload: &[u8], key: u128) -> Option<CachedAnalysis> {
         return None; // trailing garbage
     }
     Some(CachedAnalysis { report: Report { program, findings }, summaries, finding_pool })
-}
-
-fn encode_summary_store(items: &[(u128, StoredSummary)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&SUMMARY_STORE_KEY.to_le_bytes());
-    put_u32(&mut out, items.len() as u32);
-    for (key, s) in items {
-        put_u128(&mut out, *key);
-        put_u32(&mut out, s.findings.len() as u32);
-        for f in &s.findings {
-            put_finding(&mut out, f);
-        }
-        put_u32(&mut out, s.region_effects);
-        out.push(u8::from(s.clobbers));
-    }
-    out
-}
-
-fn decode_summary_store(payload: &[u8]) -> Option<Vec<(u128, StoredSummary)>> {
-    let mut cur = Cursor { bytes: payload, pos: 0 };
-    if cur.u128()? != SUMMARY_STORE_KEY {
-        return None;
-    }
-    let n = cur.u32()? as usize;
-    // Defensive bound: each entry takes ≥ 25 bytes encoded.
-    if n > payload.len() / 25 + 1 {
-        return None;
-    }
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = cur.u128()?;
-        let findings = read_findings(&mut cur, payload.len())?;
-        let region_effects = cur.u32()?;
-        let clobbers = match cur.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        items.push((key, StoredSummary { findings, region_effects, clobbers }));
-    }
-    if cur.pos != payload.len() {
-        return None;
-    }
-    Some(items)
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -856,62 +767,6 @@ mod tests {
         entry.summaries[0].finding_ids = vec![7]; // pool has 1 entry
         cache.put(key, &entry);
         assert_eq!(cache.get(key), CacheLookup::Corrupt);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn summary_store_blob_round_trips() {
-        let mut site = Site::new("hub_helper", 3);
-        site.span = Some(Span::new(3, 9, 77, 12));
-        let items = vec![
-            (
-                5u128,
-                StoredSummary {
-                    findings: vec![Finding {
-                        kind: FindingKind::TaintedPlacementSize,
-                        severity: Severity::Warning,
-                        site,
-                        message: "tainted count".into(),
-                        width: None,
-                    }],
-                    region_effects: 1,
-                    clobbers: false,
-                },
-            ),
-            (9u128, StoredSummary { findings: vec![], region_effects: 0, clobbers: true }),
-        ];
-        let dir = tmp_dir("sumstore");
-        let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
-        assert!(cache.load_summary_entries().is_empty());
-        assert!(cache.store_summary_entries(&items));
-        assert_eq!(cache.load_summary_entries(), items);
-        // The blob never touches entry hit/miss/store accounting.
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stores), (0, 0, 0));
-
-        // A different config reads the blob as absent, not corrupt.
-        let stricter =
-            AnalyzerConfig { min_severity: Severity::Error, ..AnalyzerConfig::default() };
-        let other = PersistentCache::open(&dir, &stricter).unwrap();
-        assert!(other.load_summary_entries().is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_summary_store_blob_loads_as_empty() {
-        let dir = tmp_dir("sumstore-corrupt");
-        let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
-        assert!(cache.store_summary_entries(&[(
-            3,
-            StoredSummary { findings: vec![], region_effects: 0, clobbers: false }
-        )]));
-        let path = cache.dir().join(format!("{SUMMARY_STORE_KEY:032x}.pnc"));
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        assert!(cache.load_summary_entries().is_empty());
-        assert_eq!(cache.stats().corrupt, 0, "the blob is an accelerator, not an entry");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -3,13 +3,16 @@
 //!
 //! All three accept the same scan options (`--jobs`, `--min-severity`,
 //! `--disable`, output format) and the same PATH semantics (a `.pnx`
-//! file, or a directory scanned recursively in sorted order, with
-//! canonicalize-and-dedup). Centralizing the value parsing here means a
-//! request to the daemon is validated by *exactly* the rules the CLI
-//! enforces — the two cannot drift, and the protocol tests assert the
-//! error messages byte-for-byte against the CLI's.
+//! file, or a directory scanned recursively in sorted order, each file
+//! once by canonical path; [`expand_inputs`] resolves a directory from
+//! its listing, not file by file). Centralizing the value parsing here
+//! means a request to the daemon is validated by *exactly* the rules
+//! the CLI enforces — the two cannot drift, and the protocol tests
+//! assert the error messages byte-for-byte against the CLI's.
 
 use std::collections::HashSet;
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::analysis::AnalyzerConfig;
@@ -106,49 +109,85 @@ impl CommonOpts {
     }
 }
 
-/// Recursively collects `*.pnx` files under `dir`, sorted by path so
-/// the scan order (and therefore the output order) is deterministic.
-pub fn collect_pnx(dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
-    let mut entries: Vec<std::fs::DirEntry> = std::fs::read_dir(dir)?.collect::<Result<_, _>>()?;
-    entries.sort_by_key(std::fs::DirEntry::path);
-    for entry in entries {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_pnx(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "pnx") {
-            out.push(path.to_string_lossy().into_owned());
-        }
-    }
-    Ok(())
-}
-
-/// Expands directories to their sorted `*.pnx` contents, then
-/// canonicalizes and deduplicates, so a file named both directly and
+/// Expands directories to their sorted `*.pnx` contents and
+/// deduplicates by canonical path, so a file named both directly and
 /// via an enclosing directory scans once. `-` (stdin) passes through
 /// untouched. Returns the paths and one `"{input}: {error}"` line per
 /// directory that could not be read.
+///
+/// Each input is canonicalized once. Inside a directory the listing
+/// gives each entry's type, and a file's canonical path is its
+/// directory's joined with its name, so only symlinks are resolved one
+/// by one: a tree costs a `readdir` per directory, not a `stat` and a
+/// `realpath` per file.
 pub fn expand_inputs(inputs: &[String]) -> (Vec<String>, Vec<String>) {
+    let mut walk = Walk::default();
     let mut errors = Vec::new();
-    let mut paths = Vec::new();
     for input in inputs {
-        if input != "-" && Path::new(input).is_dir() {
-            if let Err(e) = collect_pnx(Path::new(input), &mut paths) {
+        let path = Path::new(input);
+        if input != "-" && path.is_dir() {
+            if let Err(e) = walk.dir(path, fs::canonicalize(path).ok()) {
                 errors.push(format!("{input}: {e}"));
             }
         } else {
-            paths.push(input.clone());
+            let key = if input == "-" { PathBuf::from("-") } else { canonical_or_raw(path) };
+            walk.push(input.clone(), key);
         }
     }
-    let mut seen: HashSet<PathBuf> = HashSet::new();
-    paths.retain(|path| {
-        let key = if path == "-" {
-            PathBuf::from("-")
-        } else {
-            std::fs::canonicalize(path).unwrap_or_else(|_| PathBuf::from(path))
-        };
-        seen.insert(key)
-    });
-    (paths, errors)
+    (walk.paths, errors)
+}
+
+/// The canonical path, or the path itself when it cannot be resolved
+/// (missing file, dangling symlink).
+fn canonical_or_raw(path: &Path) -> PathBuf {
+    fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf())
+}
+
+/// The paths collected so far, with the canonical keys already seen.
+#[derive(Default)]
+struct Walk {
+    paths: Vec<String>,
+    seen: HashSet<PathBuf>,
+}
+
+impl Walk {
+    fn push(&mut self, path: String, key: PathBuf) {
+        if self.seen.insert(key) {
+            self.paths.push(path);
+        }
+    }
+
+    /// Appends the `*.pnx` files under `dir` in name order, recursing
+    /// into subdirectories. `canonical` is `dir` resolved, or `None`
+    /// when it could not be, and then every file is resolved itself.
+    /// Stops at the first unreadable directory.
+    fn dir(&mut self, dir: &Path, canonical: Option<PathBuf>) -> io::Result<()> {
+        let mut entries = Vec::new();
+        for entry in fs::read_dir(dir)? {
+            let entry = entry?;
+            entries.push((entry.file_name(), entry.file_type().ok()));
+        }
+        // Every entry shares `dir`, so name order is path order.
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (name, kind) in entries {
+            let path = dir.join(&name);
+            // What the listing says, keyed under the directory's
+            // canonical path. A symlink, or an entry the listing could
+            // not type, is followed through its own path instead.
+            let listed = match (kind, &canonical) {
+                (Some(k), Some(c)) if !k.is_symlink() => Some((k.is_dir(), c.join(&name))),
+                _ => None,
+            };
+            if listed.as_ref().map_or_else(|| path.is_dir(), |&(is_dir, _)| is_dir) {
+                let sub = listed.map(|(_, key)| key).or_else(|| fs::canonicalize(&path).ok());
+                self.dir(&path, sub)?;
+            } else if path.extension().is_some_and(|e| e == "pnx") {
+                let key = listed.map_or_else(|| canonical_or_raw(&path), |(_, key)| key);
+                self.push(path.to_string_lossy().into_owned(), key);
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -219,5 +258,95 @@ mod tests {
         assert!(paths.contains(&"-".to_owned()));
         assert!(paths.iter().filter(|p| p.ends_with("a.pnx")).count() == 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The expansion the walk replaced: list every directory, then
+    /// canonicalize every path and deduplicate. The reference the walk
+    /// must match path for path and error for error.
+    fn reference_expand(inputs: &[String]) -> (Vec<String>, Vec<String>) {
+        fn collect_pnx(dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
+            let mut entries: Vec<fs::DirEntry> = fs::read_dir(dir)?.collect::<Result<_, _>>()?;
+            entries.sort_by_key(fs::DirEntry::path);
+            for entry in entries {
+                let path = entry.path();
+                if path.is_dir() {
+                    collect_pnx(&path, out)?;
+                } else if path.extension().is_some_and(|e| e == "pnx") {
+                    out.push(path.to_string_lossy().into_owned());
+                }
+            }
+            Ok(())
+        }
+        let mut errors = Vec::new();
+        let mut paths = Vec::new();
+        for input in inputs {
+            if input != "-" && Path::new(input).is_dir() {
+                if let Err(e) = collect_pnx(Path::new(input), &mut paths) {
+                    errors.push(format!("{input}: {e}"));
+                }
+            } else {
+                paths.push(input.clone());
+            }
+        }
+        let mut seen: HashSet<PathBuf> = HashSet::new();
+        paths.retain(|path| {
+            let key = if path == "-" {
+                PathBuf::from("-")
+            } else {
+                fs::canonicalize(path).unwrap_or_else(|_| PathBuf::from(path))
+            };
+            seen.insert(key)
+        });
+        (paths, errors)
+    }
+
+    #[test]
+    fn walk_matches_the_canonicalize_everything_expansion() {
+        use std::os::unix::fs::symlink;
+
+        let base = std::env::temp_dir().join(format!("pnx-cliopts-walk-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&base);
+        let (tree, outside) = (base.join("tree"), base.join("outside"));
+        fs::create_dir_all(tree.join("sub/deeper")).unwrap();
+        fs::create_dir_all(&outside).unwrap();
+        for file in ["a.pnx", "b.pnx", "sub/c.pnx", "sub/deeper/d.pnx"] {
+            fs::write(tree.join(file), format!("program {};\n", &file[..1])).unwrap();
+        }
+        fs::write(tree.join("notes.txt"), "not a program").unwrap();
+        fs::write(outside.join("e.pnx"), "program e;\n").unwrap();
+        // A second name for a file the walk lists first: dropped.
+        symlink(tree.join("sub/c.pnx"), tree.join("z_alias.pnx")).unwrap();
+        // A directory outside the tree, walked under the link's name.
+        symlink(&outside, tree.join("ext")).unwrap();
+        // A dangling `.pnx` link: listed under its own path.
+        symlink(base.join("missing.pnx"), tree.join("broken.pnx")).unwrap();
+
+        let s = |p: &Path| p.to_string_lossy().into_owned();
+        let a = s(&tree.join("a.pnx"));
+        let missing = s(&base.join("absent.pnx"));
+        let cases: Vec<Vec<String>> = vec![
+            vec![s(&tree)],
+            vec![a.clone(), s(&tree), a.clone()],
+            vec![s(&tree.join("sub/deeper/d.pnx")), s(&tree), "-".into(), missing.clone()],
+            vec!["-".into(), missing.clone(), s(&tree.join("ext")), s(&tree), "-".into(), missing],
+            vec![s(&tree.join("z_alias.pnx")), s(&tree.join("loop/sub")), s(&tree)],
+        ];
+        let check = || {
+            for inputs in &cases {
+                assert_eq!(expand_inputs(inputs), reference_expand(inputs), "inputs {inputs:?}");
+            }
+        };
+        check();
+        let (paths, errors) = expand_inputs(&cases[0]);
+        assert!(errors.is_empty(), "{errors:?}");
+        let names: Vec<&str> = paths.iter().map(|p| &p[s(&tree).len() + 1..]).collect();
+        let want = ["a.pnx", "b.pnx", "broken.pnx", "ext/e.pnx", "sub/c.pnx", "sub/deeper/d.pnx"];
+        assert_eq!(names, want);
+
+        // A loop back to the root is walked until the kernel refuses to
+        // resolve the path, by both expansions alike.
+        symlink(&tree, tree.join("loop")).unwrap();
+        check();
+        let _ = fs::remove_dir_all(&base);
     }
 }

@@ -938,9 +938,9 @@ impl Server {
         let (paths, mut file_errors) = cliopts::expand_inputs(&req.paths);
         let jobs = req.jobs.unwrap_or_else(|| engine.jobs());
         // `delta_scan` runs the whole operation — manifest seeding,
-        // rescan, manifest + summary-store persistence — under the
-        // engine's delta gate, so a concurrent request on the same
-        // engine can never snapshot a half-updated tracked index.
+        // rescan, manifest persistence — under the engine's delta
+        // gate, so a concurrent request on the same engine can never
+        // snapshot a half-updated tracked index.
         let (outcomes, scan_stats, delta) = engine.delta_scan(&paths, req.changed.as_deref(), jobs);
 
         let mut had_parse_errors = false;

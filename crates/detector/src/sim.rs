@@ -69,7 +69,7 @@ use std::time::Duration;
 
 use crate::analysis::AnalyzerConfig;
 use crate::backend::{CacheBackend, DirBackend};
-use crate::cache::{fnv128, source_fingerprint, CacheLookup, PersistentCache, SUMMARY_STORE_KEY};
+use crate::cache::{fnv128, source_fingerprint, CacheLookup, PersistentCache};
 use crate::cliopts::expand_inputs;
 use crate::clock::{Clock, SimClock};
 use crate::eventloop::Core;
@@ -261,7 +261,7 @@ impl CacheBackend for FaultyBackend {
         }
         let (swap, disk_full, short_at, flip_at) = {
             let mut rng = self.lock_rng();
-            let swap = key != SUMMARY_STORE_KEY && rng.chance(self.plan.stale_swap_one_in);
+            let swap = rng.chance(self.plan.stale_swap_one_in);
             let disk_full = rng.chance(self.plan.disk_full_one_in);
             let short_at = (bytes.len() > 1 && rng.chance(self.plan.short_write_one_in))
                 .then(|| 1 + rng.below(bytes.len() as u64 - 1) as usize);
@@ -305,9 +305,7 @@ impl CacheBackend for FaultyBackend {
             }
             return Ok(());
         }
-        if key != SUMMARY_STORE_KEY {
-            *self.last_entry.lock().unwrap_or_else(|e| e.into_inner()) = Some(bytes.to_vec());
-        }
+        *self.last_entry.lock().unwrap_or_else(|e| e.into_inner()) = Some(bytes.to_vec());
         // An honest write heals any earlier sabotage of this key.
         self.stats.sabotaged.lock().unwrap_or_else(|e| e.into_inner()).remove(&key);
         self.inner.store(key, bytes)
@@ -1265,9 +1263,7 @@ fn verify_unhealed_sabotage(
     let Ok(raw) = DirBackend::open(cache_dir) else { return };
     let mut survivors: Vec<u128> = sabotaged
         .iter()
-        .filter(|&(&key, bytes)| {
-            key != SUMMARY_STORE_KEY && raw.load(key).as_deref() == Some(bytes.as_slice())
-        })
+        .filter(|&(&key, bytes)| raw.load(key).as_deref() == Some(bytes.as_slice()))
         .map(|(&key, _)| key)
         .collect();
     survivors.sort_unstable();

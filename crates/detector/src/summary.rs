@@ -33,10 +33,11 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::analysis::{RegionId, RegionState, State};
+use crate::cache::CachedAnalysis;
 use crate::findings::Finding;
 use crate::ir::{Program, Site, Stmt, Symbol, VarId};
 
@@ -232,16 +233,21 @@ pub(crate) struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds the call graph with an iterative Tarjan SCC pass (no
-    /// recursion: a 10k-deep call chain must not overflow the stack of
-    /// the analyzer itself).
+    /// Builds the program's call graph: each function's resolved
+    /// callees, then [`from_callees`](Self::from_callees).
     pub(crate) fn build(program: &Program, fn_by_name: &HashMap<&str, usize>) -> Self {
-        let n = program.functions.len();
-        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); program.functions.len()];
         for (i, f) in program.functions.iter().enumerate() {
             collect_callees(&f.body, fn_by_name, &mut callees[i]);
         }
+        Self::from_callees(callees)
+    }
 
+    /// Condenses per-function callee lists with an iterative Tarjan SCC
+    /// pass (no recursion: a 10k-deep call chain must not overflow the
+    /// stack of the analyzer itself).
+    pub(crate) fn from_callees(callees: Vec<Vec<usize>>) -> Self {
+        let n = callees.len();
         let mut index_of = vec![usize::MAX; n];
         let mut lowlink = vec![0usize; n];
         let mut on_stack = vec![false; n];
@@ -367,17 +373,18 @@ pub struct StoredSummary {
 
 /// Cross-file summary-exchange layer: entry summaries keyed by 128-bit
 /// closure fingerprint, shared by every file analyzed through one
-/// [`BatchEngine`](crate::batch::BatchEngine) and persisted behind the
-/// [`CacheBackend`](crate::backend::CacheBackend) under a reserved key.
-/// A helper function duplicated across hundreds of files is summarized
-/// once; every other file replays the stored findings instead of
-/// re-walking the body.
+/// [`BatchEngine`](crate::batch::BatchEngine). A helper function
+/// duplicated across hundreds of files is summarized once; every other
+/// file replays the stored findings instead of re-walking the body.
+///
+/// The store is never written to disk: every `.pnc` record set already
+/// holds its functions' entry summaries, so a new process rebuilds the
+/// store from the entries it loads ([`publish`](Self::publish)).
 #[derive(Debug, Default)]
 pub struct SummaryStore {
     entries: Mutex<HashMap<u128, Arc<StoredSummary>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    dirty: AtomicBool,
 }
 
 impl SummaryStore {
@@ -407,18 +414,48 @@ impl SummaryStore {
     /// (equal keys carry equal payloads by construction).
     pub fn insert(&self, key: u128, summary: StoredSummary) {
         let mut entries = self.entries.lock().expect("summary store poisoned");
-        if let std::collections::hash_map::Entry::Vacant(slot) = entries.entry(key) {
-            slot.insert(Arc::new(summary));
-            self.dirty.store(true, Ordering::Relaxed);
-        }
+        entries.entry(key).or_insert_with(|| Arc::new(summary));
     }
 
-    /// Bulk-loads persisted entries (existing keys win — they were
-    /// computed this run). Does not mark the store dirty.
-    pub fn preload(&self, items: Vec<(u128, StoredSummary)>) {
-        let mut entries = self.entries.lock().expect("summary store poisoned");
-        for (key, summary) in items {
-            entries.entry(key).or_insert_with(|| Arc::new(summary));
+    /// Publishes the entry summaries of one analyzed file's records,
+    /// each under the closure fingerprint the analyzer keyed it by: a
+    /// record's `deps` are its function's resolved callees in call
+    /// order, so their indices rebuild the analyzer's call graph and
+    /// `CallGraph::closure_fingerprints` its keys. Functions in or
+    /// above a recursive cycle have no key and are skipped, as in the
+    /// analyzer. A record set that does not name its functions
+    /// unambiguously (a duplicate name, a dep naming no record, a
+    /// finding id past the pool) publishes nothing.
+    pub fn publish(&self, entry: &CachedAnalysis) {
+        let records = &entry.summaries;
+        let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(records.len());
+        for (i, rec) in records.iter().enumerate() {
+            let ids_ok = rec.finding_ids.iter().all(|&id| (id as usize) < entry.finding_pool.len());
+            if !ids_ok || by_name.insert(rec.function.as_str(), i).is_some() {
+                return;
+            }
+        }
+        let callees: Option<Vec<Vec<usize>>> = records
+            .iter()
+            .map(|rec| rec.deps.iter().map(|d| by_name.get(d.callee.as_str()).copied()).collect())
+            .collect();
+        let Some(callees) = callees else {
+            return;
+        };
+        let own: Vec<u128> = records.iter().map(|rec| rec.fingerprint).collect();
+        let keys = CallGraph::from_callees(callees).closure_fingerprints(&own);
+        for (rec, key) in records.iter().zip(keys) {
+            let Some(key) = key else {
+                continue;
+            };
+            let findings =
+                rec.finding_ids.iter().map(|&id| entry.finding_pool[id as usize].clone()).collect();
+            let summary = StoredSummary {
+                findings,
+                region_effects: rec.region_effects,
+                clobbers: rec.clobbers,
+            };
+            self.insert(key, summary);
         }
     }
 
@@ -442,20 +479,7 @@ impl SummaryStore {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Whether entries were inserted since the last [`mark_clean`].
-    ///
-    /// [`mark_clean`]: SummaryStore::mark_clean
-    pub fn is_dirty(&self) -> bool {
-        self.dirty.load(Ordering::Relaxed)
-    }
-
-    /// Clears the dirty flag (after a successful persist).
-    pub fn mark_clean(&self) {
-        self.dirty.store(false, Ordering::Relaxed);
-    }
-
-    /// A deterministic snapshot of the store, sorted by key — the
-    /// serialization order of the persisted blob.
+    /// A deterministic snapshot of the store, sorted by key.
     pub fn snapshot(&self) -> Vec<(u128, StoredSummary)> {
         let entries = self.entries.lock().expect("summary store poisoned");
         let mut items: Vec<(u128, StoredSummary)> =
@@ -575,11 +599,11 @@ mod tests {
     }
 
     #[test]
-    fn summary_store_first_writer_wins_and_tracks_dirtiness() {
+    fn summary_store_first_writer_wins() {
         use crate::findings::{Finding, FindingKind, Severity};
 
         let store = SummaryStore::new();
-        assert!(store.is_empty() && !store.is_dirty());
+        assert!(store.is_empty());
         assert!(store.get(7).is_none());
         assert_eq!(store.misses(), 1);
 
@@ -591,20 +615,43 @@ mod tests {
             width: None,
         };
         store.insert(7, StoredSummary { findings: vec![f], region_effects: 2, clobbers: true });
-        assert!(store.is_dirty());
         store.insert(7, StoredSummary { findings: vec![], region_effects: 0, clobbers: false });
         let got = store.get(7).expect("stored");
         assert_eq!(got.findings.len(), 1, "first writer wins");
         assert_eq!(store.hits(), 1);
-
-        store.mark_clean();
-        assert!(!store.is_dirty());
-        store.preload(vec![(
-            9,
-            StoredSummary { findings: vec![], region_effects: 0, clobbers: false },
-        )]);
-        assert_eq!(store.len(), 2);
-        assert!(!store.is_dirty(), "preload does not dirty the store");
+        store.insert(9, StoredSummary { findings: vec![], region_effects: 0, clobbers: false });
         assert_eq!(store.snapshot().iter().map(|&(k, _)| k).collect::<Vec<_>>(), vec![7, 9]);
+    }
+
+    #[test]
+    fn publish_keys_records_as_the_analyzer_does_and_rejects_ambiguous_ones() {
+        // a → b → c, d → d (self-loop), e → d (caller of a cycle).
+        let p = chain_program(&[
+            ("a", &["b", "c"]),
+            ("b", &["c"]),
+            ("c", &[]),
+            ("d", &["d"]),
+            ("e", &["d"]),
+        ]);
+        let analyzed = SummaryStore::new();
+        let entry = crate::analysis::Analyzer::new().analyze_full(&p, None, Some(&analyzed));
+        assert_eq!(analyzed.len(), 3, "d and e sit on or above a cycle: no key");
+        let published = SummaryStore::new();
+        published.publish(&entry);
+        assert_eq!(published.snapshot(), analyzed.snapshot());
+
+        let publishes_nothing = |edit: &dyn Fn(&mut CachedAnalysis)| {
+            let mut bad = entry.clone();
+            edit(&mut bad);
+            let store = SummaryStore::new();
+            store.publish(&bad);
+            store.is_empty()
+        };
+        assert!(publishes_nothing(&|e| e.summaries[1].function = "a".into()), "duplicate name");
+        assert!(publishes_nothing(&|e| e.summaries[0].deps[0].callee = "zz".into()), "unknown dep");
+        assert!(
+            publishes_nothing(&|e| e.summaries[2].finding_ids.push(e.finding_pool.len() as u32)),
+            "dangling finding id"
+        );
     }
 }

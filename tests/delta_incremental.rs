@@ -12,6 +12,9 @@
 //! * **cone soundness** — every function whose summary record changed
 //!   across an edit, and every transitive caller of one, lands inside
 //!   the invalidation cone reported by `invalidation_cone`.
+//!
+//! A restart test checks that an engine hydrating a tree from disk
+//! rebuilds the cross-file summary store its predecessor computed.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -327,5 +330,77 @@ fn schema_v2_cache_entries_decode_as_stale_misses_not_corruption() {
     assert_eq!(cache.get(key), CacheLookup::Miss, "v2 entry must be a stale miss");
     let stats = cache.stats();
     assert_eq!(stats.corrupt, 0, "a stale version is not corruption: {stats:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A program whose `ping` and `pong` call each other, entered from
+/// `main`: a recursive cycle, whose members and callers have no closure
+/// fingerprint and never enter the summary store.
+fn cycle_program() -> String {
+    let mut p = ProgramBuilder::new("gen-cycle");
+    for (name, callee) in [("main", "ping"), ("ping", "pong"), ("pong", "ping")] {
+        let mut f = p.function(name);
+        let pool = f.local("pool", Ty::CharArray(Some(16)));
+        let n = f.local("n", Ty::Int);
+        let buf = f.local("buf", Ty::Ptr);
+        f.read_input(n);
+        f.placement_new_array(buf, Expr::addr_of(pool), 1, Expr::Var(n));
+        f.call(callee, Vec::new());
+        f.finish();
+    }
+    pretty_program(&p.build())
+}
+
+#[test]
+fn a_restarted_engine_rebuilds_the_summary_store_from_disk() {
+    let dir = case_dir();
+    let (src, cache_dir) = (dir.join("src"), dir.join("cache"));
+    std::fs::create_dir_all(&src).unwrap();
+    let hubs = workload::hub_corpus(24, 7, 50);
+    let mut texts: Vec<String> = workload::corpus(21, 60).iter().map(pretty_program).collect();
+    texts.extend(workload::fan_in_call_corpus(22, 4).iter().map(pretty_program));
+    texts.extend(workload::deep_call_corpus(23, 2).iter().map(pretty_program));
+    texts.extend(hubs[..6].iter().map(pretty_program));
+    texts.push(cycle_program());
+    let write = |i: usize, text: &str| {
+        let path = src.join(format!("f{i:03}.pnx"));
+        std::fs::write(&path, text).unwrap();
+        path.to_string_lossy().into_owned()
+    };
+    let mut paths: Vec<String> = texts.iter().enumerate().map(|(i, t)| write(i, t)).collect();
+    let engine = || {
+        let cache = PersistentCache::open(&cache_dir, &AnalyzerConfig::default()).unwrap();
+        BatchEngine::new(Analyzer::new()).with_jobs(2).with_persistent_cache(cache)
+    };
+
+    let a = engine();
+    let (cold, stats, _) = a.delta_scan(&paths, None, 2);
+    assert_eq!(stats.parses, paths.len() as u64);
+    let computed = a.summary_store().snapshot();
+    assert!(computed.len() > paths.len(), "{} entries", computed.len());
+
+    // Engine B hydrates every file off disk, parses nothing, and ends
+    // with A's store: the same keys, findings (spans included) and
+    // effects.
+    let b = engine();
+    let (warm, stats, delta) = b.delta_scan(&paths, None, 2);
+    assert_eq!((stats.parses, delta.unchanged_files), (0, paths.len()));
+    assert_eq!(envelopes(&warm), envelopes(&cold));
+    let rebuilt = b.summary_store().snapshot();
+    assert_eq!(rebuilt, computed);
+    let spans = |store: &[(u128, placement_new_attacks::detector::StoredSummary)]| {
+        store.iter().flat_map(|(_, s)| s.findings.iter().map(|f| f.site.span)).collect::<Vec<_>>()
+    };
+    assert_eq!(spans(&rebuilt), spans(&computed));
+
+    // A new hub file shares its helpers, byte for byte and offset for
+    // offset, with hub files B has only read from disk: B replays them
+    // from the rebuilt store, and the envelope is a fresh scan's.
+    paths.push(write(texts.len(), &pretty_program(&hubs[6])));
+    let hits = b.summary_store().hits();
+    let (added, stats, _) = b.delta_scan(&paths, None, 2);
+    assert_eq!(stats.parses, 1);
+    assert!(b.summary_store().hits() > hits, "the new file's helpers hit the rebuilt store");
+    assert_eq!(envelopes(&added), reference_envelopes(&paths));
     std::fs::remove_dir_all(&dir).unwrap();
 }
