@@ -99,8 +99,7 @@ fn bench_interprocedural(c: &mut Criterion) {
     group.bench_function("summary", |b| {
         b.iter(|| programs.iter().map(|p| summary.analyze(p).findings.len()).sum::<usize>());
     });
-    let inline =
-        Analyzer::with_config(AnalyzerConfig { use_summaries: false, ..AnalyzerConfig::default() });
+    let inline = Analyzer::with_config(AnalyzerConfig { use_summaries: false });
     group.bench_function("inline", |b| {
         b.iter(|| programs.iter().map(|p| inline.analyze(p).findings.len()).sum::<usize>());
     });

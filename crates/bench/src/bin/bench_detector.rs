@@ -247,8 +247,7 @@ fn main() {
             summary_analyzer.analyze(p);
         }
     });
-    let inline_analyzer =
-        Analyzer::with_config(AnalyzerConfig { use_summaries: false, ..AnalyzerConfig::default() });
+    let inline_analyzer = Analyzer::with_config(AnalyzerConfig { use_summaries: false });
     // Inline re-walks exponentially many paths; one timed run is plenty.
     let inline_runs = if smoke { 1 } else { 3 };
     let inline_s = median_secs(inline_runs, || {

@@ -394,14 +394,11 @@ impl<'p> State<'p> {
     }
 }
 
-/// Configuration of the analyzer: a reporting threshold and per-check
-/// switches, the knobs a real tool exposes for triage.
+/// Configuration of the analyzer. It holds only what changes how a
+/// program is analyzed; which findings a caller sees is a
+/// [`ReportFilter`](crate::ReportFilter) applied to the finished report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzerConfig {
-    /// Findings below this severity are not reported.
-    pub min_severity: Severity,
-    /// Finding kinds that are switched off entirely.
-    pub disabled: Vec<FindingKind>,
     /// Interprocedural strategy: `true` (the default) memoizes
     /// per-function transfer summaries and applies them at call sites;
     /// `false` re-walks every callee inline at every call site
@@ -412,7 +409,7 @@ pub struct AnalyzerConfig {
 
 impl Default for AnalyzerConfig {
     fn default() -> Self {
-        AnalyzerConfig { min_severity: Severity::Info, disabled: Vec::new(), use_summaries: true }
+        AnalyzerConfig { use_summaries: true }
     }
 }
 
@@ -485,8 +482,8 @@ impl Analyzer {
 
     /// [`analyze`](Self::analyze), recording per-pass timings
     /// (`analysis.index`, `analysis.walk`) and counters (programs,
-    /// functions, summaries computed/applied, findings per kind) into
-    /// `trace`.
+    /// functions, summaries computed/applied, findings per kind of the
+    /// unfiltered report) into `trace`.
     pub fn analyze_traced(&self, program: &Program, trace: &TraceCollector) -> Report {
         self.analyze_impl(program, Some(trace), None).report
     }
@@ -503,7 +500,7 @@ impl Analyzer {
     }
 
     /// The full analysis product the persistent cache stores: the
-    /// filtered report, the per-function summary records, and the
+    /// unfiltered report, the per-function summary records, and the
     /// finding pool the records' `finding_ids` index. `store` taps the
     /// cross-file [`SummaryStore`]: functions whose closure fingerprint
     /// hits the store replay the stored entry summary instead of being
@@ -669,9 +666,6 @@ impl Analyzer {
                 deps,
             });
         }
-        report.findings.retain(|f| {
-            f.severity >= self.config.min_severity && !self.config.disabled.contains(&f.kind)
-        });
         let analysis = CachedAnalysis { report, summaries: records, finding_pool: pool.pool };
         #[cfg(debug_assertions)]
         {
@@ -799,9 +793,6 @@ impl Analyzer {
                 self.walk(&ix, &program.functions[fi].body, &mut state, &mut report, 0, &mut env);
             }
         }
-        report.findings.retain(|f| {
-            f.severity >= self.config.min_severity && !self.config.disabled.contains(&f.kind)
-        });
         if let (Some(t), Some(start)) = (trace, walk_start) {
             t.record_pass("analysis.walk", start.elapsed());
             t.count("analysis.programs", 1);
@@ -1738,6 +1729,7 @@ impl Analyzer {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
+    use crate::findings::ReportFilter;
     use crate::ir::CmpOp;
 
     fn students(p: &mut ProgramBuilder) {
@@ -2045,7 +2037,7 @@ mod tests {
     }
 
     #[test]
-    fn config_filters_severity_and_kinds() {
+    fn filter_hides_severities_and_kinds_of_the_unfiltered_report() {
         let mut p = ProgramBuilder::new("t");
         students(&mut p);
         let mut f = p.function("main");
@@ -2057,22 +2049,23 @@ mod tests {
         f.finish();
         let program = p.build();
 
+        // The analyzer reports everything; a filter on the finished
+        // report decides what a caller sees.
         let all = Analyzer::new().analyze(&program);
         assert_eq!(all.findings.len(), 2);
+        let mut unfiltered = all.clone();
+        ReportFilter::default().apply(&mut unfiltered);
+        assert_eq!(unfiltered, all, "the default filter hides nothing");
 
-        let errors_only = Analyzer::with_config(AnalyzerConfig {
-            min_severity: Severity::Error,
-            ..AnalyzerConfig::default()
-        })
-        .analyze(&program);
+        let mut errors_only = all.clone();
+        ReportFilter { min_severity: Severity::Error, ..ReportFilter::default() }
+            .apply(&mut errors_only);
         assert_eq!(errors_only.findings.len(), 1);
         assert!(errors_only.of_kind(FindingKind::UnknownBoundsPlacement).is_empty());
 
-        let oversized_off = Analyzer::with_config(AnalyzerConfig {
-            disabled: vec![FindingKind::OversizedPlacement],
-            ..AnalyzerConfig::default()
-        })
-        .analyze(&program);
+        let mut oversized_off = all.clone();
+        ReportFilter { disabled: vec![FindingKind::OversizedPlacement], ..ReportFilter::default() }
+            .apply(&mut oversized_off);
         assert!(oversized_off.of_kind(FindingKind::OversizedPlacement).is_empty());
         assert_eq!(oversized_off.findings.len(), 1);
     }
@@ -2177,11 +2170,8 @@ mod tests {
     /// inline re-walk, context included.
     fn assert_modes_agree(program: &Program) {
         let summaries = Analyzer::new().analyze(program);
-        let inline = Analyzer::with_config(AnalyzerConfig {
-            use_summaries: false,
-            ..AnalyzerConfig::default()
-        })
-        .analyze(program);
+        let inline =
+            Analyzer::with_config(AnalyzerConfig { use_summaries: false }).analyze(program);
         assert_eq!(summaries, inline, "summary/inline divergence");
     }
 

@@ -18,12 +18,12 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Process-wide monotonic counter for temp-file names. A pid alone is
-/// not unique enough: two engines in one daemon (or a recycled pid on
-/// a shared cache dir) can race the same key, and a fixed name would
-/// let one writer rename the other's half-written temp into place.
+/// not unique enough: two cache handles in one process (or a recycled
+/// pid on a shared cache dir) can race the same key, and a fixed name
+/// would let one writer rename the other's half-written temp into
+/// place.
 static TEMP_NONCE: AtomicU64 = AtomicU64::new(0);
 
 /// A temp-name component unique within this process for its lifetime.
@@ -50,32 +50,6 @@ pub trait CacheBackend: Send + Sync + fmt::Debug {
     fn load_manifest(&self) -> Option<String>;
     /// Durably stores the delta manifest text.
     fn store_manifest(&self, text: &str) -> io::Result<()>;
-}
-
-/// A handle on one open store, so several caches can share it: a
-/// daemon opens (and, under test, wraps) its backend once for all its
-/// engines, so an unusable directory fails at startup and one fault
-/// plan or byte counter sees every engine's traffic.
-impl CacheBackend for Arc<dyn CacheBackend> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn load(&self, key: u128) -> Option<Vec<u8>> {
-        (**self).load(key)
-    }
-
-    fn store(&self, key: u128, bytes: &[u8]) -> io::Result<()> {
-        (**self).store(key, bytes)
-    }
-
-    fn load_manifest(&self) -> Option<String> {
-        (**self).load_manifest()
-    }
-
-    fn store_manifest(&self, text: &str) -> io::Result<()> {
-        (**self).store_manifest(text)
-    }
 }
 
 /// The manifest file name inside a cache directory.

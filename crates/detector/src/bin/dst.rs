@@ -114,7 +114,7 @@ fn main() -> ExitCode {
             report.phases,
             report.requests_sent,
             report.replies_delivered,
-            report.payload_checks + report.identity_checks,
+            report.payload_checks + report.identity_checks + report.warm_floor_checks,
             report.faults_injected,
             report.corrupt_detected,
             report.reaped,
@@ -139,7 +139,7 @@ fn main() -> ExitCode {
     let (mut reaped, mut busy, mut held, mut drains) = (0usize, 0usize, 0usize, 0usize);
     for seed in args.seed_base..args.seed_base + args.seeds {
         let report = run_schedule(seed, &opts);
-        checks += report.payload_checks + report.identity_checks;
+        checks += report.payload_checks + report.identity_checks + report.warm_floor_checks;
         faults += report.faults_injected;
         corrupt += report.corrupt_detected;
         reaped += report.reaped;

@@ -22,7 +22,9 @@
 //!                           (SARIF 2.1.0)
 //!   --min-severity LEVEL    report only findings at LEVEL or above
 //!                           (info|warning|error; default info)
-//!   --disable KIND          switch one finding kind off (repeatable)
+//!   --disable KIND          switch one finding kind off (repeatable);
+//!                           both filter finished reports, so cache
+//!                           entries serve any filter
 //!   --jobs N                scan with N worker threads
 //!                           (default: available parallelism)
 //!   --cache-dir DIR         persist analysis results in DIR across
@@ -52,7 +54,9 @@
 //!                           and per-pass trace lines — including
 //!                           summary computation/application counts —
 //!                           to stderr; with --format json, also embed
-//!                           them in the envelope
+//!                           them in the envelope (findings.<kind>
+//!                           trace counters count fresh analyses before
+//!                           the filter)
 //! ```
 //!
 //! Exit status: 0 when no warning-level findings, 1 when any program has
@@ -72,8 +76,8 @@ use pnew_detector::emit::{self, FileRecord, OracleRecord, OutputFormat};
 use pnew_detector::oracle::{Matrix, Oracle, Verdict};
 use pnew_detector::trace::TraceCollector;
 use pnew_detector::{
-    parse_program_recovering, Analyzer, BaselineChecker, BatchEngine, Fixer, ParseError,
-    PersistentCache, Program, Severity,
+    parse_program_recovering, Analyzer, BaselineChecker, BatchEngine, BatchStats, Fixer,
+    ParseError, PersistentCache, Program, ReportFilter, Severity,
 };
 
 const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--delta] [--no-summaries] [--stats] PATH... | -";
@@ -153,7 +157,7 @@ fn main() -> ExitCode {
             _ => inputs.push(arg),
         }
     }
-    let CommonOpts { jobs, format, config } = opts;
+    let CommonOpts { jobs, format, config, filter } = opts;
     if inputs.is_empty() {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
@@ -221,7 +225,7 @@ fn main() -> ExitCode {
         if let Some(t) = &trace {
             engine = engine.with_trace(Arc::clone(t));
         }
-        return run_delta(&paths, &engine, format, stats, trace.as_deref(), had_errors);
+        return run_delta(&paths, &engine, &filter, format, stats, trace.as_deref(), had_errors);
     }
 
     // Read every input. Bad files are reported with their path; the rest
@@ -298,7 +302,7 @@ fn main() -> ExitCode {
         }
         let sources: Vec<&str> = files.iter().map(|f| f.source.as_str()).collect();
         let (outcomes, s) = engine.scan_sources_with_stats(&sources);
-        let records = files
+        let mut records: Vec<FileRecord> = files
             .iter()
             .zip(outcomes)
             .map(|(f, o)| {
@@ -312,7 +316,8 @@ fn main() -> ExitCode {
                 FileRecord { path: f.path.clone(), report: o.report, errors: o.errors }
             })
             .collect();
-        (records, Some(s))
+        let findings = emit::filter_records(&mut records, &filter);
+        (records, Some(BatchStats { findings, ..s }))
     };
     let records: Vec<FileRecord> = records;
 
@@ -427,6 +432,7 @@ fn warn_write_errors(write_errors: u64) {
 fn run_delta(
     paths: &[String],
     engine: &BatchEngine,
+    filter: &ReportFilter,
     format: OutputFormat,
     stats: bool,
     trace: Option<&TraceCollector>,
@@ -464,6 +470,8 @@ fn run_delta(
         });
     }
     warn_write_errors(scan_stats.persistent_write_errors);
+    let findings = emit::filter_records(&mut records, filter);
+    let scan_stats = BatchStats { findings, ..scan_stats };
 
     let errored_files = unreadable + records.iter().filter(|r| r.report.is_none()).count();
     let any_findings =

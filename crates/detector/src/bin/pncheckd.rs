@@ -5,17 +5,20 @@
 //!
 //!   Serves the pncheckd/1 protocol (newline-delimited JSON requests,
 //!   framed responses) on stdin/stdout, or on a TCP socket with
-//!   --listen. The daemon keeps one warm analysis engine per requested
-//!   configuration, so repeated analyses of unchanged sources are
-//!   served from memory without parsing or re-analysis.
+//!   --listen. The daemon keeps one warm analysis engine, so repeated
+//!   analyses of unchanged sources are served from memory without
+//!   parsing or re-analysis, whatever min_severity or disable a
+//!   request asks for: filters apply to the finished reports.
 //!
 //!   --listen ADDR:PORT       serve TCP instead of stdio (port 0 picks
 //!                            a free port; the bound address is printed
 //!                            to stderr as "pncheckd: listening on …")
 //!   --jobs N                 default worker threads per scan
 //!                            (requests may override per-request)
-//!   --min-severity LEVEL     default reporting threshold
-//!   --disable KIND           disable one finding kind (repeatable)
+//!   --min-severity LEVEL     default reporting threshold (a request's
+//!                            min_severity replaces it)
+//!   --disable KIND           disable one finding kind (repeatable; a
+//!                            request's disable adds to these)
 //!   --no-summaries           analyze without function summaries
 //!   --cache-dir DIR          persistent cache shared across restarts;
 //!                            an unusable DIR fails startup (exit 2)
@@ -178,6 +181,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     server_config.base = opts.config;
+    server_config.filter = opts.filter;
     server_config.jobs = opts.jobs;
     server_config.cache_dir = cache_dir;
 

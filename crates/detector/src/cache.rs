@@ -11,9 +11,10 @@
 //!
 //! * an 8-byte magic plus a schema version — entries written by an
 //!   incompatible binary are treated as misses, not errors;
-//! * an analyzer-config tag — a cache populated under different
-//!   `--min-severity`/`--disable`/`--no-summaries` flags (or a detector
-//!   with a different rule set) never serves stale verdicts;
+//! * an analyzer-config tag — a cache populated under a different
+//!   `--no-summaries` setting (or by a detector with a different rule
+//!   set) never serves stale verdicts. Entries hold the unfiltered
+//!   analysis, so `--min-severity`/`--disable` share every entry;
 //! * a checksum over the payload plus strict bounds-checked decoding —
 //!   torn writes and bit rot surface as [`CacheLookup::Corrupt`], which
 //!   callers degrade to a re-analysis (plus a warning), never a crash or
@@ -54,7 +55,10 @@ const MAGIC: &[u8; 8] = b"PNXCACHE";
 /// is rebuilt from). Builds of version 4 before the store was rebuilt
 /// that way also wrote a summary-store blob under the reserved key
 /// `ffff…ff`; it is never read, and a leftover one can be deleted.
-pub const SCHEMA_VERSION: u32 = 4;
+/// Version 5 stores the unfiltered report: the reporting threshold and
+/// disabled kinds left the entry tag and apply when a report is
+/// rendered, so a v4 entry (possibly filtered) must read as a miss.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// 128-bit FNV-1a over raw bytes.
 pub(crate) fn fnv128(bytes: &[u8]) -> u128 {
@@ -83,10 +87,10 @@ pub struct CachedAnalysis {
     /// Per-function summary digests from the analysis.
     pub summaries: Vec<FunctionSummaryRecord>,
     /// The file-level finding pool: the union of every function's
-    /// entry-summary findings (pre-severity-filter), deduplicated by
-    /// full content. `summaries[i].finding_ids` index into it — the
-    /// substrate a partial re-analysis hydrates unchanged functions'
-    /// findings from. Empty for inline-mode (`--no-summaries`) entries.
+    /// entry-summary findings, deduplicated by full content.
+    /// `summaries[i].finding_ids` index into it — the substrate a
+    /// partial re-analysis hydrates unchanged functions' findings from.
+    /// Empty for inline-mode (`--no-summaries`) entries.
     pub finding_pool: Vec<Finding>,
 }
 
@@ -137,25 +141,18 @@ pub struct PersistentCacheStats {
     pub write_errors: u64,
 }
 
-/// Tag folding everything about the analyzer that changes its output:
-/// the reporting threshold, the disabled kinds, the interprocedural
-/// strategy flag, and the rule inventory itself (so adding a finding
-/// kind invalidates old entries). Also the daemon's engine-map key, so
-/// two requests with equivalent options always share one engine.
-pub(crate) fn config_tag(config: &AnalyzerConfig) -> u64 {
-    let mut canon = format!(
-        "v{}|sev:{}|sum:{}|rules:{}",
+/// Tag folding everything that decides what an entry holds: the schema
+/// version, the interprocedural strategy flag, and the rule inventory
+/// itself (so adding a finding kind invalidates old entries). Which
+/// findings a caller sees is not part of it: entries hold the
+/// unfiltered analysis.
+fn config_tag(config: &AnalyzerConfig) -> u64 {
+    let canon = format!(
+        "v{}|sum:{}|rules:{}",
         SCHEMA_VERSION,
-        config.min_severity,
         config.use_summaries,
         FindingKind::ALL.len()
     );
-    let mut disabled: Vec<&str> = config.disabled.iter().map(|k| k.name()).collect();
-    disabled.sort_unstable();
-    for d in disabled {
-        canon.push('|');
-        canon.push_str(d);
-    }
     (fnv128(canon.as_bytes()) & u128::from(u64::MAX)) as u64
 }
 
@@ -173,10 +170,9 @@ impl PersistentCache {
     }
 
     /// Binds an already-open [`CacheBackend`]. This is how the daemon
-    /// shares one store across its engines and injects a wrapped
-    /// backend (the DST harness's fault injector) between the cache
-    /// layer and the disk; `open` remains the fail-fast constructor for
-    /// plain directories.
+    /// injects a wrapped backend (the DST harness's fault injector)
+    /// between the cache layer and the disk; `open` remains the
+    /// fail-fast constructor for plain directories.
     pub fn with_backend(
         dir: &Path,
         config: &AnalyzerConfig,
@@ -592,18 +588,20 @@ mod tests {
     }
 
     #[test]
-    fn config_changes_invalidate_without_corruption() {
+    fn only_the_strategy_flag_changes_the_tag() {
         let dir = tmp_dir("config");
         let key = source_fingerprint("x");
         let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
         cache.put(key, &sample_entry());
-        let stricter =
-            AnalyzerConfig { min_severity: Severity::Error, ..AnalyzerConfig::default() };
-        let other = PersistentCache::open(&dir, &stricter).unwrap();
-        assert_eq!(other.get(key), CacheLookup::Miss, "different config must not hit");
-        let inline = AnalyzerConfig { use_summaries: false, ..AnalyzerConfig::default() };
+        // A report filter is not an analyzer setting: a second handle
+        // over the same directory serves the one unfiltered entry.
+        let again = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
+        assert_eq!(again.get(key), CacheLookup::Hit(sample_entry()));
+        let inline = AnalyzerConfig { use_summaries: false };
+        assert_ne!(config_tag(&inline), config_tag(&AnalyzerConfig::default()));
         let third = PersistentCache::open(&dir, &inline).unwrap();
         assert_eq!(third.get(key), CacheLookup::Miss, "strategy flag is part of the tag");
+        assert_eq!(third.stats().corrupt, 0, "a foreign tag is stale, not corrupt");
         let _ = fs::remove_dir_all(&dir);
     }
 

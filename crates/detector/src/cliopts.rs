@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use crate::analysis::AnalyzerConfig;
 use crate::batch::ShardSpec;
 use crate::emit::OutputFormat;
-use crate::findings::{FindingKind, Severity};
+use crate::findings::{FindingKind, ReportFilter, Severity};
 
 /// Parses a worker count: a positive integer.
 pub fn parse_jobs(value: &str) -> Result<usize, String> {
@@ -64,9 +64,12 @@ pub struct CommonOpts {
     pub jobs: Option<usize>,
     /// Output format selection.
     pub format: OutputFormat,
-    /// Analyzer configuration (`--min-severity`, `--disable`,
-    /// `--no-summaries`).
+    /// Analyzer configuration (`--no-summaries`).
     pub config: AnalyzerConfig,
+    /// Which findings to report (`--min-severity`, `--disable`),
+    /// applied to each finished report before it is counted or
+    /// rendered; the analysis and its caches never see it.
+    pub filter: ReportFilter,
 }
 
 impl CommonOpts {
@@ -89,11 +92,11 @@ impl CommonOpts {
                 None => Err("--jobs needs a positive integer".to_owned()),
             }),
             "--min-severity" => Some(match rest.next() {
-                Some(v) => parse_min_severity(&v).map(|s| self.config.min_severity = s),
+                Some(v) => parse_min_severity(&v).map(|s| self.filter.min_severity = s),
                 None => Err("--min-severity needs a value".to_owned()),
             }),
             "--disable" => Some(match rest.next() {
-                Some(v) => parse_disable(&v).map(|k| self.config.disabled.push(k)),
+                Some(v) => parse_disable(&v).map(|k| self.filter.disabled.push(k)),
                 None => Err("--disable needs a finding kind".to_owned()),
             }),
             "--format" => Some(match rest.next() {
@@ -225,7 +228,7 @@ mod tests {
         assert_eq!(opts.accept("--no-summaries", &mut rest), Some(Ok(())));
         assert_eq!(opts.accept("--baseline", &mut rest), None);
         assert_eq!(opts.jobs, Some(2));
-        assert_eq!(opts.config.min_severity, Severity::Error);
+        assert_eq!(opts.filter.min_severity, Severity::Error);
         assert!(!opts.config.use_summaries);
     }
 

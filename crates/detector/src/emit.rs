@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use std::str::FromStr;
 
 use crate::batch::BatchStats;
-use crate::findings::{FindingKind, Report, Severity};
+use crate::findings::{FindingKind, Report, ReportFilter, Severity};
 use crate::ir::Span;
 use crate::oracle::{DifferentialReport, Matrix, SiteVerdict};
 use crate::parse::ParseError;
@@ -62,6 +62,18 @@ pub struct FileRecord {
     /// Parse errors, when it did not (possibly several — the parser
     /// recovers and reports them all).
     pub errors: Vec<ParseError>,
+}
+
+/// Applies `filter` to every record's report before anything counts or
+/// renders it, and returns the findings left: the `findings` figure
+/// `--stats` reports.
+pub fn filter_records(records: &mut [FileRecord], filter: &ReportFilter) -> usize {
+    let mut findings = 0;
+    for report in records.iter_mut().filter_map(|r| r.report.as_mut()) {
+        filter.apply(report);
+        findings += report.findings.len();
+    }
+    findings
 }
 
 // ---------------------------------------------------------------------

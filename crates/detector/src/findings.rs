@@ -187,9 +187,10 @@ impl fmt::Display for FindingKind {
 }
 
 /// How certain the analyzer is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Severity {
     /// Informational warning (e.g. bounds unknown).
+    #[default]
     Info,
     /// Likely vulnerable (tainted sizes).
     Warning,
@@ -289,6 +290,27 @@ impl Report {
             *map.entry(f.kind).or_insert(0) += 1;
         }
         map
+    }
+}
+
+/// Which findings a caller wants to see (`--min-severity`,
+/// `--disable`), applied to a finished [`Report`] when it is rendered.
+/// The analyzer never filters, so every cache tier holds the unfiltered
+/// analysis and serves it to any filter.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ReportFilter {
+    /// Findings below this severity are not reported.
+    pub min_severity: Severity,
+    /// Finding kinds that are switched off entirely.
+    pub disabled: Vec<FindingKind>,
+}
+
+impl ReportFilter {
+    /// Drops the findings this filter hides, keeping the rest in order.
+    pub fn apply(&self, report: &mut Report) {
+        report
+            .findings
+            .retain(|f| f.severity >= self.min_severity && !self.disabled.contains(&f.kind));
     }
 }
 

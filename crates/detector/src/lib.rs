@@ -82,7 +82,7 @@ pub use cache::{
 pub use clock::{Clock, SimClock, SystemClock};
 pub use delta::{invalidation_cone, ConeStats};
 pub use exec::{ExecEvent, ExecEventKind, ExecOutcome, Executor};
-pub use findings::{Finding, FindingKind, Report, Severity};
+pub use findings::{Finding, FindingKind, Report, ReportFilter, Severity};
 pub use fixer::{AppliedFix, Fixer};
 pub use ir::{
     ClassInfo, CmpOp, Cond, Expr, Function, Op, Program, Scope, Site, Span, Stmt, Symbol,

@@ -2,12 +2,14 @@
 //!
 //! Every one-shot `pncheck` run pays process startup, cache open, and
 //! engine construction before it analyzes a single file. A [`Server`]
-//! pays them once: it holds one [`BatchEngine`] per analyzer
-//! configuration — each with its in-memory memo and (optionally) a
-//! [`PersistentCache`] over the one store the daemon opened — across
-//! requests, so a warm `analyze` of unchanged text runs zero parses and
-//! zero analyses. Requests fan out onto the engine's worker pool with a
-//! per-request `jobs` override.
+//! pays them once: it holds one [`BatchEngine`] — its in-memory memo,
+//! summary store, tracked index and (optionally) a [`PersistentCache`]
+//! — across requests, so a warm `analyze` of unchanged text runs zero
+//! parses and zero analyses. The engine caches every source once,
+//! unfiltered; a request's `min_severity` and `disable` apply only when
+//! its records are rendered, so requests with different filters share
+//! all warm state. Requests fan out onto the engine's worker pool with
+//! a per-request `jobs` override.
 //!
 //! # The `pncheckd/1` protocol
 //!
@@ -87,18 +89,19 @@ use std::time::Duration;
 use crate::analysis::{Analyzer, AnalyzerConfig};
 use crate::backend::{CacheBackend, DirBackend};
 use crate::batch::{BatchEngine, BatchStats, ShardSpec};
-use crate::cache::{config_tag, PersistentCache};
+use crate::cache::PersistentCache;
 use crate::cliopts;
 use crate::clock::{Clock, SystemClock};
 use crate::emit::{self, obj, FileRecord, JsonValue, OutputFormat};
 use crate::eventloop::{Core, TickPoller};
+use crate::findings::{ReportFilter, Severity};
 use crate::trace::TraceCollector;
 
 /// The protocol name and version announced in every response header.
 pub const PROTOCOL: &str = "pncheckd/1";
 
 /// The stats payload schema.
-pub const STATS_SCHEMA: &str = "pncheckd-stats/2";
+pub const STATS_SCHEMA: &str = "pncheckd-stats/3";
 
 // ---------------------------------------------------------------------
 // A minimal, defensive JSON parser.
@@ -397,7 +400,9 @@ struct AnalyzeRequest {
     /// Inline source text, analyzed under the path `-`.
     source: Option<String>,
     jobs: Option<usize>,
-    config: AnalyzerConfig,
+    /// The daemon's default filter with the request's `min_severity`
+    /// and `disable` applied.
+    filter: ReportFilter,
     format: OutputFormat,
     stats: bool,
     /// `op: "delta"`: incremental rescan against the engine's tracked
@@ -430,7 +435,7 @@ impl RequestError {
 
 fn parse_request(
     node: JsonNode,
-    base: &AnalyzerConfig,
+    base: &ReportFilter,
 ) -> Result<(RequestId, Request), (RequestId, RequestError)> {
     let JsonNode::Obj(fields) = node else {
         return Err((
@@ -492,7 +497,7 @@ fn parse_request(
         paths: Vec::new(),
         source: None,
         jobs: None,
-        config: base.clone(),
+        filter: base.clone(),
         format: OutputFormat::Json,
         stats: false,
         delta: op == "delta",
@@ -535,14 +540,14 @@ fn parse_request(
                 Err(e) => return Err(fail("bad-value", e)),
             },
             ("min_severity", JsonNode::Str(level)) => match cliopts::parse_min_severity(&level) {
-                Ok(s) => req.config.min_severity = s,
+                Ok(s) => req.filter.min_severity = s,
                 Err(e) => return Err(fail("bad-value", e)),
             },
             ("disable", JsonNode::Arr(items)) => {
                 for item in items {
                     match item {
                         JsonNode::Str(kind) => match cliopts::parse_disable(&kind) {
-                            Ok(k) => req.config.disabled.push(k),
+                            Ok(k) => req.filter.disabled.push(k),
                             Err(e) => return Err(fail("bad-value", e)),
                         },
                         _ => {
@@ -584,9 +589,13 @@ fn parse_request(
 /// Tunables for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The analyzer configuration requests inherit (a request's
-    /// `min_severity`/`disable` override it for that request only).
+    /// The configuration of the daemon's one analyzer (`--no-summaries`);
+    /// no request can change it.
     pub base: AnalyzerConfig,
+    /// The filter requests inherit (`pncheckd --min-severity`,
+    /// `--disable`): a request's `min_severity` replaces its threshold
+    /// and its `disable` adds kinds, for that request only.
+    pub filter: ReportFilter,
     /// Default worker count per scan; `None` = available parallelism.
     pub jobs: Option<usize>,
     /// Directory for the persistent cache tier; `None` disables it.
@@ -644,6 +653,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             base: AnalyzerConfig::default(),
+            filter: ReportFilter::default(),
             jobs: None,
             cache_dir: None,
             shard: None,
@@ -687,19 +697,13 @@ impl Reply {
 
 /// The resident analysis service. See the [module docs](self) for the
 /// protocol. Thread-safe: one `Server` handles any number of
-/// connections concurrently, and all of them share the warm engines.
+/// connections concurrently, and all of them share the warm engine.
 #[derive(Debug)]
 pub struct Server {
     config: ServerConfig,
-    /// The persistent tier's store, opened (and wrapped) once and
-    /// shared by every engine: entries carry their config tag, so one
-    /// store serves every configuration.
-    backend: Option<Arc<dyn CacheBackend>>,
-    /// One engine per analyzer configuration, keyed by its config tag —
-    /// requests with equivalent options share one engine (and its warm
-    /// caches); the cache tags guarantee an engine never serves a
-    /// verdict computed under different rules.
-    engines: Mutex<HashMap<u64, Arc<BatchEngine>>>,
+    /// The one analysis engine. It caches unfiltered analyses, so it
+    /// serves every request whatever filter the request asks for.
+    engine: BatchEngine,
     trace: TraceCollector,
     started_ns: u64,
     shutdown: AtomicBool,
@@ -710,26 +714,34 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the server, opening the persistent store, so an unusable
-    /// `cache_dir` fails here — fast, with the underlying error —
-    /// instead of degrading silently per request; the
-    /// base-configuration engine is constructed eagerly too.
+    /// Builds the server and its engine, opening the persistent store,
+    /// so an unusable `cache_dir` fails here — fast, with the
+    /// underlying error — instead of degrading silently per request.
     pub fn new(config: ServerConfig) -> io::Result<Self> {
         let started_ns = config.clock.now_ns();
-        let backend = match &config.cache_dir {
-            Some(dir) => {
-                let opened: Box<dyn CacheBackend> = Box::new(DirBackend::open(dir)?);
-                Some(Arc::from(match &config.backend_wrap {
-                    Some(wrap) => (wrap.0)(opened),
-                    None => opened,
-                }))
-            }
-            None => None,
-        };
-        let server = Server {
+        let mut engine = BatchEngine::new(Analyzer::with_config(config.base.clone()))
+            .with_clock(Arc::clone(&config.clock));
+        if let Some(jobs) = config.jobs {
+            engine = engine.with_jobs(jobs);
+        }
+        if let Some(dir) = &config.cache_dir {
+            let opened: Box<dyn CacheBackend> = Box::new(DirBackend::open(dir)?);
+            let backend = match &config.backend_wrap {
+                Some(wrap) => (wrap.0)(opened),
+                None => opened,
+            };
+            engine = engine.with_persistent_cache(PersistentCache::with_backend(
+                dir,
+                &config.base,
+                backend,
+            ));
+        }
+        if let Some(shard) = config.shard {
+            engine = engine.with_shard(shard);
+        }
+        Ok(Server {
             config,
-            backend,
-            engines: Mutex::new(HashMap::new()),
+            engine,
             trace: TraceCollector::new(),
             started_ns,
             shutdown: AtomicBool::new(false),
@@ -737,10 +749,7 @@ impl Server {
             rejected_connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-        };
-        let base = server.config.base.clone();
-        server.engine_for(&base);
-        Ok(server)
+        })
     }
 
     /// `true` once a `shutdown` request has been served.
@@ -755,36 +764,6 @@ impl Server {
         &self.config.clock
     }
 
-    /// The engine for `config`, building (and caching) it on first use.
-    fn engine_for(&self, config: &AnalyzerConfig) -> Arc<BatchEngine> {
-        let tag = config_tag(config);
-        if let Some(engine) = self.engines.lock().expect("engine map poisoned").get(&tag) {
-            return Arc::clone(engine);
-        }
-        let mut engine = BatchEngine::new(Analyzer::with_config(config.clone()));
-        if let Some(jobs) = self.config.jobs {
-            engine = engine.with_jobs(jobs);
-        }
-        if let (Some(dir), Some(backend)) = (&self.config.cache_dir, &self.backend) {
-            // Entries are config-tagged, so every engine can share one
-            // store without ever serving a stale verdict.
-            let backend = Box::new(Arc::clone(backend));
-            engine =
-                engine.with_persistent_cache(PersistentCache::with_backend(dir, config, backend));
-        }
-        if let Some(shard) = self.config.shard {
-            engine = engine.with_shard(shard);
-        }
-        engine = engine.with_clock(Arc::clone(&self.config.clock));
-        let engine = Arc::new(engine);
-        self.engines
-            .lock()
-            .expect("engine map poisoned")
-            .entry(tag)
-            .or_insert_with(|| Arc::clone(&engine));
-        engine
-    }
-
     /// Handles one request line and returns the framed reply. This is
     /// the whole protocol with the transport peeled off — the tests
     /// drive it directly, and every transport goes through it.
@@ -792,7 +771,7 @@ impl Server {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.trace.count("server.requests", 1);
         let parsed = match parse_json(line) {
-            Ok(node) => parse_request(node, &self.config.base),
+            Ok(node) => parse_request(node, &self.config.filter),
             Err(e) => Err((
                 RequestId::None,
                 RequestError::new("bad-request", format!("invalid JSON: {e}")),
@@ -863,12 +842,11 @@ impl Server {
     }
 
     /// Serves one `analyze` request: expand inputs exactly like the
-    /// CLI, scan through the shared engine, and render the same
+    /// CLI, scan through the shared engine, filter, and render the same
     /// envelope `pncheck` would print.
     fn analyze(&self, id: &RequestId, req: &AnalyzeRequest) -> Reply {
-        let engine = self.engine_for(&req.config);
         if req.delta {
-            return self.analyze_delta(id, req, &engine);
+            return self.analyze_delta(id, req);
         }
 
         let mut file_errors: Vec<String> = Vec::new();
@@ -889,41 +867,14 @@ impl Server {
         }
 
         let sources: Vec<&str> = files.iter().map(|(_, s)| s.as_str()).collect();
-        let jobs = req.jobs.unwrap_or_else(|| engine.jobs());
-        let (outcomes, scan_stats) = engine.scan_sources_with_stats_jobs(&sources, jobs);
-        let mut had_parse_errors = false;
-        let records: Vec<FileRecord> = files
-            .iter()
+        let jobs = req.jobs.unwrap_or_else(|| self.engine.jobs());
+        let (outcomes, scan_stats) = self.engine.scan_sources_with_stats_jobs(&sources, jobs);
+        let records = files
+            .into_iter()
             .zip(outcomes)
-            .map(|((path, _), outcome)| {
-                had_parse_errors |= !outcome.errors.is_empty();
-                FileRecord { path: path.clone(), report: outcome.report, errors: outcome.errors }
-            })
+            .map(|((path, _), o)| FileRecord { path, report: o.report, errors: o.errors })
             .collect();
-
-        self.trace.count("server.files", records.len() as u64);
-        let findings: usize =
-            records.iter().filter_map(|r| r.report.as_ref()).map(|r| r.findings.len()).sum();
-        self.trace.count("server.findings", findings as u64);
-
-        let payload = render_payload(req, &records, &scan_stats);
-        let exit = exit_code(&records, !file_errors.is_empty() || had_parse_errors);
-
-        let mut header_fields = vec![
-            ("schema", emit::s(PROTOCOL)),
-            ("id", id.to_value()),
-            ("ok", JsonValue::Bool(true)),
-            ("op", emit::s("analyze")),
-            ("exit", JsonValue::U64(exit)),
-        ];
-        if !file_errors.is_empty() {
-            header_fields.push((
-                "file_errors",
-                JsonValue::Arr(file_errors.iter().map(|e| emit::s(e.clone())).collect()),
-            ));
-        }
-        header_fields.push(("bytes", JsonValue::U64(payload.len() as u64)));
-        Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false }
+        self.reply(id, req, records, scan_stats, file_errors, None)
     }
 
     /// Serves one `delta` request: an incremental rescan through the
@@ -934,16 +885,16 @@ impl Server {
     /// The first delta against a cold engine seeds the tracked index
     /// from the cache directory's manifest, so a fresh daemon picks up
     /// where a `pncheck --delta` run (or a previous daemon) left off.
-    fn analyze_delta(&self, id: &RequestId, req: &AnalyzeRequest, engine: &BatchEngine) -> Reply {
+    fn analyze_delta(&self, id: &RequestId, req: &AnalyzeRequest) -> Reply {
         let (paths, mut file_errors) = cliopts::expand_inputs(&req.paths);
-        let jobs = req.jobs.unwrap_or_else(|| engine.jobs());
+        let jobs = req.jobs.unwrap_or_else(|| self.engine.jobs());
         // `delta_scan` runs the whole operation — manifest seeding,
         // rescan, manifest persistence — under the engine's delta
-        // gate, so a concurrent request on the same engine can never
-        // snapshot a half-updated tracked index.
-        let (outcomes, scan_stats, delta) = engine.delta_scan(&paths, req.changed.as_deref(), jobs);
+        // gate, so a concurrent request can never snapshot a
+        // half-updated tracked index.
+        let (outcomes, scan_stats, delta) =
+            self.engine.delta_scan(&paths, req.changed.as_deref(), jobs);
 
-        let mut had_parse_errors = false;
         let mut records: Vec<FileRecord> = Vec::with_capacity(outcomes.len());
         for o in &outcomes {
             if let Some(e) = &o.read_error {
@@ -952,7 +903,6 @@ impl Server {
                 file_errors.push(format!("{}: {e}", o.path));
                 continue;
             }
-            had_parse_errors |= !o.errors.is_empty();
             records.push(FileRecord {
                 path: o.path.clone(),
                 report: o.analysis.as_ref().map(|a| a.report.clone()),
@@ -960,42 +910,54 @@ impl Server {
             });
         }
 
-        self.trace.count("server.files", records.len() as u64);
-        let findings: usize =
-            records.iter().filter_map(|r| r.report.as_ref()).map(|r| r.findings.len()).sum();
-        self.trace.count("server.findings", findings as u64);
         self.trace.count("server.delta-changed", (delta.changed_files + delta.added_files) as u64);
         self.trace.count("server.delta-unchanged", delta.unchanged_files as u64);
         self.trace.count("server.delta-cone-functions", delta.cone_functions as u64);
         self.trace.count("server.delta-fn-reanalyzed", delta.functions_reanalyzed as u64);
         self.trace.count("server.delta-fn-reused", delta.functions_reused as u64);
+        let counters = obj(vec![
+            ("tracked", JsonValue::U64(delta.tracked_files as u64)),
+            ("unchanged", JsonValue::U64(delta.unchanged_files as u64)),
+            ("changed", JsonValue::U64(delta.changed_files as u64)),
+            ("added", JsonValue::U64(delta.added_files as u64)),
+            ("removed", JsonValue::U64(delta.removed_files as u64)),
+            ("cone_functions", JsonValue::U64(delta.cone_functions as u64)),
+            ("changed_functions", JsonValue::U64(delta.changed_functions as u64)),
+            ("tracked_functions", JsonValue::U64(delta.tracked_functions as u64)),
+            ("functions_reanalyzed", JsonValue::U64(delta.functions_reanalyzed as u64)),
+            ("functions_reused", JsonValue::U64(delta.functions_reused as u64)),
+            ("stat_fastpath_hits", JsonValue::U64(delta.stat_fastpath_hits as u64)),
+        ]);
+        self.reply(id, req, records, scan_stats, file_errors, Some(counters))
+    }
 
-        let payload = render_payload(req, &records, &scan_stats);
-        let exit = exit_code(&records, !file_errors.is_empty() || had_parse_errors);
-
+    /// The one tail of `analyze` and `delta`: applies the request's
+    /// filter to every record, counts the filtered records (the
+    /// `findings` an embedded stats object shows), and renders the
+    /// envelope and its header. `delta` is the invalidation accounting
+    /// a `delta` header carries.
+    fn reply(
+        &self,
+        id: &RequestId,
+        req: &AnalyzeRequest,
+        mut records: Vec<FileRecord>,
+        scan_stats: BatchStats,
+        file_errors: Vec<String>,
+        delta: Option<JsonValue>,
+    ) -> Reply {
+        let findings = emit::filter_records(&mut records, &req.filter);
+        self.trace.count("server.files", records.len() as u64);
+        self.trace.count("server.findings", findings as u64);
+        let payload = render_payload(req, &records, &BatchStats { findings, ..scan_stats });
+        let had_errors = !file_errors.is_empty() || records.iter().any(|r| !r.errors.is_empty());
         let mut header_fields = vec![
             ("schema", emit::s(PROTOCOL)),
             ("id", id.to_value()),
             ("ok", JsonValue::Bool(true)),
-            ("op", emit::s("delta")),
-            ("exit", JsonValue::U64(exit)),
-            (
-                "delta",
-                obj(vec![
-                    ("tracked", JsonValue::U64(delta.tracked_files as u64)),
-                    ("unchanged", JsonValue::U64(delta.unchanged_files as u64)),
-                    ("changed", JsonValue::U64(delta.changed_files as u64)),
-                    ("added", JsonValue::U64(delta.added_files as u64)),
-                    ("removed", JsonValue::U64(delta.removed_files as u64)),
-                    ("cone_functions", JsonValue::U64(delta.cone_functions as u64)),
-                    ("changed_functions", JsonValue::U64(delta.changed_functions as u64)),
-                    ("tracked_functions", JsonValue::U64(delta.tracked_functions as u64)),
-                    ("functions_reanalyzed", JsonValue::U64(delta.functions_reanalyzed as u64)),
-                    ("functions_reused", JsonValue::U64(delta.functions_reused as u64)),
-                    ("stat_fastpath_hits", JsonValue::U64(delta.stat_fastpath_hits as u64)),
-                ]),
-            ),
+            ("op", emit::s(if req.delta { "delta" } else { "analyze" })),
+            ("exit", JsonValue::U64(exit_code(&records, had_errors))),
         ];
+        header_fields.extend(delta.map(|counters| ("delta", counters)));
         if !file_errors.is_empty() {
             header_fields.push((
                 "file_errors",
@@ -1006,49 +968,17 @@ impl Server {
         Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false }
     }
 
-    /// The `pncheckd-stats/2` payload: request counters, connection
-    /// state, and the aggregated cache/parse counters of every engine.
+    /// The `pncheckd-stats/3` payload: request counters, connection
+    /// state, and the engine's cache/parse counters.
     fn render_stats(&self) -> String {
-        let engines = self.engines.lock().expect("engine map poisoned");
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut lookups = 0u64;
-        let mut parses = 0u64;
-        let mut memo_entries = 0u64;
-        let (mut p_hits, mut p_misses, mut p_corrupt, mut p_stores) = (0u64, 0u64, 0u64, 0u64);
-        let mut p_write_errors = 0u64;
-        let mut tracked_files = 0u64;
-        let (mut fn_reanalyzed, mut fn_reused) = (0u64, 0u64);
-        let (mut store_entries, mut store_hits, mut store_misses) = (0u64, 0u64, 0u64);
-        for engine in engines.values() {
-            // One consistent snapshot per engine, so the aggregated
-            // `hits + misses == lookups` invariant survives concurrent
-            // requests — a stats reader can never see a torn pair.
-            let c = engine.cache_stats();
-            hits += c.hits;
-            misses += c.misses;
-            lookups += c.lookups;
-            parses += c.parses;
-            memo_entries += c.entries as u64;
-            tracked_files += engine.tracked_files() as u64;
-            let (re, used) = engine.function_delta_totals();
-            fn_reanalyzed += re;
-            fn_reused += used;
-            let store = engine.summary_store();
-            store_entries += store.len() as u64;
-            store_hits += store.hits();
-            store_misses += store.misses();
-            if let Some(pc) = engine.persistent_cache() {
-                let s = pc.stats();
-                p_hits += s.hits;
-                p_misses += s.misses;
-                p_corrupt += s.corrupt;
-                p_stores += s.stores;
-                p_write_errors += s.write_errors;
-            }
-        }
-        let engine_count = engines.len() as u64;
-        drop(engines);
+        let engine = &self.engine;
+        // One consistent snapshot, so `hits + misses == lookups`
+        // survives concurrent requests: a stats reader can never see a
+        // torn pair.
+        let c = engine.cache_stats();
+        let (fn_reanalyzed, fn_reused) = engine.function_delta_totals();
+        let store = engine.summary_store();
+        let p = engine.persistent_cache().map(|pc| pc.stats()).unwrap_or_default();
 
         let snap = self.trace.snapshot();
         let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
@@ -1105,25 +1035,24 @@ impl Server {
             (
                 "analysis",
                 obj(vec![
-                    ("engines", JsonValue::U64(engine_count)),
                     ("files", JsonValue::U64(counter("server.files"))),
                     ("findings", JsonValue::U64(counter("server.findings"))),
-                    ("parses", JsonValue::U64(parses)),
-                    ("fingerprint_hits", JsonValue::U64(hits)),
-                    ("fingerprint_misses", JsonValue::U64(misses)),
-                    ("fingerprint_lookups", JsonValue::U64(lookups)),
-                    ("memo_entries", JsonValue::U64(memo_entries)),
-                    ("persistent_hits", JsonValue::U64(p_hits)),
-                    ("persistent_misses", JsonValue::U64(p_misses)),
-                    ("persistent_corrupt", JsonValue::U64(p_corrupt)),
-                    ("persistent_stores", JsonValue::U64(p_stores)),
-                    ("persistent_write_errors", JsonValue::U64(p_write_errors)),
-                    ("tracked_files", JsonValue::U64(tracked_files)),
+                    ("parses", JsonValue::U64(c.parses)),
+                    ("fingerprint_hits", JsonValue::U64(c.hits)),
+                    ("fingerprint_misses", JsonValue::U64(c.misses)),
+                    ("fingerprint_lookups", JsonValue::U64(c.lookups)),
+                    ("memo_entries", JsonValue::U64(c.entries as u64)),
+                    ("persistent_hits", JsonValue::U64(p.hits)),
+                    ("persistent_misses", JsonValue::U64(p.misses)),
+                    ("persistent_corrupt", JsonValue::U64(p.corrupt)),
+                    ("persistent_stores", JsonValue::U64(p.stores)),
+                    ("persistent_write_errors", JsonValue::U64(p.write_errors)),
+                    ("tracked_files", JsonValue::U64(engine.tracked_files() as u64)),
                     ("functions_reanalyzed", JsonValue::U64(fn_reanalyzed)),
                     ("functions_reused", JsonValue::U64(fn_reused)),
-                    ("summary_store_entries", JsonValue::U64(store_entries)),
-                    ("summary_store_hits", JsonValue::U64(store_hits)),
-                    ("summary_store_misses", JsonValue::U64(store_misses)),
+                    ("summary_store_entries", JsonValue::U64(store.len() as u64)),
+                    ("summary_store_hits", JsonValue::U64(store.hits())),
+                    ("summary_store_misses", JsonValue::U64(store.misses())),
                 ]),
             ),
             ("trace", JsonValue::Obj(trace_counters)),
@@ -1404,10 +1333,8 @@ fn render_payload(req: &AnalyzeRequest, records: &[FileRecord], scan_stats: &Bat
 /// The CLI's exit rule: 2 on any read/parse error, 1 on warning-level
 /// findings, 0 otherwise.
 fn exit_code(records: &[FileRecord], had_errors: bool) -> u64 {
-    let any_findings = records
-        .iter()
-        .filter_map(|r| r.report.as_ref())
-        .any(|r| r.detected_at(crate::findings::Severity::Warning));
+    let any_findings =
+        records.iter().filter_map(|r| r.report.as_ref()).any(|r| r.detected_at(Severity::Warning));
     if had_errors {
         2
     } else if any_findings {

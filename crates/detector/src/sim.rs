@@ -46,10 +46,14 @@
 //!    closes it, and nothing follows an `idle-timeout` or `busy` frame.
 //! 5. **Warm memory never forgets** — faults are never injected into
 //!    the in-memory memo, so in every phase the `parses` counter stays
-//!    at or below the number of distinct (analyzer config, source text)
-//!    pairs the phase's executed `analyze` and `delta` requests
-//!    presented. A memo that drops entries still returns identical
-//!    envelopes, so only this count can see it.
+//!    at or below the number of distinct source texts the phase's
+//!    executed `analyze` and `delta` requests presented, whatever
+//!    filter each asked for. After a clean phase (no kill point, no
+//!    fault injected yet) every text it presented is served warm, so
+//!    the next phase's `persistent_misses` stay at or below the number
+//!    of texts it presented that the clean phase did not (a memo hit
+//!    never probes disk). A tier that drops or overwrites entries still
+//!    returns identical envelopes, so only these counts can see it.
 //!
 //! A failing schedule names its seed in every violation, and
 //! re-running [`run_schedule`] with the same seed and options replays
@@ -493,6 +497,9 @@ pub struct SimReport {
     /// Accounting identities checked (delta function accounting and
     /// stats lookup identities).
     pub identity_checks: usize,
+    /// Phases whose disk tier was held to the warm floor of invariant 5
+    /// (each followed a clean phase).
+    pub warm_floor_checks: usize,
     /// Faults the backend injected (torn, flipped, disk-full, swaps).
     pub faults_injected: u64,
     /// Corrupt persistent entries the stack detected (and healed).
@@ -547,9 +554,6 @@ struct CheckSpec {
     reference_line: String,
     /// The request is a `delta` (check the function accounting too).
     delta: bool,
-    /// The request overrides `min_severity`, so a second engine (with
-    /// its own memo) serves it.
-    strict: bool,
     /// The inline source, or the path (file or directory) it scans.
     input: Input,
 }
@@ -562,18 +566,19 @@ enum Input {
 }
 
 impl CheckSpec {
-    /// Records the (config, text) pairs this request presents, reading
-    /// each file as it is now — just before the request runs, since
-    /// corpus churn lands between ticks (invariant 5).
-    fn present(&self, presented: &mut HashSet<(bool, u128)>) {
+    /// Records the texts this request presents, reading each file as it
+    /// is now — just before the request runs, since corpus churn lands
+    /// between ticks (invariant 5). The request's filter plays no part:
+    /// every filter is served from the same cache entries.
+    fn present(&self, presented: &mut HashSet<u128>) {
         match &self.input {
             Input::Source(text) => {
-                presented.insert((self.strict, source_fingerprint(text)));
+                presented.insert(source_fingerprint(text));
             }
             Input::Path(path) => {
                 for file in expand_inputs(std::slice::from_ref(path)).0 {
                     if let Ok(text) = fs::read_to_string(&file) {
-                        presented.insert((self.strict, source_fingerprint(&text)));
+                        presented.insert(source_fingerprint(&text));
                     }
                 }
             }
@@ -634,11 +639,10 @@ fn build_traffic(
         let conn = rng.below(clients as u64) as usize;
         *next_request_id += 1;
         let id = *next_request_id;
-        // Optional per-request config overrides, mirrored verbatim in
-        // the reference line so the comparison is config-for-config.
+        // Optional per-request filter and format, mirrored verbatim in
+        // the reference line so the comparison is filter-for-filter.
         let mut extras = String::new();
-        let strict = rng.chance(5);
-        if strict {
+        if rng.chance(5) {
             extras.push_str(",\"min_severity\":\"error\"");
         }
         match rng.below(6) {
@@ -661,7 +665,7 @@ fn build_traffic(
                     format!("{{\"op\":\"analyze\",\"id\":{id},\"paths\":[{target}]{extras}}}");
                 let reference = format!("{{\"op\":\"analyze\",\"paths\":[{target}]{extras}}}");
                 let input = Input::Path(path);
-                let spec = CheckSpec { reference_line: reference, delta: false, strict, input };
+                let spec = CheckSpec { reference_line: reference, delta: false, input };
                 checks.insert(line.clone(), spec);
                 line
             }
@@ -672,7 +676,7 @@ fn build_traffic(
                     format!("{{\"op\":\"analyze\",\"id\":{id},\"source\":{quoted}{extras}}}");
                 let reference = format!("{{\"op\":\"analyze\",\"source\":{quoted}{extras}}}");
                 let input = Input::Source(source);
-                let spec = CheckSpec { reference_line: reference, delta: false, strict, input };
+                let spec = CheckSpec { reference_line: reference, delta: false, input };
                 checks.insert(line.clone(), spec);
                 line
             }
@@ -681,7 +685,7 @@ fn build_traffic(
                 let line = format!("{{\"op\":\"delta\",\"id\":{id},\"paths\":[{target}]{extras}}}");
                 let reference = format!("{{\"op\":\"analyze\",\"paths\":[{target}]{extras}}}");
                 let input = Input::Path(dir.clone());
-                let spec = CheckSpec { reference_line: reference, delta: true, strict, input };
+                let spec = CheckSpec { reference_line: reference, delta: true, input };
                 checks.insert(line.clone(), spec);
                 line
             }
@@ -766,7 +770,6 @@ fn first_difference(a: &str, b: &str) -> String {
 struct Verifier<'a> {
     seed: u64,
     clock: Arc<SimClock>,
-    base: &'a AnalyzerConfig,
     report: &'a mut SimReport,
 }
 
@@ -780,7 +783,6 @@ impl Verifier<'_> {
     fn check_payload(&mut self, reply: &Reply, spec: &CheckSpec, op: &str) {
         self.report.payload_checks += 1;
         let reference = Server::new(ServerConfig {
-            base: self.base.clone(),
             jobs: Some(1),
             clock: Arc::clone(&self.clock) as Arc<dyn Clock>,
             ..ServerConfig::default()
@@ -835,8 +837,15 @@ impl Verifier<'_> {
 
     /// Invariant 3b: the stats payload's cache accounting adds up; with
     /// `max_parses`, invariant 5 too: the server parsed no more texts
-    /// than that. Returns the cumulative corrupt-entry count it reports.
-    fn check_stats_payload(&mut self, payload: &str, max_parses: Option<usize>) -> u64 {
+    /// than that, and, with `max_disk_misses` (the warm floor), missed
+    /// on disk no more often. Returns the cumulative corrupt-entry
+    /// count it reports.
+    fn check_stats_payload(
+        &mut self,
+        payload: &str,
+        max_parses: Option<usize>,
+        max_disk_misses: Option<usize>,
+    ) -> u64 {
         let Ok(JsonNode::Obj(stats)) = parse_json(payload.trim()) else {
             self.violation(format!("stats payload does not parse: {payload}"));
             return 0;
@@ -858,8 +867,18 @@ impl Verifier<'_> {
             self.report.identity_checks += 1;
             if count("parses") > bound as i64 {
                 self.violation(format!(
-                    "warm memory forgot: {} parses for {bound} distinct (config, text) pairs",
+                    "warm memory forgot: {} parses for {bound} distinct texts",
                     count("parses")
+                ));
+            }
+        }
+        if let Some(floor) = max_disk_misses {
+            self.report.warm_floor_checks += 1;
+            if count("persistent_misses") > floor as i64 {
+                self.violation(format!(
+                    "warm disk forgot across a clean restart: {} persistent misses for {floor} \
+                     texts the previous phase did not present",
+                    count("persistent_misses")
                 ));
             }
         }
@@ -872,7 +891,6 @@ fn verify_reply(
     reply: &Reply,
     spec: Option<&CheckSpec>,
     clock: &Arc<SimClock>,
-    base: &AnalyzerConfig,
     report: &mut SimReport,
 ) {
     let Ok(JsonNode::Obj(header)) = parse_json(&reply.header) else {
@@ -886,7 +904,7 @@ fn verify_reply(
         Some(JsonNode::Str(op)) => op.clone(),
         _ => String::new(),
     };
-    let mut verifier = Verifier { seed: report.seed, clock: Arc::clone(clock), base, report };
+    let mut verifier = Verifier { seed: report.seed, clock: Arc::clone(clock), report };
     if ok {
         if let Some(spec) = spec {
             verifier.check_payload(reply, spec, &op);
@@ -895,7 +913,7 @@ fn verify_reply(
             }
         }
         if op == "stats" {
-            verifier.check_stats_payload(&reply.payload, None);
+            verifier.check_stats_payload(&reply.payload, None, None);
         }
     }
 }
@@ -929,11 +947,15 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
 
     let clock = Arc::new(SimClock::default());
     let stats = Arc::new(FaultStats::default());
-    let base = AnalyzerConfig::default();
     let mut report = SimReport { seed, phases, ..SimReport::default() };
 
     let mut next_request_id = 0u64;
     let mut digest_buf: Vec<u8> = Vec::new();
+    // The previous phase's texts, when it had no kill point and no fault
+    // was injected in it or before it: an earlier fault can leave a
+    // broken entry that a manifest row names, which a delta probes as
+    // an edited file's old analysis.
+    let mut warm_floor: Option<HashSet<u128>> = None;
     for phase in 0..phases {
         let kill_here =
             (opts.kill && phase == 0) || (!opts.kill && phase + 1 < phases && rng.chance(3));
@@ -944,7 +966,8 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
             kill_after_stores: kill_here.then(|| 1 + rng.below(8)),
             stale_swap_one_in: if opts.mutate { 2 } else { 0 },
         };
-        run_phase(PhaseContext {
+        let killed = plan.kill_after_stores.is_some();
+        let presented = run_phase(PhaseContext {
             rng: &mut rng,
             corpus: &mut corpus,
             opts,
@@ -952,12 +975,13 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
             cache_dir: &cache_dir,
             plan,
             stats: &stats,
-            base: &base,
+            warm_floor: warm_floor.as_ref(),
             next_request_id: &mut next_request_id,
             last_phase: phase + 1 == phases,
             digest_buf: &mut digest_buf,
             report: &mut report,
         });
+        warm_floor = (!killed && stats.faults_injected() == 0).then_some(presented);
         if !report.violations.is_empty() {
             break;
         }
@@ -971,7 +995,7 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
     // Invariant 2 at the decode level: any key whose last landed write
     // was sabotage (and which still holds exactly those bytes) must
     // read back as corrupt or missing — never as a servable hit.
-    verify_unhealed_sabotage(&cache_dir, &stats, &base, &mut report);
+    verify_unhealed_sabotage(&cache_dir, &stats, &mut report);
 
     report.faults_injected = stats.faults_injected();
     report.payload_digest = fnv128(&digest_buf);
@@ -988,14 +1012,17 @@ struct PhaseContext<'a> {
     cache_dir: &'a Path,
     plan: FaultPlan,
     stats: &'a Arc<FaultStats>,
-    base: &'a AnalyzerConfig,
+    /// The previous phase's presented texts, when the warm floor
+    /// applies to this phase.
+    warm_floor: Option<&'a HashSet<u128>>,
     next_request_id: &'a mut u64,
     last_phase: bool,
     digest_buf: &'a mut Vec<u8>,
     report: &'a mut SimReport,
 }
 
-fn run_phase(ctx: PhaseContext<'_>) {
+/// Runs one phase and returns the texts its requests presented.
+fn run_phase(ctx: PhaseContext<'_>) -> HashSet<u128> {
     let PhaseContext {
         rng,
         corpus,
@@ -1004,7 +1031,7 @@ fn run_phase(ctx: PhaseContext<'_>) {
         cache_dir,
         plan,
         stats,
-        base,
+        warm_floor,
         next_request_id,
         last_phase,
         digest_buf,
@@ -1020,7 +1047,6 @@ fn run_phase(ctx: PhaseContext<'_>) {
         }))
     };
     let server = Server::new(ServerConfig {
-        base: base.clone(),
         jobs: Some(1),
         cache_dir: Some(cache_dir.to_path_buf()),
         max_request_bytes: MAX_REQUEST_BYTES,
@@ -1037,9 +1063,9 @@ fn run_phase(ctx: PhaseContext<'_>) {
     report.requests_sent +=
         scripts.iter().map(|(s, _)| s.iter().filter(|&&b| b == b'\n').count()).sum::<usize>();
 
-    // Invariant 5's bound: every (config, text) pair the executed
-    // analyze and delta requests presented.
-    let mut presented: HashSet<(bool, u128)> = HashSet::new();
+    // Invariant 5's bounds: every text the executed analyze and delta
+    // requests presented.
+    let mut presented: HashSet<u128> = HashSet::new();
     let mut core = Core::new(&server);
     let mut peers: BTreeMap<u64, Peer> = BTreeMap::new();
     for (script, end) in scripts {
@@ -1055,7 +1081,7 @@ fn run_phase(ctx: PhaseContext<'_>) {
                 "seed {}: schedule did not terminate in {TICK_LIMIT} ticks",
                 report.seed
             ));
-            return;
+            return presented;
         }
         tick += 1;
         let now = clock.now_ns();
@@ -1111,7 +1137,7 @@ fn run_phase(ctx: PhaseContext<'_>) {
                 spec.present(&mut presented);
             }
             let reply = server.handle_line(&line);
-            verify_reply(&reply, checks.get(&line), clock, base, report);
+            verify_reply(&reply, checks.get(&line), clock, report);
             core.reply(id, &reply, clock.now_ns());
         }
 
@@ -1165,9 +1191,11 @@ fn run_phase(ctx: PhaseContext<'_>) {
     // no stats request, checks invariant 5, and accounts detected
     // corruption.
     let reply = server.handle_line("{\"op\":\"stats\"}");
-    let mut verifier = Verifier { seed: report.seed, clock: Arc::clone(clock), base, report };
-    let corrupt = verifier.check_stats_payload(&reply.payload, Some(presented.len()));
+    let new_texts = warm_floor.map(|earlier| presented.difference(earlier).count());
+    let mut verifier = Verifier { seed: report.seed, clock: Arc::clone(clock), report };
+    let corrupt = verifier.check_stats_payload(&reply.payload, Some(presented.len()), new_texts);
     report.corrupt_detected += corrupt;
+    presented
 }
 
 /// What one peer received, frame by frame.
@@ -1250,12 +1278,7 @@ fn check_connection(
 /// Invariant 2 at the decode level: reopen the store cold and probe
 /// every key whose last landed write was sabotage. A key still holding
 /// exactly the sabotaged bytes must never decode as a hit.
-fn verify_unhealed_sabotage(
-    cache_dir: &Path,
-    stats: &FaultStats,
-    base: &AnalyzerConfig,
-    report: &mut SimReport,
-) {
+fn verify_unhealed_sabotage(cache_dir: &Path, stats: &FaultStats, report: &mut SimReport) {
     let sabotaged = stats.sabotaged.lock().unwrap_or_else(|e| e.into_inner());
     if sabotaged.is_empty() || !cache_dir.exists() {
         return;
@@ -1270,7 +1293,7 @@ fn verify_unhealed_sabotage(
     if survivors.is_empty() {
         return;
     }
-    let cache = PersistentCache::with_backend(cache_dir, base, Box::new(raw));
+    let cache = PersistentCache::with_backend(cache_dir, &AnalyzerConfig::default(), Box::new(raw));
     for key in survivors {
         if matches!(cache.get(key), CacheLookup::Hit(_)) {
             report.violations.push(format!(

@@ -355,13 +355,15 @@ fn persistent_cache_survives_a_daemon_restart() {
     assert!(int_field(&analysis, "persistent_hits") > 0, "{stats}");
 }
 
-/// Every engine of one daemon shares its persistent store: requests
-/// under two analyzer configurations must not lose each other's
-/// entries, so a restart finds all of them.
+/// A filter applies to finished reports, so requests under different
+/// filters share one cache entry per source: a session that analyzes
+/// the same three files under the default filter, an error-only
+/// threshold and a disabled kind parses each file once, and a restart
+/// serves all three from disk, filtered exactly as before.
 #[test]
-fn engines_under_different_configs_share_one_store() {
-    let sources = TempDir::new("configs-src");
-    let cache = TempDir::new("configs-cache");
+fn mixed_filters_share_one_entry_per_source_across_a_restart() {
+    let sources = TempDir::new("filters-src");
+    let cache = TempDir::new("filters-cache");
     let files: Vec<String> = (1..=3)
         .map(|i| {
             let path = sources.0.join(format!("f{i}.pnx"));
@@ -369,24 +371,34 @@ fn engines_under_different_configs_share_one_store() {
             path.to_str().unwrap().to_owned()
         })
         .collect();
+    let filters = ["", ",\"min_severity\":\"error\"", ",\"disable\":[\"oversized-placement\"]"];
     let run = || {
         let server = Server::new(ServerConfig {
             cache_dir: Some(cache.0.clone()),
             ..ServerConfig::default()
         })
         .expect("server builds");
-        for (i, file) in files.iter().enumerate() {
-            let severity = if i == 1 { ",\"min_severity\":\"error\"" } else { "" };
-            let line = format!("{{\"op\":\"analyze\",\"paths\":[{}]{severity}}}", json_str(file));
-            assert!(server.handle_line(&line).header.contains("\"ok\":true"));
+        let mut payloads = Vec::new();
+        for filter in filters {
+            for file in &files {
+                let line = format!("{{\"op\":\"analyze\",\"paths\":[{}]{filter}}}", json_str(file));
+                let reply = server.handle_line(&line);
+                assert!(reply.header.contains("\"ok\":true"), "{}", reply.header);
+                payloads.push(reply.payload);
+            }
         }
         let stats = server.handle_line("{\"op\":\"stats\"}").payload;
         let JsonNode::Obj(fields) = parse_json(stats.trim()).unwrap() else { panic!() };
         let JsonNode::Obj(analysis) = field(&fields, "analysis").clone() else { panic!() };
-        (int_field(&analysis, "persistent_hits"), int_field(&analysis, "parses"))
+        let counts = (int_field(&analysis, "persistent_hits"), int_field(&analysis, "parses"));
+        (counts, payloads)
     };
-    assert_eq!(run(), (0, 3), "cold run parses every file");
-    assert_eq!(run(), (3, 0), "a restart finds every stored entry");
+    let (cold, cold_payloads) = run();
+    assert_eq!(cold, (0, 3), "a cold session parses each file once, whatever its filter");
+    assert_ne!(cold_payloads[0], cold_payloads[6], "disabling the only kind changes the payload");
+    let (warm, warm_payloads) = run();
+    assert_eq!(warm, (3, 0), "a restart serves every file from disk under every filter");
+    assert_eq!(warm_payloads, cold_payloads, "disk-served reports filter like fresh ones");
 }
 
 #[test]

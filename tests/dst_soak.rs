@@ -120,3 +120,33 @@ fn kill_restart_matrix_serves_correct_envelopes() {
         assert_eq!(report.phases, 2);
     }
 }
+
+/// The warm floor of invariant 5 across clean restarts: with no storage
+/// faults, every text a phase presented is served from a warm tier in
+/// the next phase, whatever filter asks for it — one cache entry per
+/// source, never one per filter — so a phase misses on disk only for
+/// texts the previous phase never saw.
+#[test]
+fn clean_restarts_serve_every_presented_text_warm() {
+    let mut failed: Vec<SimReport> = Vec::new();
+    let mut floor_checks = 0usize;
+    for seed in 0..200 {
+        let opts = SimOptions {
+            faults: false,
+            phases: 2 + (seed % 2) as usize,
+            tag: "warm-floor".to_owned(),
+            ..SimOptions::default()
+        };
+        let report = run_schedule(seed, &opts);
+        floor_checks += report.warm_floor_checks;
+        if !report.ok() {
+            failed.push(report);
+        }
+    }
+    assert!(
+        failed.is_empty(),
+        "failing seeds: {:?}",
+        failed.iter().map(|r| (r.seed, r.violations.clone())).collect::<Vec<_>>()
+    );
+    assert!(floor_checks > 100, "only {floor_checks} phases were held to the warm floor");
+}

@@ -72,8 +72,7 @@ fn guarded_scan_is_byte_deterministic_across_jobs_and_summary_modes() {
     let programs: Vec<_> =
         workload::guarded_corpus(SEED, COUNT).into_iter().map(|c| c.program).collect();
     let render = |jobs: usize, use_summaries: bool| {
-        let analyzer =
-            Analyzer::with_config(AnalyzerConfig { use_summaries, ..Default::default() });
+        let analyzer = Analyzer::with_config(AnalyzerConfig { use_summaries });
         let reports = BatchEngine::new(analyzer).with_jobs(jobs).scan(&programs);
         let records: Vec<FileRecord> = reports
             .into_iter()

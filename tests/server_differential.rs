@@ -12,11 +12,13 @@
 //!
 //! The payloads must be byte-identical for all 200 programs — cold and
 //! warm — and the header's `exit` must mirror the CLI's exit-code rule.
+//! Further tests hold `delta` rescans, concurrent clients and every
+//! report filter to the same standard.
 
-use placement_new_attacks::corpus::workload;
-use placement_new_attacks::detector::emit::{render_json, FileRecord};
+use placement_new_attacks::corpus::{benign, listings, workload};
+use placement_new_attacks::detector::emit::{render_json, render_sarif, FileRecord};
 use placement_new_attacks::detector::server::{parse_json, JsonNode, Server, ServerConfig};
-use placement_new_attacks::detector::{pretty_program, Analyzer, BatchEngine, Severity};
+use placement_new_attacks::detector::{pretty_program, Analyzer, BatchEngine, Finding, Severity};
 
 /// The reference envelope: the exact pipeline `pncheck --format json -`
 /// runs for one stdin program.
@@ -241,4 +243,177 @@ fn concurrent_delta_and_analyze_clients_never_see_a_torn_tracked_index() {
         mixed.join().expect("mixed client");
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A filter as `pncheck` flags spell it, with the predicate the CLI's
+/// analyzer used to apply inside the analysis, written out here
+/// independently of the daemon's filter code.
+struct Flags {
+    min_severity: Option<&'static str>,
+    disable: &'static [&'static str],
+}
+
+impl Flags {
+    fn request_fields(&self) -> String {
+        let mut out = String::new();
+        if let Some(level) = self.min_severity {
+            out.push_str(&format!(",\"min_severity\":\"{level}\""));
+        }
+        if !self.disable.is_empty() {
+            let kinds: Vec<String> = self.disable.iter().map(|k| format!("\"{k}\"")).collect();
+            out.push_str(&format!(",\"disable\":[{}]", kinds.join(",")));
+        }
+        out
+    }
+
+    fn shows(&self, finding: &Finding) -> bool {
+        let min = match self.min_severity {
+            None | Some("info") => Severity::Info,
+            Some("warning") => Severity::Warning,
+            Some(_) => Severity::Error,
+        };
+        finding.severity >= min && !self.disable.contains(&finding.kind.name())
+    }
+}
+
+/// What a fresh, cache-less `pncheck --format FORMAT` with `flags`
+/// prints for `paths`, and its exit status.
+fn pncheck_envelope(paths: &[String], flags: &Flags, format: &str) -> (String, u64) {
+    let engine = BatchEngine::new(Analyzer::new());
+    let sources: Vec<String> =
+        paths.iter().map(|p| std::fs::read_to_string(p).expect("corpus file reads")).collect();
+    let (outcomes, _) = engine.scan_sources_with_stats(&sources);
+    let records: Vec<FileRecord> = paths
+        .iter()
+        .zip(outcomes)
+        .map(|(path, o)| {
+            let report = o.report.map(|mut r| {
+                r.findings.retain(|f| flags.shows(f));
+                r
+            });
+            FileRecord { path: path.clone(), report, errors: o.errors }
+        })
+        .collect();
+    let payload = match format {
+        "json" => render_json(&records, None, None),
+        "sarif" => render_sarif(&records),
+        _ => records
+            .iter()
+            .filter_map(|r| r.report.as_ref())
+            .map(|report| {
+                let hints: String = report
+                    .findings
+                    .iter()
+                    .map(|f| format!("    hint: {}\n", f.kind.suggestion()))
+                    .collect();
+                format!("{report}{hints}")
+            })
+            .collect(),
+    };
+    let any =
+        records.iter().filter_map(|r| r.report.as_ref()).any(|r| r.detected_at(Severity::Warning));
+    (payload, u64::from(any))
+}
+
+fn analysis_counter(server: &Server, name: &str) -> i64 {
+    let stats = server.handle_line("{\"op\":\"stats\"}").payload;
+    let Ok(JsonNode::Obj(fields)) = parse_json(stats.trim()) else { panic!("{stats}") };
+    let Some((_, JsonNode::Obj(analysis))) = fields.iter().find(|(k, _)| k == "analysis") else {
+        panic!("{stats}")
+    };
+    match analysis.iter().find(|(k, _)| k == name) {
+        Some((_, JsonNode::Int(n))) => *n,
+        other => panic!("{name}: {other:?}"),
+    }
+}
+
+/// One warm daemon with a cache dir serves `analyze` and `delta`
+/// requests under every filter and format, interleaved, and each reply
+/// equals a fresh cache-less `pncheck` run with the same flags — while
+/// the daemon parses each distinct text exactly once: filters never
+/// split its caches.
+#[test]
+fn daemon_filters_match_pncheck_flags_and_share_one_analysis_per_text() {
+    let root = std::env::temp_dir().join(format!("pnx-filter-diff-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (dir, cache) = (root.join("src"), root.join("cache"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let programs = listings::vulnerable_corpus().into_iter().chain(benign::benign_corpus());
+    let paths: Vec<String> = programs
+        .enumerate()
+        .map(|(i, p)| {
+            let path = dir.join(format!("p{i:03}.pnx"));
+            std::fs::write(&path, pretty_program(&p)).unwrap();
+            path.to_string_lossy().into_owned()
+        })
+        .collect();
+    let target = json_str(&dir.to_string_lossy());
+    let server = Server::new(ServerConfig { cache_dir: Some(cache), ..ServerConfig::default() })
+        .expect("server builds");
+
+    const BOTH: &[&str] = &["oversized-placement", "tainted-placement-size"];
+    let filters = [
+        Flags { min_severity: None, disable: &[] },
+        Flags { min_severity: Some("warning"), disable: &[] },
+        Flags { min_severity: Some("error"), disable: &[] },
+        Flags { min_severity: None, disable: &BOTH[..1] },
+        Flags { min_severity: None, disable: &BOTH[1..] },
+        Flags { min_severity: None, disable: BOTH },
+    ];
+    let mut distinct_payloads = std::collections::HashSet::new();
+    let mut round = 0;
+    for half in 0..2 {
+        if half == 1 {
+            // An edit between the halves: deltas re-analyze one file,
+            // and one new text joins the count.
+            let evil = pretty_program(&workload::random_vulnerable_program(77));
+            std::fs::write(&paths[4], evil).unwrap();
+        }
+        for flags in &filters {
+            for format in ["json", "sarif", "text"] {
+                let (reference, exit) = pncheck_envelope(&paths, flags, format);
+                distinct_payloads.insert((half, reference.clone()));
+                let ops = if round % 2 == 0 { ["analyze", "delta"] } else { ["delta", "analyze"] };
+                round += 1;
+                for op in ops {
+                    let line = format!(
+                        "{{\"op\":\"{op}\",\"paths\":[{target}],\"format\":\"{format}\"{}}}",
+                        flags.request_fields()
+                    );
+                    let reply = server.handle_line(&line);
+                    assert_eq!(reply.payload, reference, "{line}: payload differs from pncheck");
+                    let JsonNode::Obj(header) = parse_json(&reply.header).expect("header parses")
+                    else {
+                        panic!("{line}: {}", reply.header)
+                    };
+                    let got = header.iter().find(|(k, _)| k == "exit").map(|(_, v)| v.clone());
+                    assert_eq!(got, Some(JsonNode::Int(exit as i64)), "{line}: exit differs");
+                }
+            }
+        }
+    }
+    assert_eq!(
+        distinct_payloads.len(),
+        2 * filters.len() * 3,
+        "every filter must change what is reported, in every format"
+    );
+    assert_eq!(
+        analysis_counter(&server, "parses"),
+        paths.len() as i64 + 1,
+        "one parse per distinct text, whatever the filter"
+    );
+
+    // An embedded stats object counts the filtered findings.
+    let line = format!(
+        "{{\"op\":\"analyze\",\"paths\":[{target}],\"stats\":true,\"min_severity\":\"error\"}}"
+    );
+    let reply = server.handle_line(&line);
+    let Ok(JsonNode::Obj(envelope)) = parse_json(&reply.payload) else { panic!("{line}") };
+    let count = |section: &str| match envelope.iter().find(|(k, _)| k == section) {
+        Some((_, JsonNode::Obj(fields))) => fields.iter().find(|(k, _)| k == "findings").cloned(),
+        _ => None,
+    };
+    assert!(count("summary").is_some(), "{}", reply.payload);
+    assert_eq!(count("stats"), count("summary"), "{}", reply.payload);
+    let _ = std::fs::remove_dir_all(&root);
 }

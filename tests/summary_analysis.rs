@@ -13,7 +13,7 @@ fn summary_analyzer() -> Analyzer {
 }
 
 fn inline_analyzer() -> Analyzer {
-    Analyzer::with_config(AnalyzerConfig { use_summaries: false, ..AnalyzerConfig::default() })
+    Analyzer::with_config(AnalyzerConfig { use_summaries: false })
 }
 
 /// A straight call chain `f0 -> f1 -> … -> f{len-1}`, deeper than the
