@@ -95,13 +95,14 @@ fn bench_interprocedural(c: &mut Criterion) {
     group.throughput(Throughput::Elements(programs.len() as u64));
     group.sample_size(10);
 
-    let summary = Analyzer::new();
+    let analyzer = Analyzer::new();
     group.bench_function("summary", |b| {
-        b.iter(|| programs.iter().map(|p| summary.analyze(p).findings.len()).sum::<usize>());
+        b.iter(|| programs.iter().map(|p| analyzer.analyze(p).findings.len()).sum::<usize>());
     });
-    let inline = Analyzer::with_config(AnalyzerConfig { use_summaries: false });
     group.bench_function("inline", |b| {
-        b.iter(|| programs.iter().map(|p| inline.analyze(p).findings.len()).sum::<usize>());
+        b.iter(|| {
+            programs.iter().map(|p| analyzer.analyze_inline(p).findings.len()).sum::<usize>()
+        });
     });
     group.finish();
 }
@@ -125,9 +126,8 @@ fn bench_persistent_cache(c: &mut Criterion) {
         });
     });
 
-    let analyzer = Analyzer::new();
-    let cache = PersistentCache::open(&dir, analyzer.config()).expect("cache dir opens");
-    let warm = BatchEngine::new(analyzer).with_persistent_cache(cache);
+    let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).expect("cache dir opens");
+    let warm = BatchEngine::new(Analyzer::new()).with_persistent_cache(cache);
     warm.scan_sources_with_stats(&sources); // populate the disk tier
     group.bench_function("warm-disk", |b| {
         b.iter(|| {

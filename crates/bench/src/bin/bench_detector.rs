@@ -193,9 +193,8 @@ fn main() {
     // persistent cache — the `pncheck --cache-dir` warm-restart path.
     let dir = std::env::temp_dir().join(format!("pnx-bench-detector-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let analyzer = Analyzer::new();
-    let cache = PersistentCache::open(&dir, analyzer.config()).expect("cache dir opens");
-    let disk = BatchEngine::new(analyzer).with_persistent_cache(cache);
+    let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).expect("cache dir opens");
+    let disk = BatchEngine::new(Analyzer::new()).with_persistent_cache(cache);
     let cold_disk_s = {
         let t = Instant::now();
         let (_, stats) = disk.scan_sources_with_stats(&sources);
@@ -241,18 +240,17 @@ fn main() {
 
     // Interprocedural: summary vs inline over the deep call graphs.
     let deep = workload::deep_call_corpus(42, deep_programs);
-    let summary_analyzer = Analyzer::new();
+    let analyzer = Analyzer::new();
     let summary_s = median_secs(runs, || {
         for p in &deep {
-            summary_analyzer.analyze(p);
+            analyzer.analyze(p);
         }
     });
-    let inline_analyzer = Analyzer::with_config(AnalyzerConfig { use_summaries: false });
     // Inline re-walks exponentially many paths; one timed run is plenty.
     let inline_runs = if smoke { 1 } else { 3 };
     let inline_s = median_secs(inline_runs, || {
         for p in &deep {
-            inline_analyzer.analyze(p);
+            analyzer.analyze_inline(p);
         }
     });
 

@@ -394,24 +394,16 @@ impl<'p> State<'p> {
     }
 }
 
-/// Configuration of the analyzer. It holds only what changes how a
-/// program is analyzed; which findings a caller sees is a
+/// Configuration of the analyzer. It has no fields: nothing changes
+/// how a program is analyzed, and which findings a caller sees is a
 /// [`ReportFilter`](crate::ReportFilter) applied to the finished report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnalyzerConfig {
-    /// Interprocedural strategy: `true` (the default) memoizes
-    /// per-function transfer summaries and applies them at call sites;
-    /// `false` re-walks every callee inline at every call site
-    /// (`pncheck --no-summaries`). Both produce identical findings — the
-    /// escape hatch exists for differential testing and triage.
-    pub use_summaries: bool,
-}
-
-impl Default for AnalyzerConfig {
-    fn default() -> Self {
-        AnalyzerConfig { use_summaries: true }
-    }
-}
+/// The type survives, with [`Analyzer::with_config`] and the `config`
+/// parameters of [`PersistentCache::open`](crate::PersistentCache::open)
+/// and [`PersistentCache::with_backend`](crate::PersistentCache::with_backend),
+/// only because the end-to-end benchmark under `perfbench/` calls all
+/// four.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AnalyzerConfig {}
 
 /// The analyzer. Stateless between programs; create once and reuse.
 ///
@@ -433,25 +425,18 @@ impl Default for AnalyzerConfig {
 /// assert_eq!(report.of_kind(FindingKind::OversizedPlacement).len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Analyzer {
-    config: AnalyzerConfig,
-}
+pub struct Analyzer {}
 
 impl Analyzer {
-    /// Creates an analyzer with the default configuration (report
-    /// everything).
+    /// Creates an analyzer.
     pub fn new() -> Self {
         Analyzer::default()
     }
 
-    /// Creates an analyzer with an explicit configuration.
-    pub fn with_config(config: AnalyzerConfig) -> Self {
-        Analyzer { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &AnalyzerConfig {
-        &self.config
+    /// Creates an analyzer; `config` has no fields (see
+    /// [`AnalyzerConfig`]).
+    pub fn with_config(_config: AnalyzerConfig) -> Self {
+        Analyzer::default()
     }
 
     /// Analyzes a whole program.
@@ -459,25 +444,28 @@ impl Analyzer {
     /// Every function is analyzed as an entry point; direct calls
     /// ([`Stmt::Call`]) flow the caller's argument facts into the callee
     /// — the §3.3 inter-procedural data-flow path — via memoized
-    /// per-function transfer summaries (or an inline re-walk when
-    /// [`AnalyzerConfig::use_summaries`] is off; both modes produce
-    /// identical reports). Findings are deduplicated by `(kind, site)`
-    /// so a callee flagged both standalone and through a call is
-    /// reported once.
+    /// per-function transfer summaries. Findings are deduplicated by
+    /// `(kind, site)` so a callee flagged both standalone and through a
+    /// call is reported once.
     pub fn analyze(&self, program: &Program) -> Report {
         self.analyze_impl(program, None, None).report
     }
 
-    /// [`analyze`](Self::analyze), also returning the per-function
-    /// summary digests (one [`FunctionSummaryRecord`] per function, in
-    /// definition order) that the persistent batch cache stores next to
-    /// the findings. Empty in inline (`use_summaries = false`) mode.
-    pub fn analyze_with_summaries(
-        &self,
-        program: &Program,
-    ) -> (Report, Vec<FunctionSummaryRecord>) {
-        let full = self.analyze_impl(program, None, None);
-        (full.report, full.summaries)
+    /// The reference the summary engine must match finding for finding:
+    /// the same analysis, but every call re-walks its callee inline
+    /// instead of applying a memoized summary. Exponential on deep call
+    /// graphs and never on a product path; tests compare
+    /// [`analyze`](Self::analyze) against it, and benchmarks time it as
+    /// the baseline summaries beat.
+    pub fn analyze_inline(&self, program: &Program) -> Report {
+        let ix = Index::build(program);
+        let mut report = Report::new(&program.name);
+        let mut env = WalkEnv { memo: Memo::default(), inline: true };
+        for fi in 0..program.functions.len() {
+            let mut state = init_state(&ix, fi);
+            self.walk(&ix, &program.functions[fi].body, &mut state, &mut report, 0, &mut env);
+        }
+        report
     }
 
     /// [`analyze`](Self::analyze), recording per-pass timings
@@ -486,17 +474,6 @@ impl Analyzer {
     /// unfiltered report) into `trace`.
     pub fn analyze_traced(&self, program: &Program, trace: &TraceCollector) -> Report {
         self.analyze_impl(program, Some(trace), None).report
-    }
-
-    /// [`analyze_with_summaries`](Self::analyze_with_summaries) with
-    /// tracing.
-    pub fn analyze_traced_with_summaries(
-        &self,
-        program: &Program,
-        trace: &TraceCollector,
-    ) -> (Report, Vec<FunctionSummaryRecord>) {
-        let full = self.analyze_impl(program, Some(trace), None);
-        (full.report, full.summaries)
     }
 
     /// The full analysis product the persistent cache stores: the
@@ -528,16 +505,15 @@ impl Analyzer {
     /// to a fresh scan (asserted against one in debug builds).
     ///
     /// Returns `None` when the record cannot be trusted to identify
-    /// functions (inline-mode analyzer, empty/inconsistent records,
-    /// duplicate function names) — the caller falls back to
-    /// [`analyze_full`](Self::analyze_full).
+    /// functions (empty/inconsistent records, duplicate function names)
+    /// — the caller falls back to [`analyze_full`](Self::analyze_full).
     pub fn analyze_partial(
         &self,
         program: &Program,
         old: &CachedAnalysis,
         store: Option<&SummaryStore>,
     ) -> Option<PartialAnalysis> {
-        if !self.config.use_summaries || old.summaries.is_empty() {
+        if old.summaries.is_empty() {
             return None;
         }
         let n = program.functions.len();
@@ -595,7 +571,7 @@ impl Analyzer {
         let mut report = Report::new(&program.name);
         let mut records = Vec::with_capacity(n);
         let mut pool = FindingPool::default();
-        let mut env = WalkEnv { memo: Memo::default() };
+        let mut env = WalkEnv { memo: Memo::default(), inline: false };
         let closure_fps = store.map(|_| graph.closure_fingerprints(&fn_fps));
         // Seed cone members callees-first: the global bottom-up order
         // restricted to the cone is exactly the induced subgraph's order
@@ -693,110 +669,101 @@ impl Analyzer {
         let mut records = Vec::new();
         let mut pool = FindingPool::default();
         let walk_start = trace.map(|_| std::time::Instant::now());
-        let mut env = WalkEnv { memo: Memo::default() };
-        if self.config.use_summaries {
-            let n = program.functions.len();
-            // Per-function content fingerprints (see
-            // [`FunctionSummaryRecord::fingerprint`]). The dependency
-            // lists below carry the callee fingerprints, so two record
-            // sets alone determine the invalidation cone of an edit.
-            let graph = CallGraph::build(program, &ix.fn_by_name);
-            let fn_fps = function_fingerprints(program);
-            // Cross-file exchange: a function whose closure fingerprint
-            // (own text + full callee closure) hits the store replays
-            // the stored entry summary instead of being walked at all.
-            let closure_fps = store.map(|_| graph.closure_fingerprints(&fn_fps));
-            let store_hits: Vec<Option<Arc<StoredSummary>>> = match (store, &closure_fps) {
-                (Some(s), Some(closure)) => {
-                    closure.iter().map(|k| k.and_then(|key| s.get(key))).collect()
-                }
-                _ => vec![None; n],
-            };
-            // One bottom-up pass over the SCC condensation seeds the memo
-            // table callees-first (recursive cycles rely on the depth
-            // guard's bounded widening instead)…
-            for &fi in &graph.bottom_up {
-                if store_hits[fi].is_none() {
-                    self.entry_summary(&ix, fi, &mut env);
-                }
+        let mut env = WalkEnv { memo: Memo::default(), inline: false };
+        let n = program.functions.len();
+        // Per-function content fingerprints (see
+        // [`FunctionSummaryRecord::fingerprint`]). The dependency lists
+        // below carry the callee fingerprints, so two record sets alone
+        // determine the invalidation cone of an edit.
+        let graph = CallGraph::build(program, &ix.fn_by_name);
+        let fn_fps = function_fingerprints(program);
+        // Cross-file exchange: a function whose closure fingerprint (own
+        // text + full callee closure) hits the store replays the stored
+        // entry summary instead of being walked at all.
+        let closure_fps = store.map(|_| graph.closure_fingerprints(&fn_fps));
+        let store_hits: Vec<Option<Arc<StoredSummary>>> = match (store, &closure_fps) {
+            (Some(s), Some(closure)) => {
+                closure.iter().map(|k| k.and_then(|key| s.get(key))).collect()
             }
-            // …then every function's entry findings replay in definition
-            // order, keeping reports byte-identical to the inline walk.
-            let mut store_reused = 0u64;
-            for fi in 0..n {
-                let deps: Vec<SummaryDep> = graph.callees[fi]
-                    .iter()
-                    .map(|&j| SummaryDep {
-                        callee: program.functions[j].name.clone(),
-                        fingerprint: fn_fps[j],
-                    })
-                    .collect();
-                let (findings_n, finding_ids, region_effects, clobbers) =
-                    if let Some(hit) = &store_hits[fi] {
-                        store_reused += 1;
-                        let ids = hit
-                            .findings
-                            .iter()
-                            .map(|f| {
-                                emit(&mut report, f.clone());
-                                pool.intern(f)
-                            })
-                            .collect();
-                        (hit.findings.len() as u32, ids, hit.region_effects, hit.clobbers)
-                    } else {
-                        let summary = self.entry_summary(&ix, fi, &mut env);
-                        let ids = summary
-                            .findings
-                            .iter()
-                            .map(|f| {
-                                emit(&mut report, f.clone());
-                                pool.intern(f)
-                            })
-                            .collect();
-                        let region_effects = summary.exit_regions.len() as u32;
-                        let clobbers = summary.exit_clobber.is_some();
-                        if let (Some(s), Some(closure)) = (store, &closure_fps) {
-                            if let Some(key) = closure[fi] {
-                                s.insert(
-                                    key,
-                                    StoredSummary {
-                                        findings: summary.findings.clone(),
-                                        region_effects,
-                                        clobbers,
-                                    },
-                                );
-                            }
+            _ => vec![None; n],
+        };
+        // One bottom-up pass over the SCC condensation seeds the memo
+        // table callees-first (recursive cycles rely on the depth guard's
+        // bounded widening instead)…
+        for &fi in &graph.bottom_up {
+            if store_hits[fi].is_none() {
+                self.entry_summary(&ix, fi, &mut env);
+            }
+        }
+        // …then every function's entry findings replay in definition
+        // order, keeping reports byte-identical to the inline walk.
+        let mut store_reused = 0u64;
+        for fi in 0..n {
+            let deps: Vec<SummaryDep> = graph.callees[fi]
+                .iter()
+                .map(|&j| SummaryDep {
+                    callee: program.functions[j].name.clone(),
+                    fingerprint: fn_fps[j],
+                })
+                .collect();
+            let (findings_n, finding_ids, region_effects, clobbers) =
+                if let Some(hit) = &store_hits[fi] {
+                    store_reused += 1;
+                    let ids = hit
+                        .findings
+                        .iter()
+                        .map(|f| {
+                            emit(&mut report, f.clone());
+                            pool.intern(f)
+                        })
+                        .collect();
+                    (hit.findings.len() as u32, ids, hit.region_effects, hit.clobbers)
+                } else {
+                    let summary = self.entry_summary(&ix, fi, &mut env);
+                    let ids = summary
+                        .findings
+                        .iter()
+                        .map(|f| {
+                            emit(&mut report, f.clone());
+                            pool.intern(f)
+                        })
+                        .collect();
+                    let region_effects = summary.exit_regions.len() as u32;
+                    let clobbers = summary.exit_clobber.is_some();
+                    if let (Some(s), Some(closure)) = (store, &closure_fps) {
+                        if let Some(key) = closure[fi] {
+                            s.insert(
+                                key,
+                                StoredSummary {
+                                    findings: summary.findings.clone(),
+                                    region_effects,
+                                    clobbers,
+                                },
+                            );
                         }
-                        (summary.findings.len() as u32, ids, region_effects, clobbers)
-                    };
-                records.push(FunctionSummaryRecord {
-                    function: program.functions[fi].name.clone(),
-                    fingerprint: fn_fps[fi],
-                    findings: findings_n,
-                    finding_ids,
-                    region_effects,
-                    clobbers,
-                    deps,
-                });
-            }
-            if let Some(t) = trace {
-                t.count("analysis.summaries-computed", env.memo.computed);
-                t.count("analysis.summaries-applied", env.memo.applied);
-                t.count("analysis.recursive-functions", graph.recursive_functions() as u64);
-                if store.is_some() {
-                    t.count("analysis.store-reused", store_reused);
-                }
-            }
-        } else {
-            for fi in 0..program.functions.len() {
-                let mut state = init_state(&ix, fi);
-                self.walk(&ix, &program.functions[fi].body, &mut state, &mut report, 0, &mut env);
-            }
+                    }
+                    (summary.findings.len() as u32, ids, region_effects, clobbers)
+                };
+            records.push(FunctionSummaryRecord {
+                function: program.functions[fi].name.clone(),
+                fingerprint: fn_fps[fi],
+                findings: findings_n,
+                finding_ids,
+                region_effects,
+                clobbers,
+                deps,
+            });
         }
         if let (Some(t), Some(start)) = (trace, walk_start) {
             t.record_pass("analysis.walk", start.elapsed());
             t.count("analysis.programs", 1);
-            t.count("analysis.functions", program.functions.len() as u64);
+            t.count("analysis.functions", n as u64);
+            t.count("analysis.summaries-computed", env.memo.computed);
+            t.count("analysis.summaries-applied", env.memo.applied);
+            t.count("analysis.recursive-functions", graph.recursive_functions() as u64);
+            if store.is_some() {
+                t.count("analysis.store-reused", store_reused);
+            }
             for f in &report.findings {
                 t.count(&format!("findings.{}", f.kind.name()), 1);
             }
@@ -1450,9 +1417,12 @@ impl Analyzer {
 }
 
 /// Mutable per-analysis context threaded through the walk: the summary
-/// memo table (unused in inline mode).
+/// memo table, and whether calls re-walk their callees inline instead
+/// (the [`Analyzer::analyze_inline`] reference, which leaves the memo
+/// unused).
 struct WalkEnv<'p> {
     memo: Memo<'p>,
+    inline: bool,
 }
 
 /// Whether a region survives a call boundary: global variables and heap
@@ -1635,9 +1605,9 @@ impl Analyzer {
     /// Interprocedural analysis of a direct call: bind the caller's
     /// argument facts to the callee's parameters, then either apply the
     /// memoized transfer summary for that `(callee, depth, context)` —
-    /// computing it on first encounter — or (inline mode) re-walk the
-    /// callee body. Both paths merge the same caller-visible region
-    /// effects back and are finding-for-finding identical.
+    /// computing it on first encounter — or (the inline reference)
+    /// re-walk the callee body. Both paths merge the same caller-visible
+    /// region effects back and are finding-for-finding identical.
     #[allow(clippy::too_many_arguments)]
     fn analyze_call<'p>(
         &self,
@@ -1691,7 +1661,7 @@ impl Analyzer {
                 }
             }
         }
-        if self.config.use_summaries {
+        if !env.inline {
             let key = SummaryKey::of(fi, depth + 1, &ix.fn_params[fi], &callee_state);
             let summary = match env.memo.get(&key) {
                 Some(s) => {
@@ -2169,9 +2139,9 @@ mod tests {
     /// Summary application must be finding-for-finding identical to the
     /// inline re-walk, context included.
     fn assert_modes_agree(program: &Program) {
-        let summaries = Analyzer::new().analyze(program);
-        let inline =
-            Analyzer::with_config(AnalyzerConfig { use_summaries: false }).analyze(program);
+        let analyzer = Analyzer::new();
+        let summaries = analyzer.analyze(program);
+        let inline = analyzer.analyze_inline(program);
         assert_eq!(summaries, inline, "summary/inline divergence");
     }
 

@@ -156,24 +156,6 @@ pub struct CacheStats {
     pub parses: u64,
 }
 
-/// One replica's slice of the 128-bit fingerprint space
-/// (`--shard K/N`): replica `index` of `count` owns every key
-/// congruent to `index` mod `count`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Zero-based replica index; always `< count`.
-    pub index: u32,
-    /// Total replicas splitting the fingerprint space.
-    pub count: u32,
-}
-
-impl ShardSpec {
-    /// Whether this replica owns the warm state for `key`.
-    pub fn owns(&self, key: u128) -> bool {
-        self.count <= 1 || key % u128::from(self.count) == u128::from(self.index)
-    }
-}
-
 /// The engine's live hit/miss/parse counters, mutated and snapshotted
 /// under one mutex so readers never see a half-updated set (the
 /// `pncheckd-stats/1` torn-pair bug: `hits + misses != lookups`).
@@ -208,13 +190,11 @@ enum MemoKey {
 pub struct SourceOutcome {
     /// The analysis report; `None` when the source failed to parse.
     pub report: Option<Report>,
-    /// Per-function summary digests (empty for parse failures and for
-    /// analyzers running with summaries disabled).
+    /// Per-function summary digests (empty for parse failures).
     pub summaries: Vec<FunctionSummaryRecord>,
     /// The file-level finding pool the summaries' `finding_ids` index
     /// into — the raw material a later function-granular partial
-    /// re-analysis hydrates unchanged functions from. Empty when the
-    /// analyzer ran without summaries.
+    /// re-analysis hydrates unchanged functions from.
     pub finding_pool: Vec<Finding>,
     /// Parse errors, when the source did not parse.
     pub errors: Vec<ParseError>,
@@ -363,7 +343,6 @@ pub struct BatchEngine {
     counters: Mutex<EngineCounters>,
     trace: Option<Arc<TraceCollector>>,
     persistent: Option<PersistentCache>,
-    shard: Option<ShardSpec>,
     tracked: Mutex<HashMap<String, TrackedFile>>,
     /// The manifest text this engine last stored successfully, so a
     /// delta that changed no row skips the rewrite.
@@ -405,7 +384,6 @@ impl BatchEngine {
             counters: Mutex::new(EngineCounters::default()),
             trace: None,
             persistent: None,
-            shard: None,
             tracked: Mutex::new(HashMap::new()),
             saved_manifest: Mutex::new(None),
             summary_store: Arc::new(SummaryStore::new()),
@@ -442,30 +420,11 @@ impl BatchEngine {
 
     /// Adds the on-disk tier: [`scan_sources_with_stats`]
     /// (Self::scan_sources_with_stats) will probe (and populate) `cache`
-    /// before parsing anything. The cache must have been opened against
-    /// this engine's analyzer configuration.
+    /// before parsing anything.
     #[must_use]
     pub fn with_persistent_cache(mut self, cache: PersistentCache) -> Self {
         self.persistent = Some(cache);
         self
-    }
-
-    /// Restricts the warm tiers (memo, on-disk, summary store) to the
-    /// keys this replica owns: an unowned source still analyzes
-    /// correctly, but takes the full uncached path and leaves no warm
-    /// state behind, so N sharded replicas split the fingerprint space
-    /// instead of each holding all of it. The tracked/delta index is
-    /// deliberately unsharded — change detection is stat-based and
-    /// cheap, and delta correctness must not depend on shard placement.
-    #[must_use]
-    pub fn with_shard(mut self, shard: ShardSpec) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// The shard slice this engine serves, if any.
-    pub fn shard(&self) -> Option<ShardSpec> {
-        self.shard
     }
 
     /// The cross-file summary store shared by this engine's scans.
@@ -659,11 +618,14 @@ impl BatchEngine {
                     // and the partial re-analysis. A manifest-seeded
                     // entry has none in memory, but the old verdict is
                     // still on disk under the old key — pulling it
-                    // keeps cones precise across restarts.
+                    // keeps cones precise across restarts. The read is
+                    // uncounted: it serves no file, and a broken old
+                    // entry names text that no longer exists, so there
+                    // is nothing to warn about or rewrite.
                     let old = match &entry.analysis {
                         Some(a) => Some(Arc::clone(a)),
                         None if entry.errors.is_empty() => {
-                            match self.persistent.as_ref().map(|pc| pc.get(entry.key)) {
+                            match self.persistent.as_ref().map(|pc| pc.peek(entry.key)) {
                                 Some(CacheLookup::Hit(hit)) => Some(Arc::new(hit)),
                                 _ => None,
                             }
@@ -719,9 +681,7 @@ impl BatchEngine {
             let (hydrated, _) = self.run_queue(&hydrate, jobs, |&(_, _, key)| {
                 match self.persistent.as_ref().map(|pc| pc.get(key)) {
                     Some(CacheLookup::Hit(hit)) => {
-                        if self.owns(key) {
-                            self.summary_store.publish(&hit);
-                        }
+                        self.summary_store.publish(&hit);
                         Some(Arc::new(hit))
                     }
                     _ => None,
@@ -1067,16 +1027,10 @@ impl BatchEngine {
         update(&mut self.counters.lock().expect("engine counters poisoned"));
     }
 
-    /// Whether this engine's shard (if any) owns `key`'s warm state.
-    fn owns(&self, key: u128) -> bool {
-        self.shard.is_none_or(|s| s.owns(key))
-    }
-
-    /// Runs the analyzer on a parsed program, bypassing every cache.
-    /// `store` is the cross-file summary exchange — `None` keeps the
-    /// run free of warm state (the shard-unowned contract).
-    fn analyze_uncached(&self, program: &Program, store: Option<&SummaryStore>) -> CachedAnalysis {
-        self.analyzer.analyze_full(program, self.trace.as_deref(), store)
+    /// Runs the analyzer on a parsed program, bypassing the memo and
+    /// the disk tier but sharing the engine's summary store.
+    fn analyze_uncached(&self, program: &Program) -> CachedAnalysis {
+        self.analyzer.analyze_full(program, self.trace.as_deref(), Some(&self.summary_store))
     }
 
     /// Probes the memo. A hit counts one lookup and one hit; a miss
@@ -1115,18 +1069,13 @@ impl BatchEngine {
     /// both analyze (identical, deterministic results), but workers
     /// never serialize behind a slow analysis.
     fn analyze_cached(&self, program: &Program) -> CachedAnalysis {
-        let key = fingerprint(program);
-        let owned = self.owns(key);
-        if owned {
-            if let Some(hit) = self.memo_get(MemoKey::Program(key)) {
-                return hit;
-            }
+        let key = MemoKey::Program(fingerprint(program));
+        if let Some(hit) = self.memo_get(key) {
+            return hit;
         }
         self.count_miss();
-        let entry = self.analyze_uncached(program, owned.then_some(&*self.summary_store));
-        if owned {
-            self.memo_put(MemoKey::Program(key), &entry);
-        }
+        let entry = self.analyze_uncached(program);
+        self.memo_put(key, &entry);
         entry
     }
 
@@ -1151,29 +1100,6 @@ impl BatchEngine {
         old: Option<&CachedAnalysis>,
     ) -> (SourceOutcome, usize, usize) {
         let key = source_fingerprint(source);
-        if !self.owns(key) {
-            // Another replica owns this fingerprint: analyze it
-            // correctly but through the full uncached path, reading and
-            // writing no warm tier (the summary store included), so
-            // sharded replicas split warm state instead of each
-            // accumulating all of it.
-            self.bump(|c| {
-                c.lookups += 1;
-                c.misses += 1;
-                c.parses += 1;
-            });
-            if let Some(t) = &self.trace {
-                t.count("batch.shard-unowned", 1);
-            }
-            return match parse_program_recovering(source) {
-                Err(errors) => (SourceOutcome::unparsed(errors), 0, 0),
-                Ok(program) => {
-                    let entry = self.analyze_uncached(&program, None);
-                    let reanalyzed = entry.summaries.len();
-                    (SourceOutcome::analyzed(entry), reanalyzed, 0)
-                }
-            };
-        }
         if let Some(hit) = self.memo_get(MemoKey::Source(key)) {
             let reused = hit.summaries.len();
             let outcome = SourceOutcome { from_source_cache: true, ..SourceOutcome::analyzed(hit) };
@@ -1227,7 +1153,7 @@ impl BatchEngine {
                 (p.analysis, p.functions_reanalyzed as usize, p.functions_reused as usize)
             }
             None => {
-                let entry = self.analyze_uncached(&program, Some(&self.summary_store));
+                let entry = self.analyze_uncached(&program);
                 let reanalyzed = entry.summaries.len();
                 (entry, reanalyzed, 0)
             }
@@ -1264,6 +1190,7 @@ impl BatchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::AnalyzerConfig;
     use crate::builder::ProgramBuilder;
     use crate::ir::{Expr, Span, Ty};
 
@@ -1402,9 +1329,8 @@ mod tests {
     }
 
     fn engine_with_disk_cache(dir: &std::path::Path) -> BatchEngine {
-        let analyzer = Analyzer::new();
-        let cache = PersistentCache::open(dir, analyzer.config()).unwrap();
-        BatchEngine::new(analyzer).with_jobs(4).with_persistent_cache(cache)
+        let cache = PersistentCache::open(dir, &AnalyzerConfig::default()).unwrap();
+        BatchEngine::new(Analyzer::new()).with_jobs(4).with_persistent_cache(cache)
     }
 
     const VULN_SRC: &str = "program vuln;\n\
@@ -1742,8 +1668,8 @@ mod tests {
         assert_eq!(delta.changed_files, 1);
         assert_eq!(stats.parses, 1, "only the edit parses in the new process");
         assert_eq!(
-            stats.persistent_hits, 6,
-            "unchanged files hydrate from disk, plus the edit's old entry for the cone"
+            stats.persistent_hits, 5,
+            "unchanged files hydrate from disk; the edit's old entry is read uncounted"
         );
         for (i, (a, b)) in cold.iter().zip(&warm).enumerate() {
             if i != 2 {
@@ -1780,76 +1706,6 @@ mod tests {
         assert_eq!(delta.changed_files, 2);
         assert_eq!(stats.parses, 2);
         assert!(outcomes.iter().all(|o| o.analysis.is_some()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_spec_partitions_the_key_space() {
-        let shards = [
-            ShardSpec { index: 0, count: 3 },
-            ShardSpec { index: 1, count: 3 },
-            ShardSpec { index: 2, count: 3 },
-        ];
-        for key in [0u128, 1, 2, 3, 41, u128::MAX, source_fingerprint(VULN_SRC)] {
-            let owners = shards.iter().filter(|s| s.owns(key)).count();
-            assert_eq!(owners, 1, "every key has exactly one owner");
-        }
-        assert!(ShardSpec { index: 0, count: 1 }.owns(u128::MAX), "a single shard owns all");
-    }
-
-    #[test]
-    fn sharded_engines_agree_with_unsharded_results_and_split_warm_state() {
-        let sources: Vec<String> =
-            (0..8).map(|i| VULN_SRC.replace("program ", &format!("program s{i}_"))).collect();
-        let whole = BatchEngine::default().with_jobs(1);
-        let (expected, _) = whole.scan_sources_with_stats(&sources);
-
-        for index in 0..2u32 {
-            let replica =
-                BatchEngine::default().with_jobs(1).with_shard(ShardSpec { index, count: 2 });
-            let (got, _) = replica.scan_sources_with_stats(&sources);
-            assert_eq!(
-                expected.iter().map(|o| &o.report).collect::<Vec<_>>(),
-                got.iter().map(|o| &o.report).collect::<Vec<_>>(),
-                "sharding must never change verdicts"
-            );
-            // Warm rescan: owned keys hit the memo, unowned
-            // keys re-parse — the replica holds only its slice warm.
-            let owned = sources
-                .iter()
-                .filter(|s| ShardSpec { index, count: 2 }.owns(source_fingerprint(s)))
-                .count() as u64;
-            let (_, stats) = replica.scan_sources_with_stats(&sources);
-            assert_eq!(stats.cache_hits, owned, "only owned keys stay warm");
-            assert_eq!(stats.parses, sources.len() as u64 - owned);
-            let cache = replica.cache_stats();
-            assert_eq!(cache.entries, owned as usize, "no warm state for unowned keys");
-        }
-    }
-
-    #[test]
-    fn sharded_engine_never_touches_the_disk_tier_for_unowned_keys() {
-        let dir = tmp_cache_dir("shard-disk");
-        let sources = [VULN_SRC, SAFE_SRC];
-        // An unsharded engine warms the whole cache dir.
-        engine_with_disk_cache(&dir).scan_sources_with_stats(&sources);
-
-        // A shard that owns neither key must not read a single entry.
-        let unowned: Vec<&str> = sources
-            .iter()
-            .copied()
-            .filter(|s| !ShardSpec { index: 0, count: 2 }.owns(source_fingerprint(s)))
-            .collect();
-        let analyzer = Analyzer::new();
-        let cache = PersistentCache::open(&dir, analyzer.config()).unwrap();
-        let replica = BatchEngine::new(analyzer)
-            .with_jobs(1)
-            .with_persistent_cache(cache)
-            .with_shard(ShardSpec { index: 0, count: 2 });
-        let (_, stats) = replica.scan_sources_with_stats(&unowned);
-        assert_eq!(stats.persistent_hits, 0, "unowned keys skip the disk tier");
-        assert_eq!(stats.persistent_misses, 0);
-        assert_eq!(stats.parses, unowned.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1938,9 +1794,9 @@ mod tests {
             manifest_writes: Arc::clone(&writes),
             fail_next: std::sync::atomic::AtomicBool::new(true),
         };
-        let analyzer = Analyzer::new();
-        let cache = PersistentCache::with_backend(&cache_dir, analyzer.config(), Box::new(backend));
-        let engine = BatchEngine::new(analyzer).with_jobs(1).with_persistent_cache(cache);
+        let config = AnalyzerConfig::default();
+        let cache = PersistentCache::with_backend(&cache_dir, &config, Box::new(backend));
+        let engine = BatchEngine::new(Analyzer::new()).with_jobs(1).with_persistent_cache(cache);
         let count = || writes.load(Ordering::Relaxed);
 
         engine.delta_scan(&paths, None, 1);

@@ -45,10 +45,6 @@
 //!                           later runs go incremental. Requires
 //!                           --cache-dir; incompatible with --baseline,
 //!                           --oracle, --fix, and stdin input.
-//!   --no-summaries          analyze calls by inline re-walk instead of
-//!                           memoized function summaries (slower;
-//!                           results are identical — this flag exists
-//!                           for differential testing)
 //!   --stats                 print scan throughput, cache counters
 //!                           (both the in-memory and the on-disk tier),
 //!                           and per-pass trace lines — including
@@ -76,11 +72,11 @@ use pnew_detector::emit::{self, FileRecord, OracleRecord, OutputFormat};
 use pnew_detector::oracle::{Matrix, Oracle, Verdict};
 use pnew_detector::trace::TraceCollector;
 use pnew_detector::{
-    parse_program_recovering, Analyzer, BaselineChecker, BatchEngine, BatchStats, Fixer,
-    ParseError, PersistentCache, Program, ReportFilter, Severity,
+    parse_program_recovering, Analyzer, AnalyzerConfig, BaselineChecker, BatchEngine, BatchStats,
+    Fixer, ParseError, PersistentCache, Program, ReportFilter, Severity,
 };
 
-const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--delta] [--no-summaries] [--stats] PATH... | -";
+const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--delta] [--stats] PATH... | -";
 
 /// One input after reading: raw text, not yet parsed. The default scan
 /// path hands sources to the batch engine unparsed, so a warm
@@ -157,7 +153,7 @@ fn main() -> ExitCode {
             _ => inputs.push(arg),
         }
     }
-    let CommonOpts { jobs, format, config, filter } = opts;
+    let CommonOpts { jobs, format, filter } = opts;
     if inputs.is_empty() {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
@@ -194,7 +190,7 @@ fn main() -> ExitCode {
     // pipelines from silently running uncached forever. With --format
     // json the failure still produces a parseable envelope on stdout.
     let persistent = match (&cache_dir, baseline || oracle) {
-        (Some(dir), false) => match PersistentCache::open(dir, &config) {
+        (Some(dir), false) => match PersistentCache::open(dir, &AnalyzerConfig::default()) {
             Ok(pc) => Some(pc),
             Err(e) => {
                 let message = format!("cannot open cache dir {}: {e}", dir.display());
@@ -218,14 +214,15 @@ fn main() -> ExitCode {
     if delta {
         let pc = persistent.expect("--delta validated --cache-dir above");
         let trace = stats.then(|| Arc::new(TraceCollector::new()));
-        let mut engine = BatchEngine::new(Analyzer::with_config(config)).with_persistent_cache(pc);
+        let mut engine = BatchEngine::new(Analyzer::new()).with_persistent_cache(pc);
         if let Some(n) = jobs {
             engine = engine.with_jobs(n);
         }
         if let Some(t) = &trace {
             engine = engine.with_trace(Arc::clone(t));
         }
-        return run_delta(&paths, &engine, &filter, format, stats, trace.as_deref(), had_errors);
+        let tail = Tail { format, stats, trace: trace.as_deref(), disk: true, fix: None };
+        return run_delta(&paths, &engine, &filter, &tail, had_errors);
     }
 
     // Read every input. Bad files are reported with their path; the rest
@@ -290,7 +287,7 @@ fn main() -> ExitCode {
             .collect();
         (records, None)
     } else {
-        let mut engine = BatchEngine::new(Analyzer::with_config(config));
+        let mut engine = BatchEngine::new(Analyzer::new());
         if let Some(n) = jobs {
             engine = engine.with_jobs(n);
         }
@@ -319,110 +316,144 @@ fn main() -> ExitCode {
         let findings = emit::filter_records(&mut records, &filter);
         (records, Some(BatchStats { findings, ..s }))
     };
-    let records: Vec<FileRecord> = records;
-
-    // A dying cache must not look like a working one: warn once per
-    // scan when any entry failed to persist.
-    if let Some(s) = &scan_stats {
-        warn_write_errors(s.persistent_write_errors);
-    }
-
-    // Errored files = unreadable inputs + files that read but failed to
-    // parse. Neither kind ever produces a report, so the count is exact
-    // regardless of --jobs.
-    let errored_files = unreadable + records.iter().filter(|r| r.report.is_none()).count();
-    let any_findings =
-        records.iter().filter_map(|r| r.report.as_ref()).any(|r| r.detected_at(Severity::Warning));
-
-    match format {
-        OutputFormat::Text => {
-            for (file, record) in files.iter().zip(&records) {
-                let Some(report) = &record.report else { continue };
-                print!("{report}");
-                for finding in &report.findings {
-                    println!("    hint: {}", finding.kind.suggestion());
-                }
-                if fix {
-                    // The report may have come from the disk cache, so
-                    // the IR is re-derived here; --fix is a rare,
-                    // interactive path where one extra parse is cheap.
-                    let program = parse_program_recovering(&file.source)
-                        .expect("a file with a report parses");
-                    let (fixed, fixes) = Fixer::new().fix(&program);
-                    for f in &fixes {
-                        eprintln!("fix: {f}");
-                    }
-                    print!("{}", pnew_detector::pretty_program(&fixed));
-                }
-            }
-        }
-        OutputFormat::Json => {
-            // Stats and trace carry wall-clock timings, so they embed only
-            // on request — the default envelope is deterministic.
-            let snapshot = trace.as_ref().map(|t| t.snapshot());
-            let embedded = if stats { scan_stats.as_ref() } else { None };
-            print!("{}", emit::render_json(&records, embedded, snapshot.as_ref()));
-        }
-        OutputFormat::Sarif => {
-            print!("{}", emit::render_sarif(&records));
-        }
-    }
-
-    if stats {
-        if let Some(s) = &scan_stats {
-            // The disk tier reports separately from the in-memory
-            // fingerprint cache: "cache" is per-process memoization,
-            // "disk" is the cross-run --cache-dir store.
-            let disk = if cache_dir.is_some() {
-                format!(
-                    ", disk {}/{} hit/miss ({} corrupt, {} write errors)",
-                    s.persistent_hits,
-                    s.persistent_misses,
-                    s.persistent_corrupt,
-                    s.persistent_write_errors
-                )
-            } else {
-                String::new()
-            };
-            eprintln!(
-                "stats: {} programs, {} findings, {} errored files, {:.0} programs/sec, {} jobs, cache {}/{} hit/miss ({:.1}% hit rate){disk}, {:.3}s elapsed",
-                s.programs,
-                s.findings,
-                errored_files,
-                s.programs_per_sec(),
-                s.jobs,
-                s.cache_hits,
-                s.cache_misses,
-                s.cache_hit_rate() * 100.0,
-                s.elapsed.as_secs_f64(),
-            );
-        } else {
-            eprintln!("stats: baseline mode scans serially; no batch stats");
-        }
-        if let Some(t) = &trace {
-            for line in t.snapshot().lines() {
-                eprintln!("{line}");
-            }
-        }
-    }
-
-    if had_errors {
-        ExitCode::from(2)
-    } else if any_findings {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    let tail = Tail {
+        format,
+        stats,
+        trace: trace.as_deref(),
+        disk: cache_dir.is_some(),
+        fix: fix.then_some(files.as_slice()),
+    };
+    tail.finish(&records, scan_stats.as_ref(), unreadable, had_errors, None)
 }
 
-/// Warns (once per scan) when persistent-cache writes failed: each
-/// failure degrades one file to uncached, and a silently dying cache
-/// looks exactly like a working one.
-fn warn_write_errors(write_errors: u64) {
-    if write_errors > 0 {
-        eprintln!(
-            "pncheck: warning: {write_errors} cache write error(s); those results were not persisted"
-        );
+/// How `main`'s full scan and `--delta` report a finished scan: the
+/// rendered records on stdout, the `--stats` lines on stderr, and the
+/// exit status.
+struct Tail<'a> {
+    format: OutputFormat,
+    stats: bool,
+    trace: Option<&'a TraceCollector>,
+    /// The stats line reports the disk tier (`--cache-dir`; always
+    /// under `--delta`).
+    disk: bool,
+    /// `--fix`: each record's source, remediated and printed after its
+    /// report (text format only).
+    fix: Option<&'a [SourceFile]>,
+}
+
+impl Tail<'_> {
+    /// Renders `records` and returns the exit status. `scan` is `None`
+    /// under `--baseline`, which runs no batch engine; `unreadable`
+    /// counts the inputs that never became a record; `delta_line` is
+    /// the `--delta` accounting printed after the stats line.
+    fn finish(
+        &self,
+        records: &[FileRecord],
+        scan: Option<&BatchStats>,
+        unreadable: usize,
+        had_errors: bool,
+        delta_line: Option<String>,
+    ) -> ExitCode {
+        // A dying cache must not look like a working one: warn once per
+        // scan when any entry failed to persist.
+        let write_errors = scan.map_or(0, |s| s.persistent_write_errors);
+        if write_errors > 0 {
+            eprintln!(
+                "pncheck: warning: {write_errors} cache write error(s); those results were not persisted"
+            );
+        }
+
+        // Errored files = unreadable inputs + files that read but failed
+        // to parse. Neither kind ever produces a report, so the count is
+        // exact regardless of --jobs.
+        let errored_files = unreadable + records.iter().filter(|r| r.report.is_none()).count();
+        let any_findings = records
+            .iter()
+            .filter_map(|r| r.report.as_ref())
+            .any(|r| r.detected_at(Severity::Warning));
+
+        match self.format {
+            OutputFormat::Text => {
+                for (i, record) in records.iter().enumerate() {
+                    let Some(report) = &record.report else { continue };
+                    print!("{report}");
+                    for finding in &report.findings {
+                        println!("    hint: {}", finding.kind.suggestion());
+                    }
+                    if let Some(sources) = self.fix {
+                        // The report may have come from the disk cache,
+                        // so the IR is re-derived here; --fix is a rare,
+                        // interactive path where one extra parse is cheap.
+                        let program = parse_program_recovering(&sources[i].source)
+                            .expect("a file with a report parses");
+                        let (fixed, fixes) = Fixer::new().fix(&program);
+                        for f in &fixes {
+                            eprintln!("fix: {f}");
+                        }
+                        print!("{}", pnew_detector::pretty_program(&fixed));
+                    }
+                }
+            }
+            OutputFormat::Json => {
+                // Stats and trace carry wall-clock timings, so they embed
+                // only on request — the default envelope is deterministic.
+                let snapshot = self.trace.map(|t| t.snapshot());
+                let embedded = if self.stats { scan } else { None };
+                print!("{}", emit::render_json(records, embedded, snapshot.as_ref()));
+            }
+            OutputFormat::Sarif => {
+                print!("{}", emit::render_sarif(records));
+            }
+        }
+
+        if self.stats {
+            if let Some(s) = scan {
+                // The disk tier reports separately from the in-memory
+                // fingerprint cache: "cache" is per-process memoization,
+                // "disk" is the cross-run --cache-dir store.
+                let disk = if self.disk {
+                    format!(
+                        ", disk {}/{} hit/miss ({} corrupt, {} write errors)",
+                        s.persistent_hits,
+                        s.persistent_misses,
+                        s.persistent_corrupt,
+                        s.persistent_write_errors
+                    )
+                } else {
+                    String::new()
+                };
+                eprintln!(
+                    "stats: {} programs, {} findings, {} errored files, {:.0} programs/sec, {} jobs, cache {}/{} hit/miss ({:.1}% hit rate){disk}, {:.3}s elapsed",
+                    s.programs,
+                    s.findings,
+                    errored_files,
+                    s.programs_per_sec(),
+                    s.jobs,
+                    s.cache_hits,
+                    s.cache_misses,
+                    s.cache_hit_rate() * 100.0,
+                    s.elapsed.as_secs_f64(),
+                );
+            } else {
+                eprintln!("stats: baseline mode scans serially; no batch stats");
+            }
+            if let Some(line) = delta_line {
+                eprintln!("{line}");
+            }
+            if let Some(t) = self.trace {
+                for line in t.snapshot().lines() {
+                    eprintln!("{line}");
+                }
+            }
+        }
+
+        if had_errors {
+            ExitCode::from(2)
+        } else if any_findings {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
+        }
     }
 }
 
@@ -433,9 +464,7 @@ fn run_delta(
     paths: &[String],
     engine: &BatchEngine,
     filter: &ReportFilter,
-    format: OutputFormat,
-    stats: bool,
-    trace: Option<&TraceCollector>,
+    tail: &Tail<'_>,
     mut had_errors: bool,
 ) -> ExitCode {
     let seeded = engine.seed_tracked_from_manifest();
@@ -469,81 +498,24 @@ fn run_delta(
             errors: o.errors.clone(),
         });
     }
-    warn_write_errors(scan_stats.persistent_write_errors);
     let findings = emit::filter_records(&mut records, filter);
     let scan_stats = BatchStats { findings, ..scan_stats };
-
-    let errored_files = unreadable + records.iter().filter(|r| r.report.is_none()).count();
-    let any_findings =
-        records.iter().filter_map(|r| r.report.as_ref()).any(|r| r.detected_at(Severity::Warning));
-
-    match format {
-        OutputFormat::Text => {
-            for record in &records {
-                let Some(report) = &record.report else { continue };
-                print!("{report}");
-                for finding in &report.findings {
-                    println!("    hint: {}", finding.kind.suggestion());
-                }
-            }
-        }
-        OutputFormat::Json => {
-            let snapshot = trace.map(|t| t.snapshot());
-            let embedded = stats.then_some(&scan_stats);
-            print!("{}", emit::render_json(&records, embedded, snapshot.as_ref()));
-        }
-        OutputFormat::Sarif => {
-            print!("{}", emit::render_sarif(&records));
-        }
-    }
-
-    if stats {
-        let s = &scan_stats;
-        eprintln!(
-            "stats: {} programs, {} findings, {} errored files, {:.0} programs/sec, {} jobs, cache {}/{} hit/miss ({:.1}% hit rate), disk {}/{} hit/miss ({} corrupt, {} write errors), {:.3}s elapsed",
-            s.programs,
-            s.findings,
-            errored_files,
-            s.programs_per_sec(),
-            s.jobs,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_hit_rate() * 100.0,
-            s.persistent_hits,
-            s.persistent_misses,
-            s.persistent_corrupt,
-            s.persistent_write_errors,
-            s.elapsed.as_secs_f64(),
-        );
-        eprintln!(
-            "delta: {} tracked, {} unchanged, {} changed, {} added, {} removed, {} seeded, cone {}/{} functions ({} changed), {} functions reanalyzed, {} functions reused, {} stat fastpath",
-            delta.tracked_files,
-            delta.unchanged_files,
-            delta.changed_files,
-            delta.added_files,
-            delta.removed_files,
-            seeded,
-            delta.cone_functions,
-            delta.tracked_functions,
-            delta.changed_functions,
-            delta.functions_reanalyzed,
-            delta.functions_reused,
-            delta.stat_fastpath_hits,
-        );
-        if let Some(t) = trace {
-            for line in t.snapshot().lines() {
-                eprintln!("{line}");
-            }
-        }
-    }
-
-    if had_errors {
-        ExitCode::from(2)
-    } else if any_findings {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    let delta_line = tail.stats.then(|| format!(
+        "delta: {} tracked, {} unchanged, {} changed, {} added, {} removed, {} seeded, cone {}/{} functions ({} changed), {} functions reanalyzed, {} functions reused, {} stat fastpath",
+        delta.tracked_files,
+        delta.unchanged_files,
+        delta.changed_files,
+        delta.added_files,
+        delta.removed_files,
+        seeded,
+        delta.cone_functions,
+        delta.tracked_functions,
+        delta.changed_functions,
+        delta.functions_reanalyzed,
+        delta.functions_reused,
+        delta.stat_fastpath_hits,
+    ));
+    tail.finish(&records, Some(&scan_stats), unreadable, had_errors, delta_line)
 }
 
 /// The `--oracle` mode: run the analyzer/executor differential over

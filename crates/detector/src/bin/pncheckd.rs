@@ -19,13 +19,8 @@
 //!                            min_severity replaces it)
 //!   --disable KIND           disable one finding kind (repeatable; a
 //!                            request's disable adds to these)
-//!   --no-summaries           analyze without function summaries
 //!   --cache-dir DIR          persistent cache shared across restarts;
 //!                            an unusable DIR fails startup (exit 2)
-//!   --shard K/N              serve replica K of an N-way fleet: only
-//!                            fingerprints with key % N == K are kept
-//!                            warm or written to the cache (results
-//!                            stay complete for every request)
 //!   --max-request-bytes N    request line limit (default 4194304)
 //!   --max-connections N      fair-queuing design point (default 32);
 //!                            connections beyond it queue, and "busy"
@@ -61,7 +56,7 @@ use std::time::Duration;
 use pnew_detector::cliopts::CommonOpts;
 use pnew_detector::server::{parse_json, JsonNode, Server, ServerConfig};
 
-const USAGE: &str = "usage: pncheckd [--listen ADDR:PORT] [--jobs N] [--min-severity LEVEL] [--disable KIND]... [--no-summaries] [--cache-dir DIR] [--shard K/N] [--max-request-bytes N] [--max-connections N] [--client-quota N] [--idle-timeout-secs N] [--watch ROOT]... [--watch-interval-ms N] [--watch-cycles N]";
+const USAGE: &str = "usage: pncheckd [--listen ADDR:PORT] [--jobs N] [--min-severity LEVEL] [--disable KIND]... [--cache-dir DIR] [--max-request-bytes N] [--max-connections N] [--client-quota N] [--idle-timeout-secs N] [--watch ROOT]... [--watch-interval-ms N] [--watch-cycles N]";
 
 fn main() -> ExitCode {
     let mut listen: Option<String> = None;
@@ -105,19 +100,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 };
                 cache_dir = Some(PathBuf::from(dir));
-            }
-            "--shard" => {
-                let Some(spec) = args.next() else {
-                    eprintln!("pncheckd: --shard needs K/N");
-                    return ExitCode::from(2);
-                };
-                match pnew_detector::cliopts::parse_shard(&spec) {
-                    Ok(spec) => server_config.shard = Some(spec),
-                    Err(e) => {
-                        eprintln!("pncheckd: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
             }
             "--max-request-bytes" => {
                 let n: usize = numeric_value!("--max-request-bytes");
@@ -180,7 +162,6 @@ fn main() -> ExitCode {
         eprintln!("pncheckd: --watch and --listen are exclusive");
         return ExitCode::from(2);
     }
-    server_config.base = opts.config;
     server_config.filter = opts.filter;
     server_config.jobs = opts.jobs;
     server_config.cache_dir = cache_dir;

@@ -11,10 +11,10 @@
 //!
 //! * an 8-byte magic plus a schema version — entries written by an
 //!   incompatible binary are treated as misses, not errors;
-//! * an analyzer-config tag — a cache populated under a different
-//!   `--no-summaries` setting (or by a detector with a different rule
-//!   set) never serves stale verdicts. Entries hold the unfiltered
-//!   analysis, so `--min-severity`/`--disable` share every entry;
+//! * a tag over the schema version and the rule inventory — a cache
+//!   populated by a detector with a different rule set never serves
+//!   stale verdicts. Entries hold the unfiltered analysis, so
+//!   `--min-severity`/`--disable` share every entry;
 //! * a checksum over the payload plus strict bounds-checked decoding —
 //!   torn writes and bit rot surface as [`CacheLookup::Corrupt`], which
 //!   callers degrade to a re-analysis (plus a warning), never a crash or
@@ -90,7 +90,6 @@ pub struct CachedAnalysis {
     /// entry-summary findings, deduplicated by full content.
     /// `summaries[i].finding_ids` index into it — the substrate a
     /// partial re-analysis hydrates unchanged functions' findings from.
-    /// Empty for inline-mode (`--no-summaries`) entries.
     pub finding_pool: Vec<Finding>,
 }
 
@@ -142,23 +141,17 @@ pub struct PersistentCacheStats {
 }
 
 /// Tag folding everything that decides what an entry holds: the schema
-/// version, the interprocedural strategy flag, and the rule inventory
-/// itself (so adding a finding kind invalidates old entries). Which
-/// findings a caller sees is not part of it: entries hold the
-/// unfiltered analysis.
-fn config_tag(config: &AnalyzerConfig) -> u64 {
-    let canon = format!(
-        "v{}|sum:{}|rules:{}",
-        SCHEMA_VERSION,
-        config.use_summaries,
-        FindingKind::ALL.len()
-    );
+/// version and the rule inventory itself (so adding a finding kind
+/// invalidates old entries). Which findings a caller sees is not part
+/// of it: entries hold the unfiltered analysis.
+fn config_tag() -> u64 {
+    let canon = format!("v{}|rules:{}", SCHEMA_VERSION, FindingKind::ALL.len());
     (fnv128(canon.as_bytes()) & u128::from(u64::MAX)) as u64
 }
 
 impl PersistentCache {
-    /// Opens (creating if needed) the cache directory, bound to the
-    /// analyzer configuration whose results it stores.
+    /// Opens (creating if needed) the cache directory. `config` has no
+    /// fields (see [`AnalyzerConfig`]) and does not affect the cache.
     ///
     /// The store is probed for writability up front: a cache that
     /// could never store an entry (read-only directory, permission
@@ -175,13 +168,13 @@ impl PersistentCache {
     /// fail-fast constructor for plain directories.
     pub fn with_backend(
         dir: &Path,
-        config: &AnalyzerConfig,
+        _config: &AnalyzerConfig,
         backend: Box<dyn CacheBackend>,
     ) -> Self {
         PersistentCache {
             dir: dir.to_path_buf(),
             backend,
-            config_tag: config_tag(config),
+            config_tag: config_tag(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
@@ -190,29 +183,28 @@ impl PersistentCache {
         }
     }
 
-    /// Probes the cache for `key`.
+    /// Probes the cache for `key`, counting the outcome in
+    /// [`stats`](Self::stats).
     pub fn get(&self, key: u128) -> CacheLookup {
-        let bytes = match self.backend.load(key) {
-            Some(b) => b,
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return CacheLookup::Miss;
-            }
-        };
-        match decode_entry(&bytes, key, self.config_tag) {
-            Decoded::Entry(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Hit(entry)
-            }
-            Decoded::Stale => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Miss
-            }
-            Decoded::Broken => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+        let lookup = self.peek(key);
+        match lookup {
+            CacheLookup::Hit(_) => &self.hits,
+            CacheLookup::Miss => &self.misses,
+            CacheLookup::Corrupt => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Corrupt
+                &self.misses
             }
+        }
+        .fetch_add(1, Ordering::Relaxed);
+        lookup
+    }
+
+    /// [`get`](Self::get) without counting, for a read that serves no
+    /// file: the delta's look at an edited file's previous entry.
+    pub(crate) fn peek(&self, key: u128) -> CacheLookup {
+        match self.backend.load(key) {
+            Some(bytes) => decode_entry(&bytes, key, self.config_tag),
+            None => CacheLookup::Miss,
         }
     }
 
@@ -276,32 +268,24 @@ impl PersistentCache {
     }
 }
 
-enum Decoded {
-    Entry(CachedAnalysis),
-    /// Readable but written under another schema/config: a miss.
-    Stale,
-    /// Unreadable: checksum or structure failure.
-    Broken,
-}
-
-fn decode_entry(bytes: &[u8], key: u128, config_tag: u64) -> Decoded {
+/// Classifies one entry's bytes: an entry written under another schema
+/// or config tag is stale (a miss); a checksum or structure failure is
+/// corrupt.
+fn decode_entry(bytes: &[u8], key: u128, config_tag: u64) -> CacheLookup {
     if bytes.len() < 36 || &bytes[..8] != MAGIC {
-        return Decoded::Broken;
+        return CacheLookup::Corrupt;
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     let tag = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
     if version != SCHEMA_VERSION || tag != config_tag {
-        return Decoded::Stale;
+        return CacheLookup::Miss;
     }
     let check = u128::from_le_bytes(bytes[20..36].try_into().expect("16 bytes"));
     let payload = &bytes[36..];
     if fnv128(payload) != check {
-        return Decoded::Broken;
+        return CacheLookup::Corrupt;
     }
-    match decode_payload(payload, key) {
-        Some(entry) => Decoded::Entry(entry),
-        None => Decoded::Broken,
-    }
+    decode_payload(payload, key).map_or(CacheLookup::Corrupt, CacheLookup::Hit)
 }
 
 fn put_finding(out: &mut Vec<u8>, f: &Finding) {
@@ -588,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn only_the_strategy_flag_changes_the_tag() {
+    fn a_second_handle_serves_the_one_entry() {
         let dir = tmp_dir("config");
         let key = source_fingerprint("x");
         let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
@@ -597,11 +581,6 @@ mod tests {
         // over the same directory serves the one unfiltered entry.
         let again = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
         assert_eq!(again.get(key), CacheLookup::Hit(sample_entry()));
-        let inline = AnalyzerConfig { use_summaries: false };
-        assert_ne!(config_tag(&inline), config_tag(&AnalyzerConfig::default()));
-        let third = PersistentCache::open(&dir, &inline).unwrap();
-        assert_eq!(third.get(key), CacheLookup::Miss, "strategy flag is part of the tag");
-        assert_eq!(third.stats().corrupt, 0, "a foreign tag is stale, not corrupt");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -645,6 +624,13 @@ mod tests {
         future[8..12].copy_from_slice(&(SCHEMA_VERSION + 1).to_le_bytes());
         fs::write(&path, &future).unwrap();
         assert_eq!(cache.get(key), CacheLookup::Miss);
+
+        // A foreign config tag: stale too.
+        let mut foreign_tag = good.clone();
+        foreign_tag[12..20].copy_from_slice(&(config_tag() ^ 1).to_le_bytes());
+        fs::write(&path, &foreign_tag).unwrap();
+        assert_eq!(cache.get(key), CacheLookup::Miss);
+        assert_eq!(cache.stats().corrupt, 0, "a stale entry is not a corrupt one");
 
         // Foreign magic: broken.
         let mut foreign = good;

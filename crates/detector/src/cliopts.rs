@@ -15,8 +15,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::analysis::AnalyzerConfig;
-use crate::batch::ShardSpec;
 use crate::emit::OutputFormat;
 use crate::findings::{FindingKind, ReportFilter, Severity};
 
@@ -43,19 +41,6 @@ pub fn parse_format(value: &str) -> Result<OutputFormat, String> {
     value.parse::<OutputFormat>()
 }
 
-/// Parses a shard slice `K/N`: replica K (zero-based) of N, so `0/2`
-/// and `1/2` together cover the fingerprint space.
-pub fn parse_shard(value: &str) -> Result<ShardSpec, String> {
-    let bad = || format!("--shard needs K/N with K < N (got {value:?})");
-    let (index, count) = value.split_once('/').ok_or_else(bad)?;
-    let index: u32 = index.parse().map_err(|_| bad())?;
-    let count: u32 = count.parse().map_err(|_| bad())?;
-    if count == 0 || index >= count {
-        return Err(bad());
-    }
-    Ok(ShardSpec { index, count })
-}
-
 /// The options every detector front end shares, with their defaults.
 #[derive(Debug, Clone, Default)]
 pub struct CommonOpts {
@@ -64,8 +49,6 @@ pub struct CommonOpts {
     pub jobs: Option<usize>,
     /// Output format selection.
     pub format: OutputFormat,
-    /// Analyzer configuration (`--no-summaries`).
-    pub config: AnalyzerConfig,
     /// Which findings to report (`--min-severity`, `--disable`),
     /// applied to each finished report before it is counted or
     /// rendered; the analysis and its caches never see it.
@@ -103,10 +86,6 @@ impl CommonOpts {
                 Some(v) => parse_format(&v).map(|f| self.format = f),
                 None => Err("--format needs a value (text|json|sarif)".to_owned()),
             }),
-            "--no-summaries" => {
-                self.config.use_summaries = false;
-                Some(Ok(()))
-            }
             _ => None,
         }
     }
@@ -211,25 +190,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_parser_requires_k_strictly_below_n() {
-        assert_eq!(parse_shard("0/2"), Ok(ShardSpec { index: 0, count: 2 }));
-        assert_eq!(parse_shard("3/8"), Ok(ShardSpec { index: 3, count: 8 }));
-        for bad in ["2/2", "5/4", "0/0", "1", "a/b", "-1/2", "1/", "/2", ""] {
-            assert!(parse_shard(bad).is_err(), "{bad:?} must be rejected");
-        }
-    }
-
-    #[test]
     fn accept_consumes_shared_flags_and_ignores_others() {
         let mut opts = CommonOpts::default();
         let mut rest = vec!["2".to_owned(), "error".to_owned()].into_iter();
         assert_eq!(opts.accept("--jobs", &mut rest), Some(Ok(())));
         assert_eq!(opts.accept("--min-severity", &mut rest), Some(Ok(())));
-        assert_eq!(opts.accept("--no-summaries", &mut rest), Some(Ok(())));
         assert_eq!(opts.accept("--baseline", &mut rest), None);
         assert_eq!(opts.jobs, Some(2));
         assert_eq!(opts.filter.min_severity, Severity::Error);
-        assert!(!opts.config.use_summaries);
     }
 
     #[test]

@@ -152,13 +152,6 @@ impl Executor {
         Executor { max_loop_iters: 64, max_call_depth: 8, hostile_int: 1536 }
     }
 
-    /// Overrides the tainted-parameter value.
-    #[must_use]
-    pub fn with_hostile_int(mut self, value: i64) -> Self {
-        self.hostile_int = value;
-        self
-    }
-
     /// Executes every function of `program` as an entry point against
     /// the attacker input script `inputs`, and returns the union of
     /// ground-truth observations.

@@ -19,7 +19,7 @@
 //!   that knows classic copy-overflows but has no concept of placement
 //!   new, used to reproduce the paper's coverage-gap claim (E21);
 //! * the [`server`] — `pncheckd`, the detector as a persistent service:
-//!   one warm [`BatchEngine`] per configuration behind a versioned
+//!   one warm [`BatchEngine`] per daemon behind a versioned
 //!   newline-delimited JSON protocol over stdio or TCP.
 //!
 //! # Examples
@@ -72,8 +72,7 @@ pub use analysis::{Analyzer, AnalyzerConfig, PartialAnalysis};
 pub use backend::{CacheBackend, DirBackend};
 pub use baseline::BaselineChecker;
 pub use batch::{
-    fingerprint, BatchEngine, BatchStats, CacheStats, DeltaStats, ShardSpec, SourceOutcome,
-    TrackedOutcome,
+    fingerprint, BatchEngine, BatchStats, CacheStats, DeltaStats, SourceOutcome, TrackedOutcome,
 };
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use cache::{

@@ -63,7 +63,7 @@
 //! every connection decision: framing, fair queuing, protocol errors,
 //! output buffering, idle reaping, closing and draining.
 //!
-//! # Fleet mode
+//! # Load
 //!
 //! Over TCP, connections are non-blocking, requests queue fairly per
 //! client, and a worker pool drains the queue. Load beyond
@@ -72,9 +72,7 @@
 //! (8 × `max_connections`), and a client that pipelines past its
 //! per-connection quota ([`ServerConfig::client_quota`]) gets a
 //! `quota-exceeded` error for the excess request while the connection
-//! survives. Replicas can split the fingerprint space
-//! ([`ServerConfig::shard`], CLI `--shard K/N`) so each daemon keeps
-//! only its slice warm, in memory and on disk.
+//! survives.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -88,7 +86,7 @@ use std::time::Duration;
 
 use crate::analysis::{Analyzer, AnalyzerConfig};
 use crate::backend::{CacheBackend, DirBackend};
-use crate::batch::{BatchEngine, BatchStats, ShardSpec};
+use crate::batch::{BatchEngine, BatchStats};
 use crate::cache::PersistentCache;
 use crate::cliopts;
 use crate::clock::{Clock, SystemClock};
@@ -101,7 +99,7 @@ use crate::trace::TraceCollector;
 pub const PROTOCOL: &str = "pncheckd/1";
 
 /// The stats payload schema.
-pub const STATS_SCHEMA: &str = "pncheckd-stats/3";
+pub const STATS_SCHEMA: &str = "pncheckd-stats/4";
 
 // ---------------------------------------------------------------------
 // A minimal, defensive JSON parser.
@@ -589,9 +587,6 @@ fn parse_request(
 /// Tunables for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The configuration of the daemon's one analyzer (`--no-summaries`);
-    /// no request can change it.
-    pub base: AnalyzerConfig,
     /// The filter requests inherit (`pncheckd --min-severity`,
     /// `--disable`): a request's `min_severity` replaces its threshold
     /// and its `disable` adds kinds, for that request only.
@@ -600,9 +595,6 @@ pub struct ServerConfig {
     pub jobs: Option<usize>,
     /// Directory for the persistent cache tier; `None` disables it.
     pub cache_dir: Option<PathBuf>,
-    /// This replica's slice of the fingerprint space (`--shard K/N`);
-    /// `None` serves (and warms) every key.
-    pub shard: Option<ShardSpec>,
     /// Longest accepted request line, in bytes. Longer lines are
     /// discarded and answered with a `too-large` error.
     pub max_request_bytes: usize,
@@ -652,11 +644,9 @@ impl fmt::Debug for BackendWrap {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            base: AnalyzerConfig::default(),
             filter: ReportFilter::default(),
             jobs: None,
             cache_dir: None,
-            shard: None,
             max_request_bytes: 4 * 1024 * 1024,
             max_connections: 32,
             client_quota: 16,
@@ -719,8 +709,7 @@ impl Server {
     /// underlying error — instead of degrading silently per request.
     pub fn new(config: ServerConfig) -> io::Result<Self> {
         let started_ns = config.clock.now_ns();
-        let mut engine = BatchEngine::new(Analyzer::with_config(config.base.clone()))
-            .with_clock(Arc::clone(&config.clock));
+        let mut engine = BatchEngine::new(Analyzer::new()).with_clock(Arc::clone(&config.clock));
         if let Some(jobs) = config.jobs {
             engine = engine.with_jobs(jobs);
         }
@@ -732,12 +721,9 @@ impl Server {
             };
             engine = engine.with_persistent_cache(PersistentCache::with_backend(
                 dir,
-                &config.base,
+                &AnalyzerConfig::default(),
                 backend,
             ));
-        }
-        if let Some(shard) = config.shard {
-            engine = engine.with_shard(shard);
         }
         Ok(Server {
             config,
@@ -968,7 +954,7 @@ impl Server {
         Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false }
     }
 
-    /// The `pncheckd-stats/3` payload: request counters, connection
+    /// The `pncheckd-stats/4` payload: request counters, connection
     /// state, and the engine's cache/parse counters.
     fn render_stats(&self) -> String {
         let engine = &self.engine;
@@ -1021,16 +1007,6 @@ impl Server {
                     ("hard_cap", JsonValue::U64(hard_connection_cap(&self.config) as u64)),
                     ("client_quota", JsonValue::U64(self.config.client_quota as u64)),
                 ]),
-            ),
-            (
-                "fleet",
-                obj(vec![(
-                    "shard",
-                    match self.config.shard {
-                        Some(shard) => emit::s(format!("{}/{}", shard.index, shard.count)),
-                        None => JsonValue::Null,
-                    },
-                )]),
             ),
             (
                 "analysis",

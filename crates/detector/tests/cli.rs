@@ -519,3 +519,29 @@ fn delta_run_surfaces_unreadable_files_like_a_full_scan() {
     assert!(stderr.contains("b.pnx"), "{stderr}");
     assert!(!stdout.contains("b.pnx"), "no record for the unreadable file: {stdout}");
 }
+
+#[test]
+fn delta_edit_over_a_corrupt_old_entry_neither_warns_nor_counts_it() {
+    // The delta reads an edited file's previous entry only to size the
+    // invalidation cone. That entry's key names text that no longer
+    // exists, so a broken one is nothing to warn about or rewrite, and
+    // the read serves no file, so it is not a disk lookup either.
+    let dir = TempDir::new("delta-corrupt-old");
+    let old_text = CLEAN.replace("cli-clean", "cli-other");
+    dir.write("a.pnx", CLEAN);
+    dir.write("b.pnx", &old_text);
+    let cache = dir.path().join("cache");
+    let delta = ["--delta", "--cache-dir", cache.to_str().unwrap(), "--format", "sarif", "--stats"];
+    run_on_dir(&delta, &dir);
+
+    let old_key = pnew_detector::source_fingerprint(&old_text);
+    std::fs::write(cache.join(format!("{old_key:032x}.pnc")), b"PNXCACHEgarbage").unwrap();
+    dir.write("b.pnx", &VULNERABLE.replace("cli-demo", "cli-other"));
+    let (reference, _, ref_code) = run_on_dir(&["--format", "sarif"], &dir);
+    let (got, stderr, code) = run_on_dir(&delta, &dir);
+    assert_eq!((got.as_str(), code), (reference.as_str(), ref_code), "{stderr}");
+    assert_eq!(ref_code, 1, "the edit introduced a finding");
+    assert!(!stderr.contains("corrupt cache entry"), "{stderr}");
+    assert!(stderr.contains(", disk 1/1 hit/miss (0 corrupt,"), "{stderr}");
+    assert!(stderr.contains("1 unchanged, 1 changed"), "{stderr}");
+}

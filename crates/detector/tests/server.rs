@@ -11,7 +11,7 @@
 //! * **lifecycle** — warm-cache behavior across requests, idle-timeout
 //!   reaping (never while a request is queued or in flight), fair
 //!   queuing beyond `--max-connections` with `busy` only at the hard
-//!   cap, per-client quotas, fleet sharding, and clean shutdown.
+//!   cap, per-client quotas, and clean shutdown.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
@@ -540,53 +540,6 @@ fn idle_reaping_never_tears_a_frame_at_the_timeout_boundary() {
     let mut rest = String::new();
     reader.read_line(&mut rest).expect("EOF after timeout");
     assert!(rest.is_empty(), "expected EOF, got {rest:?}");
-}
-
-/// Two sharded replicas split the warm state — in memory and on disk —
-/// but serve byte-identical envelopes, each equal to one-shot `pncheck`.
-#[test]
-fn sharded_replicas_serve_identical_envelopes() {
-    let (cli_json, _) = pncheck_output(&["--format", "json", EXAMPLES]);
-    let caches = [TempDir::new("shard0"), TempDir::new("shard1")];
-    for (replica, cache) in caches.iter().enumerate() {
-        let shard = format!("{replica}/2");
-        let daemon = Daemon::start(&["--shard", &shard, "--cache-dir", cache.0.to_str().unwrap()]);
-        let (mut reader, mut writer) = daemon.connect();
-        writer.write_all(analyze_paths_request(1, EXAMPLES).as_bytes()).unwrap();
-        let (_, cold) = read_reply(&mut reader);
-        writer.write_all(analyze_paths_request(2, EXAMPLES).as_bytes()).unwrap();
-        let (_, warm) = read_reply(&mut reader);
-        assert_eq!(cold, cli_json, "shard {shard} cold envelope differs from pncheck");
-        assert_eq!(warm, cli_json, "shard {shard} warm envelope differs from pncheck");
-
-        // The stats payload advertises the fleet placement.
-        writer.write_all(b"{\"op\":\"stats\",\"id\":3}\n").unwrap();
-        let (_, stats) = read_reply(&mut reader);
-        let JsonNode::Obj(fields) = parse_json(stats.trim()).unwrap() else { panic!() };
-        let JsonNode::Obj(fleet) = field(&fields, "fleet").clone() else {
-            panic!("no fleet block: {stats}")
-        };
-        assert_eq!(field(&fleet, "shard"), &JsonNode::Str(shard.clone()));
-        let JsonNode::Obj(analysis) = field(&fields, "analysis").clone() else { panic!() };
-        assert_eq!(
-            int_field(&analysis, "fingerprint_lookups"),
-            int_field(&analysis, "fingerprint_hits") + int_field(&analysis, "fingerprint_misses"),
-            "stats snapshot must never be torn: {stats}"
-        );
-
-        writer.write_all(b"{\"op\":\"shutdown\",\"id\":4}\n").unwrap();
-        read_reply(&mut reader);
-        daemon.wait_clean(Duration::from_secs(10));
-
-        // Only the replica's own keys reach its disk tier.
-        for entry in std::fs::read_dir(&cache.0).unwrap() {
-            let name = entry.unwrap().file_name().into_string().unwrap();
-            if let Some(stem) = name.strip_suffix(".pnc") {
-                let key = u128::from_str_radix(stem, 16).unwrap();
-                assert_eq!(key % 2, replica as u128, "{name} is not owned by shard {shard}");
-            }
-        }
-    }
 }
 
 #[test]

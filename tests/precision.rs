@@ -16,7 +16,7 @@
 use placement_new_attacks::corpus::workload::{self, GUARDED_SHAPES};
 use placement_new_attacks::detector::emit::{render_json, render_sarif, FileRecord};
 use placement_new_attacks::detector::oracle::{Matrix, Oracle};
-use placement_new_attacks::detector::{Analyzer, AnalyzerConfig, BatchEngine, Severity};
+use placement_new_attacks::detector::{Analyzer, BatchEngine, Report, Severity};
 
 const SEED: u64 = 7;
 const COUNT: usize = 70; // ten full cycles of the seven shapes
@@ -71,9 +71,7 @@ fn every_runtime_safe_non_clobber_shape_is_fully_suppressed() {
 fn guarded_scan_is_byte_deterministic_across_jobs_and_summary_modes() {
     let programs: Vec<_> =
         workload::guarded_corpus(SEED, COUNT).into_iter().map(|c| c.program).collect();
-    let render = |jobs: usize, use_summaries: bool| {
-        let analyzer = Analyzer::with_config(AnalyzerConfig { use_summaries });
-        let reports = BatchEngine::new(analyzer).with_jobs(jobs).scan(&programs);
+    let render = |reports: Vec<Report>| {
         let records: Vec<FileRecord> = reports
             .into_iter()
             .enumerate()
@@ -85,13 +83,11 @@ fn guarded_scan_is_byte_deterministic_across_jobs_and_summary_modes() {
             .collect();
         (render_json(&records, None, None), render_sarif(&records))
     };
-    let baseline = render(1, true);
-    for (jobs, summaries) in [(4, true), (1, false), (4, false)] {
-        assert_eq!(
-            render(jobs, summaries),
-            baseline,
-            "output drifted at jobs={jobs} summaries={summaries}"
-        );
+    let summaries = |jobs: usize| BatchEngine::new(Analyzer::new()).with_jobs(jobs).scan(&programs);
+    // The reference: the inline re-walk, one program at a time.
+    let inline = render(programs.iter().map(|p| Analyzer::new().analyze_inline(p)).collect());
+    for jobs in [1, 4] {
+        assert_eq!(render(summaries(jobs)), inline, "output drifted at jobs={jobs}");
     }
 }
 

@@ -5,15 +5,16 @@
 use placement_new_attacks::corpus::workload;
 use placement_new_attacks::detector::{
     Analyzer, AnalyzerConfig, BatchEngine, Expr, FindingKind, Matrix, Oracle, PersistentCache,
-    Program, ProgramBuilder, Severity, Ty,
+    Program, ProgramBuilder, Report, Severity, Ty,
 };
 
 fn summary_analyzer() -> Analyzer {
-    Analyzer::with_config(AnalyzerConfig::default())
+    Analyzer::new()
 }
 
-fn inline_analyzer() -> Analyzer {
-    Analyzer::with_config(AnalyzerConfig { use_summaries: false })
+/// The inline re-walk reference the summary engine must match.
+fn inline(program: &Program) -> Report {
+    Analyzer::new().analyze_inline(program)
 }
 
 /// A straight call chain `f0 -> f1 -> … -> f{len-1}`, deeper than the
@@ -56,10 +57,9 @@ fn summary_findings_match_inline_on_the_full_generated_corpus() {
     // re-walk it replaced — same findings, same order, same rendering.
     let programs = workload::corpus(7, 1000);
     let summary = summary_analyzer();
-    let inline = inline_analyzer();
     for program in &programs {
         let s = summary.analyze(program);
-        let i = inline.analyze(program);
+        let i = inline(program);
         assert_eq!(s, i, "{}: summary and inline reports diverge", program.name);
         assert_eq!(s.to_string(), i.to_string(), "{}: rendering diverges", program.name);
     }
@@ -74,7 +74,7 @@ fn summary_findings_match_inline_on_deep_and_fan_in_shapes() {
         workload::deep_call_corpus(11, 1).iter().chain(&workload::fan_in_call_corpus(11, 4))
     {
         let s = summary_analyzer().analyze(program);
-        let i = inline_analyzer().analyze(program);
+        let i = inline(program);
         assert_eq!(s, i, "{}: summary and inline reports diverge", program.name);
     }
 }
@@ -87,8 +87,7 @@ fn depth_limit_yields_a_deterministic_diagnostic_on_a_64_deep_chain() {
     // engines and across repeated runs.
     let program = chain_program(64);
     let summary = summary_analyzer().analyze(&program);
-    let inline = inline_analyzer().analyze(&program);
-    assert_eq!(summary, inline);
+    assert_eq!(summary, inline(&program));
     assert_eq!(summary, summary_analyzer().analyze(&program), "diagnostic is not deterministic");
 
     let diagnostics: Vec<_> =
@@ -107,8 +106,7 @@ fn depth_limit_yields_a_deterministic_diagnostic_on_a_64_deep_chain() {
 fn mutual_recursion_terminates_with_diagnostics_in_both_engines() {
     let program = mutually_recursive_pair();
     let summary = summary_analyzer().analyze(&program);
-    let inline = inline_analyzer().analyze(&program);
-    assert_eq!(summary, inline);
+    assert_eq!(summary, inline(&program));
     assert!(
         summary.findings.iter().any(|f| f.kind == FindingKind::AnalysisDepthExceeded),
         "recursion must be reported, not silently abandoned: {summary}"
@@ -161,13 +159,13 @@ fn warm_persistent_cache_reproduces_the_corpus_scan_exactly() {
         .collect();
 
     let analyzer = Analyzer::new();
-    let cold_cache = PersistentCache::open(&dir, analyzer.config()).unwrap();
+    let cold_cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
     let cold = BatchEngine::new(analyzer).with_jobs(4).with_persistent_cache(cold_cache);
     let (first, cold_stats) = cold.scan_sources_with_stats(&sources);
     assert_eq!(cold_stats.persistent_hits, 0);
 
     let analyzer = Analyzer::new();
-    let warm_cache = PersistentCache::open(&dir, analyzer.config()).unwrap();
+    let warm_cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
     let warm = BatchEngine::new(analyzer).with_jobs(4).with_persistent_cache(warm_cache);
     let (second, warm_stats) = warm.scan_sources_with_stats(&sources);
 
