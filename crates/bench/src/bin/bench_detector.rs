@@ -8,16 +8,19 @@
 //!   --out PATH where to write the JSON (default: BENCH_detector.json)
 //! ```
 //!
-//! Four dimensions, each the median of repeated runs:
+//! Every timed figure is an object of the `min`, `median` and `max`
+//! over `runs_per_measurement` samples ([`pnew_bench::time`]; the
+//! inline re-walk takes fewer), so a reader sees the spread the box
+//! gave the run. A rate's `min` comes from the slowest sample. The
+//! `*_speedup` ratios are single numbers, computed from the medians.
 //!
 //! * `serial` / `parallel` — batch engine programs/sec over the
 //!   generated workload corpus, cold in-memory cache every run;
 //! * `warm_memory` — same corpus, served from the in-memory
 //!   fingerprint cache;
-//! * `disk` — cold source scan (parse + analyze + store) vs warm
-//!   `--cache-dir`-style rescan where every file comes off disk;
-//! * `daemon` — warm `analyze` requests/sec through the resident
-//!   `pncheckd` protocol layer (request parse + cache hit + envelope);
+//! * `disk` — cold source scan (parse + analyze + store into an empty
+//!   cache dir) vs warm `--cache-dir`-style rescan where every file
+//!   comes off disk;
 //! * `interval` — analyzer throughput over the guarded corpus, the
 //!   value-range-analysis stress shape (guards, clamp loops, derived
 //!   lengths);
@@ -37,63 +40,72 @@
 //!   then `Analyzer::analyze_full` with no summary store, per changed
 //!   file, no file I/O — and the `*_speedup` fields divide baseline by
 //!   edit time.
+//!
+//! The daemon's request path is measured end to end, over TCP, by
+//! `perfbench/`'s `warm-query` workload, not here.
 
+use std::fmt::Display;
 use std::path::Path;
-use std::time::Instant;
 
+use pnew_bench::{time, Spread};
 use pnew_corpus::workload;
-use pnew_detector::server::{Server, ServerConfig};
 use pnew_detector::{
     parse_program_recovering, pretty_program, Analyzer, AnalyzerConfig, BatchEngine,
     PersistentCache,
 };
 
-/// A JSON string literal for embedding a source in an analyze request.
-fn json_str(text: &str) -> String {
-    let mut out = String::from("\"");
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// The JSON object `bench_detector` writes, one field per line in
+/// insertion order.
+#[derive(Default)]
+struct Figures(Vec<(&'static str, String)>);
+
+impl Figures {
+    fn raw(&mut self, key: &'static str, value: impl Display) {
+        self.0.push((key, value.to_string()));
     }
-    out.push('"');
-    out
+
+    /// `t` in seconds × `scale` (1e3 for milliseconds).
+    fn secs(&mut self, key: &'static str, t: Spread, scale: f64, decimals: usize) {
+        let [min, median, max] = [t.min, t.median, t.max].map(|secs| secs * scale);
+        let value = format!(
+            "{{ \"min\": {min:.decimals$}, \"median\": {median:.decimals$}, \"max\": {max:.decimals$} }}"
+        );
+        self.raw(key, value);
+    }
+
+    /// `n` items per second of `t`; the slowest sample gives the min.
+    fn rate(&mut self, key: &'static str, t: Spread, n: usize) {
+        let per_sec = |secs: f64| n as f64 / secs.max(1e-12);
+        let rates =
+            Spread { min: per_sec(t.max), median: per_sec(t.median), max: per_sec(t.min), ..t };
+        self.secs(key, rates, 1.0, 1);
+    }
+
+    fn render(&self) -> String {
+        let fields: Vec<String> =
+            self.0.iter().map(|(key, value)| format!("  \"{key}\": {value}")).collect();
+        format!("{{\n{}\n}}\n", fields.join(",\n"))
+    }
 }
 
-/// Median wall-clock seconds of `runs` invocations of `f`.
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+/// How many times faster `fast` is than `slow`, by their medians.
+fn ratio(slow: Spread, fast: Spread) -> f64 {
+    slow.median / fast.median.max(1e-12)
 }
 
 /// Measures one incremental-edit scenario: writes `sources` under
-/// `dir`, takes a cold tracked scan, then alternates one file between
-/// its original text and `edited` and times the `rescan_delta` that
-/// re-analyzes exactly that file — once with the edit named in the
-/// hint (the editor-integration fast path: no stat sweep) and once
-/// unhinted (the watch-mode stat sweep over every tracked file).
-/// Returns `(cold_secs, hinted_secs, sweep_secs, cone_functions)`.
+/// `dir`, times cold tracked scans on fresh engines, then alternates
+/// one file between its original text and `edited` and times the
+/// `rescan_delta` that re-analyzes exactly that file — once with the
+/// edit named in the hint (the editor-integration fast path: no stat
+/// sweep) and once unhinted (the watch-mode stat sweep over every
+/// tracked file). Returns `(cold, hinted, sweep, cone_functions)`.
 fn delta_scenario(
     dir: &Path,
     sources: &[String],
     edited: &str,
     runs: usize,
-) -> (f64, f64, f64, usize) {
+) -> (Spread, Spread, Spread, usize) {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).expect("delta corpus dir");
     let paths: Vec<String> = sources
@@ -106,13 +118,17 @@ fn delta_scenario(
         })
         .collect();
 
+    let cold = time(
+        runs,
+        1,
+        || BatchEngine::new(Analyzer::new()),
+        |engine| {
+            let (outcomes, _) = engine.scan_paths_tracked(&paths);
+            assert_eq!(outcomes.len(), sources.len());
+        },
+    );
     let engine = BatchEngine::new(Analyzer::new());
-    let cold_s = {
-        let t = Instant::now();
-        let (outcomes, _) = engine.scan_paths_tracked(&paths);
-        assert_eq!(outcomes.len(), sources.len());
-        t.elapsed().as_secs_f64()
-    };
+    engine.scan_paths_tracked(&paths);
 
     // Alternate the first file between two texts so every timed rescan
     // sees exactly one changed file (a no-op rescan would flatter the
@@ -123,22 +139,32 @@ fn delta_scenario(
     let mut flip = 0usize;
     let mut cone = 0usize;
     let hint = vec![target.clone()];
-    let hinted_s = median_secs(runs.max(2), || {
-        std::fs::write(&target, texts[flip % 2]).expect("edit writes");
-        flip += 1;
-        let (_, _, delta) = engine.rescan_delta(&paths, Some(&hint));
-        assert_eq!(delta.changed_files, 1, "exactly the edited file re-analyzes");
-        assert_eq!(delta.unchanged_files, sources.len() - 1);
-        cone = cone.max(delta.cone_functions);
-    });
-    let sweep_s = median_secs(runs.max(2), || {
-        std::fs::write(&target, texts[flip % 2]).expect("edit writes");
-        flip += 1;
-        let (_, _, delta) = engine.rescan_delta(&paths, None);
-        assert_eq!(delta.changed_files, 1, "the stat sweep finds the edit");
-    });
+    let hinted = time(
+        runs.max(2),
+        1,
+        || (),
+        |()| {
+            std::fs::write(&target, texts[flip % 2]).expect("edit writes");
+            flip += 1;
+            let (_, _, delta) = engine.rescan_delta(&paths, Some(&hint));
+            assert_eq!(delta.changed_files, 1, "exactly the edited file re-analyzes");
+            assert_eq!(delta.unchanged_files, sources.len() - 1);
+            cone = cone.max(delta.cone_functions);
+        },
+    );
+    let sweep = time(
+        runs.max(2),
+        1,
+        || (),
+        |()| {
+            std::fs::write(&target, texts[flip % 2]).expect("edit writes");
+            flip += 1;
+            let (_, _, delta) = engine.rescan_delta(&paths, None);
+            assert_eq!(delta.changed_files, 1, "the stat sweep finds the edit");
+        },
+    );
     let _ = std::fs::remove_dir_all(dir);
-    (cold_s, hinted_s, sweep_s, cone)
+    (cold, hinted, sweep, cone)
 }
 
 fn main() {
@@ -169,62 +195,51 @@ fn main() {
 
     // Batch throughput: serial, parallel, warm in-memory cache.
     let serial = BatchEngine::new(Analyzer::new()).with_jobs(1);
-    let serial_s = median_secs(runs, || {
-        serial.clear_cache();
-        serial.scan(&programs);
-    });
+    let serial_t = time(runs, 1, || serial.clear_cache(), |()| serial.scan(&programs));
     // Measure parallel throughput at the machine's detected
     // parallelism, and record it so runs on different hosts compare.
     let available_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let parallel = BatchEngine::new(Analyzer::new()).with_jobs(available_cores);
     let parallel_jobs = parallel.jobs();
-    let parallel_s = median_secs(runs, || {
-        parallel.clear_cache();
-        parallel.scan(&programs);
-    });
+    let parallel_t = time(runs, 1, || parallel.clear_cache(), |()| parallel.scan(&programs));
     let warm_mem = BatchEngine::new(Analyzer::new());
     warm_mem.scan(&programs);
-    let warm_mem_s = median_secs(runs, || {
-        warm_mem.scan(&programs);
-    });
+    let warm_mem_t = time(runs, 1, || (), |()| warm_mem.scan(&programs));
 
-    // Disk tier: cold populate vs warm rescan. The warm engine drops its
-    // in-memory tier every run, so the rescan exercises only the
-    // persistent cache — the `pncheck --cache-dir` warm-restart path.
+    // Disk tier: a cold scan into an empty cache dir vs a warm rescan.
+    // The warm engine drops its in-memory tier before every run, so the
+    // rescan exercises only the persistent cache — the `pncheck
+    // --cache-dir` warm-restart path.
     let dir = std::env::temp_dir().join(format!("pnx-bench-detector-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).expect("cache dir opens");
-    let disk = BatchEngine::new(Analyzer::new()).with_persistent_cache(cache);
-    let cold_disk_s = {
-        let t = Instant::now();
-        let (_, stats) = disk.scan_sources_with_stats(&sources);
-        assert_eq!(stats.persistent_hits, 0, "cold run must not hit");
-        t.elapsed().as_secs_f64()
+    let open_disk = || {
+        let cache =
+            PersistentCache::open(&dir, &AnalyzerConfig::default()).expect("cache dir opens");
+        BatchEngine::new(Analyzer::new()).with_persistent_cache(cache)
     };
-    let warm_disk_s = median_secs(runs, || {
-        disk.clear_cache();
-        let (_, stats) = disk.scan_sources_with_stats(&sources);
-        assert_eq!(stats.persistent_hits as usize, sources.len(), "warm run must be all hits");
-    });
+    let cold_disk_t = time(
+        runs,
+        1,
+        || {
+            let _ = std::fs::remove_dir_all(&dir);
+            open_disk()
+        },
+        |disk| {
+            let (_, stats) = disk.scan_sources_with_stats(&sources);
+            assert_eq!(stats.persistent_hits, 0, "cold run must not hit");
+        },
+    );
+    // The last cold run left every entry on disk.
+    let disk = open_disk();
+    let warm_disk_t = time(
+        runs,
+        1,
+        || disk.clear_cache(),
+        |()| {
+            let (_, stats) = disk.scan_sources_with_stats(&sources);
+            assert_eq!(stats.persistent_hits as usize, sources.len(), "warm run must be all hits");
+        },
+    );
     let _ = std::fs::remove_dir_all(&dir);
-
-    // Daemon: warm analyze requests/sec through the pncheckd protocol
-    // layer in-process — request parsing, the source-fingerprint cache
-    // hit, and envelope rendering, without TCP or process-spawn noise.
-    let server = Server::new(ServerConfig::default()).expect("server builds");
-    let requests: Vec<String> = sources
-        .iter()
-        .map(|s| format!("{{\"op\":\"analyze\",\"source\":{}}}", json_str(s)))
-        .collect();
-    for request in &requests {
-        server.handle_line(request); // warm every source
-    }
-    let daemon_warm_s = median_secs(runs, || {
-        for request in &requests {
-            let reply = server.handle_line(request);
-            assert!(reply.header.contains("\"ok\":true"), "{}", reply.header);
-        }
-    });
 
     // Value-range analysis: analyzer throughput over the guarded
     // corpus, whose shapes (two-sided guards, clamp loops, derived
@@ -233,26 +248,26 @@ fn main() {
     let guarded: Vec<_> =
         workload::guarded_corpus(42, corpus_size).into_iter().map(|c| c.program).collect();
     let interval_engine = BatchEngine::new(Analyzer::new()).with_jobs(1);
-    let interval_s = median_secs(runs, || {
-        interval_engine.clear_cache();
-        interval_engine.scan(&guarded);
-    });
+    let interval_t =
+        time(runs, 1, || interval_engine.clear_cache(), |()| interval_engine.scan(&guarded));
 
     // Interprocedural: summary vs inline over the deep call graphs.
     let deep = workload::deep_call_corpus(42, deep_programs);
     let analyzer = Analyzer::new();
-    let summary_s = median_secs(runs, || {
-        for p in &deep {
-            analyzer.analyze(p);
-        }
-    });
+    let summary_t = time(
+        runs,
+        1,
+        || (),
+        |()| deep.iter().map(|p| analyzer.analyze(p).findings.len()).sum::<usize>(),
+    );
     // Inline re-walks exponentially many paths; one timed run is plenty.
     let inline_runs = if smoke { 1 } else { 3 };
-    let inline_s = median_secs(inline_runs, || {
-        for p in &deep {
-            analyzer.analyze_inline(p);
-        }
-    });
+    let inline_t = time(
+        inline_runs,
+        1,
+        || (),
+        |()| deep.iter().map(|p| analyzer.analyze_inline(p).findings.len()).sum::<usize>(),
+    );
 
     // Delta: one edited file in a large on-disk corpus. The cold
     // tracked scan is the from-scratch cost the incremental path
@@ -275,7 +290,7 @@ fn main() {
             .collect();
     let edited = pretty_program(&workload::random_vulnerable_program(0xed17));
     let delta_dir = std::env::temp_dir().join(format!("pnx-bench-delta-{}", std::process::id()));
-    let (delta_cold_s, delta_edit_s, delta_sweep_s, _) =
+    let (delta_cold_t, delta_edit_t, delta_sweep_t, _) =
         delta_scenario(&delta_dir, &delta_sources, &edited, runs);
 
     // Hub edit: the fan-in corpus's worst case — the edited program's
@@ -286,7 +301,7 @@ fn main() {
         workload::fan_in_call_corpus(7, hub_files).iter().map(pretty_program).collect();
     let hub_edited = pretty_program(&workload::fan_in_call_corpus(8, 1).remove(0));
     let hub_dir = std::env::temp_dir().join(format!("pnx-bench-hub-{}", std::process::id()));
-    let (_, hub_edit_s, _, hub_cone) = delta_scenario(&hub_dir, &hub_sources, &hub_edited, runs);
+    let (_, hub_edit_t, _, hub_cone) = delta_scenario(&hub_dir, &hub_sources, &hub_edited, runs);
 
     // Function-granular delta: a two-digit knob edit in the middle
     // function of one wide 300-function file. The warm rescan
@@ -314,15 +329,20 @@ fn main() {
     granular.scan_paths_tracked(&wide_paths);
     let mut fn_cone = 0usize;
     let mut fn_reused = 0usize;
-    let fn_edit_s = median_secs(fn_runs, || {
-        flip += 1;
-        std::fs::write(&wide_path, &wide_texts[flip]).expect("edit writes");
-        let (_, _, delta) = granular.rescan_delta(&wide_paths, Some(wide_paths.as_slice()));
-        assert_eq!(delta.changed_files, 1, "exactly the wide file re-analyzes");
-        assert_eq!(delta.functions_reanalyzed, 1, "the cone is the one edited function");
-        fn_cone = delta.functions_reanalyzed;
-        fn_reused = delta.functions_reused;
-    });
+    let fn_edit_t = time(
+        fn_runs,
+        1,
+        || (),
+        |()| {
+            flip += 1;
+            std::fs::write(&wide_path, &wide_texts[flip]).expect("edit writes");
+            let (_, _, delta) = granular.rescan_delta(&wide_paths, Some(wide_paths.as_slice()));
+            assert_eq!(delta.changed_files, 1, "exactly the wide file re-analyzes");
+            assert_eq!(delta.functions_reanalyzed, 1, "the cone is the one edited function");
+            fn_cone = delta.functions_reanalyzed;
+            fn_reused = delta.functions_reused;
+        },
+    );
     assert_eq!(fn_reused, wide_fns - 1, "every untouched function's summary is reused");
 
     // The baseline: a plain whole-file analysis of one changed text.
@@ -330,10 +350,19 @@ fn main() {
         let program = parse_program_recovering(text).expect("generated text parses");
         Analyzer::new().analyze_full(&program, None, None).summaries.len()
     };
-    let fn_baseline_s = median_secs(fn_runs, || {
-        flip += 1;
-        assert_eq!(whole_file(&wide_texts[flip]), wide_fns, "the baseline walks every function");
-    });
+    let fn_baseline_t = time(
+        fn_runs,
+        1,
+        || (),
+        |()| {
+            flip += 1;
+            assert_eq!(
+                whole_file(&wide_texts[flip]),
+                wide_fns,
+                "the baseline walks every function"
+            );
+        },
+    );
     let _ = std::fs::remove_dir_all(&wide_dir);
 
     // Hub-helper edit: the shared `helper_0` changes in every file of
@@ -365,73 +394,85 @@ fn main() {
     let cone_per_file = 1 + workload::HUB_WORKERS / 2;
     let mut fnhub_reanalyzed = 0usize;
     let mut fnhub_reused = 0usize;
-    let fnhub_edit_s = median_secs(fn_runs, || {
-        round += 1;
-        write_round(&fnhub_rounds[round]);
-        let (_, _, delta) = fnhub_granular.rescan_delta(&fnhub_paths, None);
-        assert_eq!(delta.changed_files, fnhub_files, "the hub edit touches every file");
-        assert_eq!(
-            delta.functions_reanalyzed,
-            cone_per_file * fnhub_files,
-            "only the per-file cone re-analyzes"
-        );
-        fnhub_reanalyzed = delta.functions_reanalyzed;
-        fnhub_reused = delta.functions_reused;
-    });
+    let fnhub_edit_t = time(
+        fn_runs,
+        1,
+        || (),
+        |()| {
+            round += 1;
+            write_round(&fnhub_rounds[round]);
+            let (_, _, delta) = fnhub_granular.rescan_delta(&fnhub_paths, None);
+            assert_eq!(delta.changed_files, fnhub_files, "the hub edit touches every file");
+            assert_eq!(
+                delta.functions_reanalyzed,
+                cone_per_file * fnhub_files,
+                "only the per-file cone re-analyzes"
+            );
+            fnhub_reanalyzed = delta.functions_reanalyzed;
+            fnhub_reused = delta.functions_reused;
+        },
+    );
     assert_eq!(fnhub_reused, (per_file - cone_per_file) * fnhub_files);
 
-    let fnhub_baseline_s = median_secs(fn_runs, || {
-        round += 1;
-        for text in &fnhub_rounds[round] {
-            assert_eq!(whole_file(text), per_file, "the baseline walks every function");
-        }
-    });
+    let fnhub_baseline_t = time(
+        fn_runs,
+        1,
+        || (),
+        |()| {
+            round += 1;
+            for text in &fnhub_rounds[round] {
+                assert_eq!(whole_file(text), per_file, "the baseline walks every function");
+            }
+        },
+    );
     let _ = std::fs::remove_dir_all(&fnhub_dir);
 
-    let per_sec = |secs: f64, n: usize| if secs > 0.0 { n as f64 / secs } else { 0.0 };
-    let ratio = |slow: f64, fast: f64| if fast > 0.0 { slow / fast } else { 0.0 };
-    let json = format!(
-        "{{\n  \"schema\": \"pnx-bench-detector/3\",\n  \"mode\": \"{}\",\n  \"corpus_programs\": {},\n  \"runs_per_measurement\": {},\n  \"available_cores\": {},\n  \"serial_programs_per_sec\": {:.1},\n  \"parallel_jobs\": {},\n  \"parallel_programs_per_sec\": {:.1},\n  \"warm_memory_cache_programs_per_sec\": {:.1},\n  \"cold_disk_scan_s\": {:.4},\n  \"warm_disk_scan_s\": {:.4},\n  \"warm_disk_speedup\": {:.1},\n  \"daemon_warm_requests_per_sec\": {:.1},\n  \"guarded_corpus_programs\": {},\n  \"interval_programs_per_sec\": {:.1},\n  \"deep_corpus\": {{ \"programs\": {}, \"depth\": {}, \"fan_in\": {} }},\n  \"summary_scan_s\": {:.4},\n  \"inline_scan_s\": {:.4},\n  \"summary_speedup\": {:.1},\n  \"delta_corpus_files\": {},\n  \"delta_cold_scan_s\": {:.4},\n  \"delta_edit_ms\": {:.3},\n  \"delta_stat_sweep_ms\": {:.3},\n  \"delta_speedup\": {:.1},\n  \"hub_corpus_files\": {},\n  \"hub_edit_ms\": {:.3},\n  \"hub_cone_functions\": {},\n  \"fn_delta_functions\": {},\n  \"fn_delta_edit_ms\": {:.3},\n  \"fn_delta_baseline_ms\": {:.3},\n  \"fn_delta_speedup\": {:.1},\n  \"fn_delta_cone_functions\": {},\n  \"fn_hub_files\": {},\n  \"fn_hub_edit_ms\": {:.3},\n  \"fn_hub_baseline_ms\": {:.3},\n  \"fn_hub_speedup\": {:.1},\n  \"fn_hub_functions_reanalyzed\": {},\n  \"fn_hub_functions_reused\": {}\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        corpus_size,
-        runs,
-        available_cores,
-        per_sec(serial_s, corpus_size),
-        parallel_jobs,
-        per_sec(parallel_s, corpus_size),
-        per_sec(warm_mem_s, corpus_size),
-        cold_disk_s,
-        warm_disk_s,
-        ratio(cold_disk_s, warm_disk_s),
-        per_sec(daemon_warm_s, corpus_size),
-        corpus_size,
-        per_sec(interval_s, corpus_size),
-        deep_programs,
-        workload::CALL_DEPTH,
-        workload::CALL_WIDTH,
-        summary_s,
-        inline_s,
-        ratio(inline_s, summary_s),
-        delta_files,
-        delta_cold_s,
-        delta_edit_s * 1e3,
-        delta_sweep_s * 1e3,
-        ratio(delta_cold_s, delta_edit_s),
-        hub_files,
-        hub_edit_s * 1e3,
-        hub_cone,
-        wide_fns,
-        fn_edit_s * 1e3,
-        fn_baseline_s * 1e3,
-        ratio(fn_baseline_s, fn_edit_s),
-        fn_cone,
-        fnhub_files,
-        fnhub_edit_s * 1e3,
-        fnhub_baseline_s * 1e3,
-        ratio(fnhub_baseline_s, fnhub_edit_s),
-        fnhub_reanalyzed,
-        fnhub_reused,
+    let mut f = Figures::default();
+    f.raw("schema", "\"pnx-bench-detector/4\"");
+    f.raw("mode", if smoke { "\"smoke\"" } else { "\"full\"" });
+    f.raw("corpus_programs", corpus_size);
+    f.raw("runs_per_measurement", runs);
+    f.raw("available_cores", available_cores);
+    f.rate("serial_programs_per_sec", serial_t, corpus_size);
+    f.raw("parallel_jobs", parallel_jobs);
+    f.rate("parallel_programs_per_sec", parallel_t, corpus_size);
+    f.rate("warm_memory_cache_programs_per_sec", warm_mem_t, corpus_size);
+    f.secs("cold_disk_scan_s", cold_disk_t, 1.0, 4);
+    f.secs("warm_disk_scan_s", warm_disk_t, 1.0, 4);
+    f.raw("warm_disk_speedup", format!("{:.1}", ratio(cold_disk_t, warm_disk_t)));
+    f.raw("guarded_corpus_programs", corpus_size);
+    f.rate("interval_programs_per_sec", interval_t, corpus_size);
+    f.raw(
+        "deep_corpus",
+        format!(
+            "{{ \"programs\": {deep_programs}, \"depth\": {}, \"fan_in\": {} }}",
+            workload::CALL_DEPTH,
+            workload::CALL_WIDTH
+        ),
     );
+    f.secs("summary_scan_s", summary_t, 1.0, 4);
+    f.secs("inline_scan_s", inline_t, 1.0, 4);
+    f.raw("summary_speedup", format!("{:.1}", ratio(inline_t, summary_t)));
+    f.raw("delta_corpus_files", delta_files);
+    f.secs("delta_cold_scan_s", delta_cold_t, 1.0, 4);
+    f.secs("delta_edit_ms", delta_edit_t, 1e3, 3);
+    f.secs("delta_stat_sweep_ms", delta_sweep_t, 1e3, 3);
+    f.raw("delta_speedup", format!("{:.1}", ratio(delta_cold_t, delta_edit_t)));
+    f.raw("hub_corpus_files", hub_files);
+    f.secs("hub_edit_ms", hub_edit_t, 1e3, 3);
+    f.raw("hub_cone_functions", hub_cone);
+    f.raw("fn_delta_functions", wide_fns);
+    f.secs("fn_delta_edit_ms", fn_edit_t, 1e3, 3);
+    f.secs("fn_delta_baseline_ms", fn_baseline_t, 1e3, 3);
+    f.raw("fn_delta_speedup", format!("{:.1}", ratio(fn_baseline_t, fn_edit_t)));
+    f.raw("fn_delta_cone_functions", fn_cone);
+    f.raw("fn_hub_files", fnhub_files);
+    f.secs("fn_hub_edit_ms", fnhub_edit_t, 1e3, 3);
+    f.secs("fn_hub_baseline_ms", fnhub_baseline_t, 1e3, 3);
+    f.raw("fn_hub_speedup", format!("{:.1}", ratio(fnhub_baseline_t, fnhub_edit_t)));
+    f.raw("fn_hub_functions_reanalyzed", fnhub_reanalyzed);
+    f.raw("fn_hub_functions_reused", fnhub_reused);
+    let json = f.render();
     if let Err(e) = std::fs::write(&out, &json) {
         eprintln!("bench_detector: cannot write {out}: {e}");
         std::process::exit(1);
@@ -439,13 +480,13 @@ fn main() {
     print!("{json}");
     eprintln!(
         "bench_detector: summary {:.1}x over inline on deep call graphs, warm disk rescan {:.1}x over cold, delta edit {:.2}ms ({:.0}x over cold scan of {} files), fn-granular edit {:.2}ms ({:.1}x over whole-file delta in a {}-function file)",
-        ratio(inline_s, summary_s),
-        ratio(cold_disk_s, warm_disk_s),
-        delta_edit_s * 1e3,
-        ratio(delta_cold_s, delta_edit_s),
+        ratio(inline_t, summary_t),
+        ratio(cold_disk_t, warm_disk_t),
+        delta_edit_t.median * 1e3,
+        ratio(delta_cold_t, delta_edit_t),
         delta_files,
-        fn_edit_s * 1e3,
-        ratio(fn_baseline_s, fn_edit_s),
+        fn_edit_t.median * 1e3,
+        ratio(fn_baseline_t, fn_edit_t),
         wide_fns,
     );
 }

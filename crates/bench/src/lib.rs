@@ -1,28 +1,80 @@
 //! Experiment harness: computes every table of EXPERIMENTS.md from live
 //! runs.
 //!
-//! The `report` binary (`cargo run -p pnew-bench --bin report`) prints the
-//! tables; the Criterion benches (`cargo bench`) measure the performance
-//! dimensions (placement-check overhead, canary/shadow-stack overhead,
-//! sanitization cost, detector throughput, allocator behaviour under leak
-//! pressure).
+//! The `report` binary (`cargo run --release -p pnew-bench --bin report`)
+//! prints the tables: E1–E27, the paper's experiments and their
+//! extensions, then B1–B6 ([`costs`]), the per-operation cost of each
+//! defence and of the detector, timed with [`time`]. `bench_detector`
+//! uses the same timer for the machine-readable detector figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod costs;
+
 use std::fmt::Write as _;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use pnew_core::attacks::{self, run_all};
 use pnew_core::{AttackConfig, AttackKind, AttackReport, Defense};
+use pnew_corpus::scenarios::Scenario;
 use pnew_corpus::{benign, listings, scenarios, workload};
 use pnew_detector::{Analyzer, BaselineChecker, BatchEngine, Fixer, Severity};
 use pnew_object::LayoutPolicy;
 use pnew_runtime::StackProtection;
 
+/// Per-iteration wall-clock seconds of one timed routine across its
+/// samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// The fastest sample.
+    pub min: f64,
+    /// The median sample (the upper one for an even count).
+    pub median: f64,
+    /// The slowest sample.
+    pub max: f64,
+    /// How many samples were taken.
+    pub samples: usize,
+}
+
+/// Times `routine` over `samples` samples of `iters` iterations each and
+/// returns the per-iteration seconds of the fastest, median and slowest
+/// sample. Every iteration gets a fresh input from `setup`, built before
+/// and dropped after the timed region; a routine that needs none takes
+/// `|| ()`. There is no warm-up and no autotuning: each caller fixes
+/// its own counts.
+///
+/// # Panics
+///
+/// Panics if `samples` or `iters` is zero.
+pub fn time<I, O>(
+    samples: usize,
+    iters: usize,
+    mut setup: impl FnMut() -> I,
+    mut routine: impl FnMut(&mut I) -> O,
+) -> Spread {
+    assert!(samples > 0 && iters > 0, "a timing needs at least one sample of one iteration");
+    let mut per_iter: Vec<f64> = (0..samples)
+        .map(|_| {
+            let mut elapsed = Duration::ZERO;
+            for _ in 0..iters {
+                let mut input = setup();
+                let start = Instant::now();
+                black_box(routine(&mut input));
+                elapsed += start.elapsed();
+            }
+            elapsed.as_secs_f64() / iters as f64
+        })
+        .collect();
+    per_iter.sort_by(f64::total_cmp);
+    Spread { min: per_iter[0], median: per_iter[samples / 2], max: per_iter[samples - 1], samples }
+}
+
 /// A rendered experiment table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
-    /// Experiment id (`E1`…`E22`).
+    /// Table id (`E1`…`E27`, `B1`…`B6`).
     pub id: String,
     /// Human title (paper reference).
     pub title: String,
@@ -48,19 +100,14 @@ fn fmt_report(report: &AttackReport) -> String {
     out
 }
 
-/// E1–E19: one table per runnable scenario under the paper platform.
-pub fn scenario_tables() -> Vec<Table> {
-    scenarios()
-        .into_iter()
-        .map(|sc| {
-            let report = (sc.run)(&AttackConfig::paper()).expect("scenario runs");
-            Table {
-                id: sc.experiment.to_owned(),
-                title: format!("{} ({})", sc.listing, report.kind.paper_ref()),
-                body: fmt_report(&report),
-            }
-        })
-        .collect()
+/// E1–E19: the table of one runnable scenario under the paper platform.
+fn scenario_table(sc: &Scenario) -> Table {
+    let report = (sc.run)(&AttackConfig::paper()).expect("scenario runs");
+    Table {
+        id: sc.experiment.to_owned(),
+        title: format!("{} ({})", sc.listing, report.kind.paper_ref()),
+        body: fmt_report(&report),
+    }
 }
 
 /// E3/E4 sub-table: the StackGuard experiment across protections and
@@ -373,7 +420,6 @@ pub fn padding_leak_table() -> Table {
     }
 }
 
-/// All tables, in experiment order.
 /// E27: batch analysis throughput — serial vs parallel vs cached scans
 /// of a generated 500-program corpus through the detector's
 /// [`BatchEngine`].
@@ -421,19 +467,50 @@ pub fn batch_throughput_table() -> Table {
     }
 }
 
-/// Every experiment table, in report order.
-pub fn all_tables() -> Vec<Table> {
-    let mut tables = scenario_tables();
-    tables.push(stackguard_table());
-    tables.push(protection_matrix());
-    tables.push(detector_table());
-    tables.push(ablation_table());
-    tables.push(fixer_table());
-    tables.push(aslr_table());
-    tables.push(padding_leak_table());
-    tables.push(heap_metadata_table());
-    tables.push(batch_throughput_table());
-    tables
+/// One table of the report, computed only when [`build`](Entry::build)
+/// runs, so selecting one table does not pay for the others.
+pub struct Entry {
+    /// The table id (`E1`…`E27`, `B1`…`B6`).
+    pub id: String,
+    build: Box<dyn Fn() -> Table>,
+}
+
+impl Entry {
+    fn new(id: &str, build: impl Fn() -> Table + 'static) -> Entry {
+        Entry { id: id.to_owned(), build: Box::new(build) }
+    }
+
+    /// Runs the experiment and renders its table.
+    pub fn build(&self) -> Table {
+        (self.build)()
+    }
+}
+
+/// Every table, in report order: the E tables, then B1–B6.
+pub fn all_tables() -> Vec<Entry> {
+    let mut entries: Vec<Entry> = scenarios()
+        .into_iter()
+        .map(|sc| Entry::new(sc.experiment, move || scenario_table(&sc)))
+        .collect();
+    let tables = [
+        ("E3/E4", stackguard_table as fn() -> Table),
+        ("E20", protection_matrix),
+        ("E21", detector_table),
+        ("E22", ablation_table),
+        ("E23", fixer_table),
+        ("E24", aslr_table),
+        ("E25", padding_leak_table),
+        ("E26", heap_metadata_table),
+        ("E27", batch_throughput_table),
+        ("B1", costs::placement_table),
+        ("B2", costs::protection_table),
+        ("B3", costs::sanitize_table),
+        ("B4", costs::detector_table),
+        ("B5", costs::attacks_table),
+        ("B6", costs::allocator_table),
+    ];
+    entries.extend(tables.into_iter().map(|(id, build)| Entry::new(id, build)));
+    entries
 }
 
 #[cfg(test)]
@@ -451,13 +528,28 @@ mod tests {
 
     #[test]
     fn all_tables_render() {
-        let tables = all_tables();
-        assert_eq!(tables.len(), 20 + 9);
-        for t in &tables {
+        let entries = all_tables();
+        assert_eq!(entries.len(), 20 + 9 + 6);
+        // The B tables are timed runs; `report B` exercises them in release.
+        let (experiments, bench) = entries.split_at(entries.len() - 6);
+        let ids: Vec<&str> = bench.iter().map(|e| e.id.as_str()).collect();
+        assert_eq!(ids, ["B1", "B2", "B3", "B4", "B5", "B6"]);
+        for entry in experiments {
+            let t = entry.build();
+            assert_eq!(t.id, entry.id);
             assert!(!t.body.is_empty(), "{} is empty", t.id);
             let rendered = t.to_string();
             assert!(rendered.contains(&t.id));
         }
+    }
+
+    #[test]
+    fn the_timer_leaves_setup_out() {
+        let spread =
+            time(3, 2, || std::thread::sleep(Duration::from_millis(1)), |()| black_box(1 + 1));
+        assert_eq!(spread.samples, 3);
+        assert!(spread.min <= spread.median && spread.median <= spread.max);
+        assert!(spread.max < 0.000_5, "1 ms of setup leaked into {spread:?}");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   PATH may be a .pnx file or a directory, which is scanned
 //!   recursively for *.pnx files (in sorted path order). Inputs are
 //!   canonicalized and deduplicated, so a file named both directly and
-//!   via an enclosing directory is scanned once.
+//!   via an enclosing directory is scanned once. Any other argument
+//!   that starts with `-` is an option, and an unknown one is a usage
+//!   error: write a path that starts with `-` as `./-name`.
 //!
 //!   --baseline              run the traditional-tools baseline instead
 //!   --fix                   print the automatically remediated program
@@ -76,7 +78,7 @@ use pnew_detector::{
     Fixer, ParseError, PersistentCache, Program, ReportFilter, Severity,
 };
 
-const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--delta] [--stats] PATH... | -";
+const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--delta] [--stats] PATH... | -\n(write a path that starts with '-' as ./-name)";
 
 /// One input after reading: raw text, not yet parsed. The default scan
 /// path hands sources to the batch engine unparsed, so a warm
@@ -149,6 +151,10 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 return ExitCode::SUCCESS;
+            }
+            other if other.starts_with('-') && other != "-" => {
+                eprintln!("pncheck: unknown argument {other:?}\n{USAGE}");
+                return ExitCode::from(2);
             }
             _ => inputs.push(arg),
         }

@@ -102,7 +102,16 @@ pub(crate) fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-fn escape_into(text: &str, out: &mut String) {
+/// `text` as a JSON string literal, quotes included: the one escaping
+/// that envelopes, daemon headers and request lines all use.
+pub fn json_string(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    quote_into(text, &mut out);
+    out
+}
+
+fn quote_into(text: &str, out: &mut String) {
+    out.push('"');
     for c in text.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -116,6 +125,7 @@ fn escape_into(text: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+    out.push('"');
 }
 
 fn write_value(v: &JsonValue, indent: usize, out: &mut String) {
@@ -131,11 +141,7 @@ fn write_value(v: &JsonValue, indent: usize, out: &mut String) {
             // magnitude-stable.
             let _ = write!(out, "{x:.1}");
         }
-        JsonValue::Str(text) => {
-            out.push('"');
-            escape_into(text, out);
-            out.push('"');
-        }
+        JsonValue::Str(text) => quote_into(text, out),
         JsonValue::Arr(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -161,9 +167,8 @@ fn write_value(v: &JsonValue, indent: usize, out: &mut String) {
             out.push_str("{\n");
             for (i, (key, value)) in fields.iter().enumerate() {
                 out.push_str(&STEP.repeat(indent + 1));
-                out.push('"');
-                escape_into(key, out);
-                out.push_str("\": ");
+                quote_into(key, out);
+                out.push_str(": ");
                 write_value(value, indent + 1, out);
                 if i + 1 < fields.len() {
                     out.push(',');
@@ -198,11 +203,7 @@ pub(crate) fn render_compact(v: &JsonValue) -> String {
             JsonValue::F64(x) => {
                 let _ = write!(out, "{x:.1}");
             }
-            JsonValue::Str(text) => {
-                out.push('"');
-                escape_into(text, out);
-                out.push('"');
-            }
+            JsonValue::Str(text) => quote_into(text, out),
             JsonValue::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -219,9 +220,8 @@ pub(crate) fn render_compact(v: &JsonValue) -> String {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    escape_into(key, out);
-                    out.push_str("\":");
+                    quote_into(key, out);
+                    out.push(':');
                     write_compact(value, out);
                 }
                 out.push('}');

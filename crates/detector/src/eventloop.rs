@@ -57,6 +57,11 @@ impl Conn {
         self.written == self.out.len()
     }
 
+    /// Output bytes the transport has not taken yet.
+    fn owed(&self) -> usize {
+        self.out.len() - self.written
+    }
+
     /// Still reading requests: no EOF, no failure, not closing.
     fn open(&self) -> bool {
         !(self.eof || self.closing || self.dead)
@@ -133,12 +138,20 @@ impl<'a> Core<'a> {
     }
 
     /// Connections whose input the core still wants; none once a
-    /// `shutdown` has been served.
+    /// `shutdown` has been served. A connection that owes
+    /// `max_request_bytes` or more of unwritten output is left out until
+    /// its transport takes the bytes, so a client that never reads its
+    /// replies cannot grow the daemon's buffers without bound.
     pub fn readable(&self) -> Vec<u64> {
-        if self.server.is_shutdown() {
-            return Vec::new();
-        }
-        self.conns.iter().filter(|(_, conn)| conn.open()).map(|(&id, _)| id).collect()
+        self.conns.keys().copied().filter(|&id| self.wants_input(id)).collect()
+    }
+
+    /// Whether [`readable`](Core::readable) lists `id`: a driver that
+    /// reads a connection in a loop stops as soon as this turns false.
+    pub(crate) fn wants_input(&self, id: u64) -> bool {
+        let max = self.server.config().max_request_bytes;
+        !self.server.is_shutdown()
+            && self.conns.get(&id).is_some_and(|conn| conn.open() && conn.owed() < max)
     }
 
     /// `bytes` arrived on `id`. Every request they complete is queued
@@ -636,6 +649,28 @@ mod tests {
         assert_eq!(rest.matches("\"ok\":true").count(), 2, "{rest}");
         assert_eq!(core.sweep(0).closed, vec![a, b]);
         assert!(core.is_idle());
+    }
+
+    #[test]
+    fn a_connection_that_owes_max_request_bytes_is_not_read_until_written() {
+        let config = ServerConfig { max_request_bytes: 1024, ..ServerConfig::default() };
+        let server = Server::new(config).expect("server builds");
+        let mut core = Core::new(&server);
+        let id = core.accept(0);
+        // Reply to every request, but let the transport take nothing.
+        let mut replies = 0;
+        while core.readable().contains(&id) {
+            assert!(core.read(id, b"{\"op\":\"ping\"}\n", 0));
+            let (conn, line) = core.pop().expect("the ping is queued");
+            core.reply(conn, &server.handle_line(&line), 0);
+            replies += 1;
+            assert!(replies < 1024, "the connection never left readable()");
+        }
+        assert!(core.output(id).len() >= 1024, "left readable() early");
+        // Once the transport takes the bytes, reading resumes.
+        let owed = core.output(id).len();
+        core.wrote(id, owed);
+        assert_eq!(core.readable(), vec![id]);
     }
 
     #[test]

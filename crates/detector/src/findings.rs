@@ -74,11 +74,6 @@ impl FindingKind {
         }
     }
 
-    /// `true` for kinds only a placement-new-aware tool can produce.
-    pub fn is_placement_specific(self) -> bool {
-        !matches!(self, FindingKind::ClassicOverflow | FindingKind::AnalysisDepthExceeded)
-    }
-
     /// Stable rule identifier for machine-readable output (the JSON
     /// envelope and SARIF `ruleId`), derived from [`name`](Self::name)
     /// under the `pnx/` prefix.
@@ -371,8 +366,6 @@ mod tests {
         }
         assert_eq!("warning".parse::<Severity>(), Ok(Severity::Warning));
         assert!("loud".parse::<Severity>().is_err());
-        assert!(FindingKind::OversizedPlacement.is_placement_specific());
-        assert!(!FindingKind::ClassicOverflow.is_placement_specific());
     }
 
     #[test]

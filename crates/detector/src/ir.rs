@@ -649,18 +649,6 @@ impl Program {
         self.classes.get(class).map(|c| u64::from(c.size))
     }
 
-    /// Whether `sub` is (transitively) a subclass of `sup`.
-    pub fn is_subclass(&self, sub: &str, sup: &str) -> bool {
-        let mut cur = Some(sub.to_owned());
-        while let Some(name) = cur {
-            if name == sup {
-                return true;
-            }
-            cur = self.classes.get(&name).and_then(|c| c.base.clone());
-        }
-        false
-    }
-
     /// Total number of statements (recursively), used by throughput
     /// benches.
     pub fn stmt_count(&self) -> usize {
@@ -702,27 +690,6 @@ mod tests {
         let e = Expr::mul(Expr::Var(VarId(1)), Expr::add(Expr::Const(1), Expr::Var(VarId(2))));
         assert_eq!(e.reads(), vec![VarId(1), VarId(2)]);
         assert!(Expr::SizeOf("X".into()).reads().is_empty());
-    }
-
-    #[test]
-    fn subclass_chains() {
-        let mut p = Program::default();
-        for (name, base) in [("A", None), ("B", Some("A")), ("C", Some("B"))] {
-            p.classes.insert(
-                name.to_owned(),
-                ClassInfo {
-                    name: name.to_owned(),
-                    size: 16,
-                    base: base.map(str::to_owned),
-                    polymorphic: false,
-                },
-            );
-        }
-        assert!(p.is_subclass("C", "A"));
-        assert!(p.is_subclass("B", "A"));
-        assert!(p.is_subclass("A", "A"));
-        assert!(!p.is_subclass("A", "C"));
-        assert!(!p.is_subclass("Z", "A"));
     }
 
     #[test]

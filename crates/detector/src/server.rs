@@ -1150,7 +1150,15 @@ impl Server {
                                 queued |= lock_core().eof(id);
                                 break;
                             }
-                            Ok(n) => queued |= lock_core().read(id, &buf[..n], now_ns),
+                            Ok(n) => {
+                                let mut core = lock_core();
+                                queued |= core.read(id, &buf[..n], now_ns);
+                                // A client that does not read its replies
+                                // is not read either, until it catches up.
+                                if !core.wants_input(id) {
+                                    break;
+                                }
+                            }
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                             Err(_) => {

@@ -76,6 +76,7 @@ use crate::backend::{CacheBackend, DirBackend};
 use crate::cache::{fnv128, source_fingerprint, CacheLookup, PersistentCache};
 use crate::cliopts::expand_inputs;
 use crate::clock::{Clock, SimClock};
+use crate::emit::json_string;
 use crate::eventloop::Core;
 use crate::server::{parse_json, BackendWrap, JsonNode, Reply, Server, ServerConfig};
 
@@ -121,11 +122,6 @@ impl SimRng {
     /// `true` once in `one_in` draws on average (never for `0`).
     pub fn chance(&mut self, one_in: u64) -> bool {
         one_in != 0 && self.below(one_in) == 0
-    }
-
-    /// A decorrelated child RNG for an independent stream.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64() ^ 0x2545_f491_4f6c_dd1d)
     }
 }
 
@@ -599,24 +595,6 @@ struct Peer {
     received: Vec<u8>,
 }
 
-/// Escapes one string as a JSON literal (paths are plain ASCII here,
-/// but stay correct regardless).
-fn json_quote(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// One phase's traffic: per-connection `(byte script, end kind)` pairs
 /// plus the map from request line to its verification spec.
 type Traffic = (Vec<(Vec<u8>, EndKind)>, HashMap<String, CheckSpec>);
@@ -660,7 +638,7 @@ fn build_traffic(
                     let pick = rng.below(corpus.files.len() as u64) as usize;
                     corpus.files[pick].path.to_string_lossy().into_owned()
                 };
-                let target = json_quote(&path);
+                let target = json_string(&path);
                 let line =
                     format!("{{\"op\":\"analyze\",\"id\":{id},\"paths\":[{target}]{extras}}}");
                 let reference = format!("{{\"op\":\"analyze\",\"paths\":[{target}]{extras}}}");
@@ -671,7 +649,7 @@ fn build_traffic(
             }
             2 => {
                 let source = render_source(900 + rng.below(8), 0, rng.below(2) == 0, 48, 0);
-                let quoted = json_quote(&source);
+                let quoted = json_string(&source);
                 let line =
                     format!("{{\"op\":\"analyze\",\"id\":{id},\"source\":{quoted}{extras}}}");
                 let reference = format!("{{\"op\":\"analyze\",\"source\":{quoted}{extras}}}");
@@ -681,7 +659,7 @@ fn build_traffic(
                 line
             }
             3..=6 => {
-                let target = json_quote(&dir);
+                let target = json_string(&dir);
                 let line = format!("{{\"op\":\"delta\",\"id\":{id},\"paths\":[{target}]{extras}}}");
                 let reference = format!("{{\"op\":\"analyze\",\"paths\":[{target}]{extras}}}");
                 let input = Input::Path(dir.clone());
@@ -1310,14 +1288,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sim_rng_is_deterministic_and_forks_decorrelate() {
+    fn sim_rng_is_deterministic() {
         let mut a = SimRng::new(42);
         let mut b = SimRng::new(42);
         let draws_a: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         let draws_b: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_eq!(draws_a, draws_b);
-        let mut fork = a.fork();
-        assert_ne!(fork.next_u64(), a.next_u64());
         for _ in 0..100 {
             assert!(a.below(7) < 7);
         }

@@ -183,6 +183,17 @@ fn bad_flag_values_exit_two() {
     assert!(stderr.contains("--jobs"), "{stderr}");
 }
 
+#[test]
+fn unknown_options_are_usage_errors_not_paths() {
+    let dir = TempDir::new("unknown-option");
+    dir.write("a.pnx", VULNERABLE);
+    let (stdout, stderr, code) = run_on_dir(&["--no-summaries"], &dir);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown argument \"--no-summaries\""), "{stderr}");
+    assert!(stderr.contains("./-name"), "the usage says how to name such a path: {stderr}");
+    assert!(stdout.is_empty(), "nothing is scanned: {stdout}");
+}
+
 /// A scratch directory under the system temp dir, removed on drop.
 struct TempDir(std::path::PathBuf);
 
@@ -433,8 +444,8 @@ fn delta_flag_validations_exit_two() {
 fn delta_scan_is_byte_identical_to_a_full_scan_across_edits() {
     let dir = TempDir::new("delta-e2e");
     dir.write("src/a.pnx", CLEAN);
-    dir.write("src/b.pnx", &CLEAN.replace("program demo", "program other"));
-    dir.write("src/c.pnx", &CLEAN.replace("program demo", "program third"));
+    dir.write("src/b.pnx", &CLEAN.replace("program cli-clean", "program other"));
+    dir.write("src/c.pnx", &CLEAN.replace("program cli-clean", "program third"));
     let cache = dir.path().join("cache");
     let cache = cache.to_str().unwrap();
     let src = dir.path().join("src");
@@ -443,6 +454,12 @@ fn delta_scan_is_byte_identical_to_a_full_scan_across_edits() {
         let out = Command::new(PNCHECK).args(["--format", fmt, src]).output().expect("runs");
         (String::from_utf8_lossy(&out.stdout).into_owned(), out.status.code().unwrap_or(-1))
     };
+    // Three distinct sources, so the delta has three texts to tell apart.
+    let (json, _) = fresh("json");
+    for program in ["cli-clean", "other", "third"] {
+        let field = format!("\"program\": \"{program}\"");
+        assert_eq!(json.matches(&field).count(), 1, "{field} once: {json}");
+    }
     let delta = |fmt: &str| {
         let out = Command::new(PNCHECK)
             .args(["--delta", "--cache-dir", cache, "--format", fmt, "--stats", src])
@@ -474,7 +491,7 @@ fn delta_scan_is_byte_identical_to_a_full_scan_across_edits() {
 
     // Edit one file to become vulnerable: the next delta run re-analyzes
     // just that file and matches a fresh full scan, exit code included.
-    dir.write("src/b.pnx", &VULNERABLE.replace("program demo", "program other"));
+    dir.write("src/b.pnx", &VULNERABLE.replace("program cli-demo", "program other"));
     let (reference, ref_code) = fresh("sarif");
     let (got, stderr, code) = delta("sarif");
     assert_eq!(code, ref_code, "{stderr}");
@@ -492,7 +509,7 @@ fn delta_scan_is_byte_identical_to_a_full_scan_across_edits() {
 fn delta_run_surfaces_unreadable_files_like_a_full_scan() {
     let dir = TempDir::new("delta-unreadable");
     dir.write("a.pnx", CLEAN);
-    dir.write("b.pnx", &CLEAN.replace("program demo", "program other"));
+    dir.write("b.pnx", &CLEAN.replace("program cli-clean", "program other"));
     let cache = dir.path().join("cache");
     let a = dir.path().join("a.pnx");
     let b = dir.path().join("b.pnx");
