@@ -361,8 +361,8 @@ pub struct BatchEngine {
     fn_reanalyzed_total: AtomicU64,
     fn_reused_total: AtomicU64,
     /// Time source for scan/rescan elapsed measurements. The real
-    /// [`SystemClock`] by default; the DST harness threads a
-    /// [`crate::clock::SimClock`] through so stat sweeps never read
+    /// [`SystemClock`] by default; the DST harness (the `pnew-dst`
+    /// crate) threads a virtual clock through so stat sweeps never read
     /// real time.
     clock: Arc<dyn Clock>,
 }
@@ -395,7 +395,7 @@ impl BatchEngine {
     }
 
     /// Replaces the engine's time source (scan timing). The DST harness
-    /// installs a shared [`crate::clock::SimClock`] here.
+    /// installs its shared virtual clock here.
     #[must_use]
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
@@ -545,7 +545,7 @@ impl BatchEngine {
     /// returned [`DeltaStats`], not the verdicts.
     ///
     /// `changed_hint` selects the change-detection mode. `None` — the
-    /// watch/poll mode — stats every tracked file and re-analyzes
+    /// poll mode a client gets by sending `delta` — stats every tracked file and re-analyzes
     /// whatever drifted. `Some(list)` — the editor-integration mode —
     /// trusts the client completely: hinted paths are re-analyzed,
     /// every other tracked path is served from the index without even a
@@ -846,7 +846,7 @@ impl BatchEngine {
     /// Writes the tracked index to the attached persistent cache's
     /// manifest for the next process to seed from, unless it renders
     /// to the text this engine last stored: a delta that changed no row
-    /// (a watch cycle with no edit) writes nothing. Best-effort, like
+    /// (a poll with no edit) writes nothing. Best-effort, like
     /// every cache write: returns whether the stored manifest is
     /// current. A failed write forgets the last text, so the next call
     /// writes again.

@@ -31,21 +31,12 @@
 //!   --idle-timeout-secs N    close TCP connections with nothing
 //!                            queued or in flight after N idle seconds
 //!                            (0 = never; default 300)
-//!   --watch ROOT             poll ROOT (repeatable) with the delta op
-//!                            instead of serving a socket: each cycle
-//!                            re-stats the tracked files, re-analyzes
-//!                            only the invalidation cone, and prints
-//!                            the fresh envelope to stdout whenever
-//!                            anything changed (the first cycle always
-//!                            prints). Cycle counters go to stderr.
-//!   --watch-interval-ms N    delay between watch cycles (default 500)
-//!   --watch-cycles N         stop after N cycles (default 0 = forever)
 //! ```
 //!
-//! See `docs/pnx-syntax.md` for the full protocol reference. Exit
-//! status: 0 after a clean shutdown (EOF, a `shutdown` request, or the
-//! last `--watch-cycles` cycle), 2 on usage errors or an unusable
-//! `--cache-dir`.
+//! See `docs/pnx-syntax.md` for the full protocol reference. A client
+//! that wants to poll a tree sends the `delta` op itself. Exit status:
+//! 0 after a clean shutdown (EOF or a `shutdown` request), 2 on usage
+//! errors or an unusable `--cache-dir`.
 
 use std::io;
 use std::net::TcpListener;
@@ -54,16 +45,12 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pnew_detector::cliopts::CommonOpts;
-use pnew_detector::emit::json_string;
-use pnew_detector::server::{parse_json, JsonNode, Server, ServerConfig};
+use pnew_detector::server::{Server, ServerConfig};
 
-const USAGE: &str = "usage: pncheckd [--listen ADDR:PORT] [--jobs N] [--min-severity LEVEL] [--disable KIND]... [--cache-dir DIR] [--max-request-bytes N] [--max-connections N] [--client-quota N] [--idle-timeout-secs N] [--watch ROOT]... [--watch-interval-ms N] [--watch-cycles N]";
+const USAGE: &str = "usage: pncheckd [--listen ADDR:PORT] [--jobs N] [--min-severity LEVEL] [--disable KIND]... [--cache-dir DIR] [--max-request-bytes N] [--max-connections N] [--client-quota N] [--idle-timeout-secs N]";
 
 fn main() -> ExitCode {
     let mut listen: Option<String> = None;
-    let mut watch_roots: Vec<String> = Vec::new();
-    let mut watch_interval_ms: u64 = 500;
-    let mut watch_cycles: u64 = 0;
     let mut opts = CommonOpts::default();
     let mut cache_dir: Option<PathBuf> = None;
     let mut server_config = ServerConfig::default();
@@ -130,19 +117,6 @@ fn main() -> ExitCode {
                 let n: u64 = numeric_value!("--idle-timeout-secs");
                 server_config.idle_timeout = (n > 0).then(|| Duration::from_secs(n));
             }
-            "--watch" => {
-                let Some(root) = args.next() else {
-                    eprintln!("pncheckd: --watch needs a file or directory");
-                    return ExitCode::from(2);
-                };
-                watch_roots.push(root);
-            }
-            "--watch-interval-ms" => {
-                watch_interval_ms = numeric_value!("--watch-interval-ms");
-            }
-            "--watch-cycles" => {
-                watch_cycles = numeric_value!("--watch-cycles");
-            }
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -159,10 +133,6 @@ fn main() -> ExitCode {
         eprintln!("pncheckd: --format is per-request; pass \"format\" in the analyze request");
         return ExitCode::from(2);
     }
-    if !watch_roots.is_empty() && listen.is_some() {
-        eprintln!("pncheckd: --watch and --listen are exclusive");
-        return ExitCode::from(2);
-    }
     server_config.filter = opts.filter;
     server_config.jobs = opts.jobs;
     server_config.cache_dir = cache_dir;
@@ -176,10 +146,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if !watch_roots.is_empty() {
-        return watch(&server, &watch_roots, watch_interval_ms, watch_cycles);
-    }
 
     let served = match listen {
         None => {
@@ -207,88 +173,5 @@ fn main() -> ExitCode {
             eprintln!("pncheckd: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// Polls the registered roots through the `delta` op. Each cycle is the
-/// same request a remote client would send; the loop just feeds it to
-/// the in-process server and relays the reply. The envelope lands on
-/// stdout whenever anything changed (and on the first cycle, so a
-/// consumer always has a baseline); the per-cycle counters go to
-/// stderr.
-fn watch(server: &Server, roots: &[String], interval_ms: u64, cycles: u64) -> ExitCode {
-    let paths: Vec<String> = roots.iter().map(|r| json_string(r)).collect();
-    let request = format!("{{\"op\":\"delta\",\"paths\":[{}]}}", paths.join(","));
-    let mut cycle: u64 = 0;
-    loop {
-        cycle += 1;
-        let reply = server.handle_line(&request);
-        let header = match parse_json(&reply.header) {
-            Ok(JsonNode::Obj(fields)) => fields,
-            _ => {
-                eprintln!("pncheckd: watch: malformed reply header: {}", reply.header);
-                return ExitCode::from(2);
-            }
-        };
-        let get = |name: &str| header.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        if get("ok") != Some(&JsonNode::Bool(true)) {
-            let detail = match get("error") {
-                Some(JsonNode::Obj(err)) => err
-                    .iter()
-                    .find(|(k, _)| k == "message")
-                    .map(|(_, v)| match v {
-                        JsonNode::Str(text) => text.clone(),
-                        other => format!("{other:?}"),
-                    })
-                    .unwrap_or_default(),
-                _ => String::new(),
-            };
-            eprintln!("pncheckd: watch: request failed: {detail}");
-            return ExitCode::from(2);
-        }
-        let counter = |name: &str| match get("delta") {
-            Some(JsonNode::Obj(delta)) => delta
-                .iter()
-                .find(|(k, _)| k == name)
-                .and_then(|(_, v)| match v {
-                    JsonNode::Int(n) if *n >= 0 => Some(*n as u64),
-                    _ => None,
-                })
-                .unwrap_or(0),
-            _ => 0,
-        };
-        if let Some(JsonNode::Arr(errs)) = get("file_errors") {
-            for err in errs {
-                match err {
-                    JsonNode::Str(text) => eprintln!("pncheckd: watch: {text}"),
-                    other => eprintln!("pncheckd: watch: {other:?}"),
-                }
-            }
-        }
-        let (tracked, changed, added, removed) =
-            (counter("tracked"), counter("changed"), counter("added"), counter("removed"));
-        let dirty = changed + added + removed > 0;
-        eprintln!(
-            "pncheckd: watch cycle {cycle}: {tracked} tracked, {changed} changed, \
-             {added} added, {removed} removed, cone {}/{} functions, \
-             {} reanalyzed, {} reused",
-            counter("cone_functions"),
-            counter("tracked_functions"),
-            counter("functions_reanalyzed"),
-            counter("functions_reused"),
-        );
-        if cycle == 1 || dirty {
-            print!("{}", reply.payload);
-            if !reply.payload.ends_with('\n') {
-                println!();
-            }
-            let _ = io::Write::flush(&mut io::stdout());
-        }
-        if cycles > 0 && cycle >= cycles {
-            return ExitCode::SUCCESS;
-        }
-        // Pacing goes through the server's clock, not a raw sleep, so a
-        // simulated watch loop runs on virtual time.
-        server.clock().sleep(Duration::from_millis(interval_ms));
     }
 }

@@ -60,8 +60,9 @@ const MAGIC: &[u8; 8] = b"PNXCACHE";
 /// rendered, so a v4 entry (possibly filtered) must read as a miss.
 pub const SCHEMA_VERSION: u32 = 5;
 
-/// 128-bit FNV-1a over raw bytes.
-pub(crate) fn fnv128(bytes: &[u8]) -> u128 {
+/// 128-bit FNV-1a over raw bytes: the source key and the entry
+/// checksum.
+pub fn fnv128(bytes: &[u8]) -> u128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
     let mut hash = OFFSET;

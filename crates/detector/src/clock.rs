@@ -1,30 +1,25 @@
-//! Time as a capability: the [`Clock`] trait and its two implementations.
+//! Time as a capability: the [`Clock`] trait and the production
+//! [`SystemClock`].
 //!
-//! The service stack (eventloop ticks, idle-timeout reaping, `--watch`
-//! sleeps, batch stat-sweep timing, uptime reporting) used to read
-//! `Instant::now()` and call `thread::sleep` directly, which made every
-//! timing boundary testable only with real-time sleeps. Instead, all of
-//! those sites now go through a shared `Arc<dyn Clock>`:
-//!
-//! * [`SystemClock`] — the production clock: process-monotonic
-//!   nanoseconds and real `thread::sleep`. This is the default
-//!   everywhere; no behaviour changes for the CLI or the daemon.
-//! * [`SimClock`] — a virtual clock for deterministic simulation
-//!   testing ([`crate::sim`]): time is an atomic counter that advances
-//!   only when the harness says so, and `sleep` advances it instantly.
-//!   A schedule that "waits" five virtual minutes for an idle reap
-//!   completes in microseconds of wall time, identically on every run.
+//! The service stack (eventloop ticks, idle-timeout reaping, batch
+//! stat-sweep timing, uptime reporting) reads time through a shared
+//! `Arc<dyn Clock>` rather than `Instant::now()`, so every timing
+//! boundary can be driven without real-time sleeps. [`SystemClock`] —
+//! process-monotonic nanoseconds — is the default everywhere; the
+//! deterministic-simulation harness (the `pnew-dst` crate) installs a
+//! virtual clock that moves only when the harness advances it, so a
+//! schedule that "waits" five virtual minutes for an idle reap runs
+//! identically on every run.
 //!
 //! Clocks are deliberately tiny — nanoseconds since an arbitrary epoch
-//! plus a sleep — because that is all the service layer actually needs:
-//! elapsed-time comparisons and pacing. Wall-clock dates stay out of
-//! scope on purpose (they would leak nondeterminism back in).
+//! — because that is all the service layer needs: elapsed-time
+//! comparisons. Wall-clock dates stay out of scope on purpose (they
+//! would leak nondeterminism back in).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// A monotonic time source plus a way to wait.
+/// A monotonic time source.
 ///
 /// Implementations must be cheap to query and safe to share across
 /// threads; the epoch is arbitrary but fixed for the lifetime of the
@@ -33,14 +28,9 @@ use std::time::{Duration, Instant};
 pub trait Clock: Send + Sync + fmt::Debug {
     /// Monotonic nanoseconds since this clock's (arbitrary) epoch.
     fn now_ns(&self) -> u64;
-
-    /// Waits for `d`: a real sleep on the system clock, an instant
-    /// virtual advance on a simulated one.
-    fn sleep(&self, d: Duration);
 }
 
-/// The production clock: monotonic time anchored at construction, and
-/// real thread sleeps.
+/// The production clock: monotonic time anchored at construction.
 #[derive(Debug)]
 pub struct SystemClock {
     epoch: Instant,
@@ -56,81 +46,27 @@ impl Clock for SystemClock {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
     }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-}
-
-/// A virtual clock for deterministic simulation: time only moves when
-/// [`SimClock::advance`] (or [`Clock::sleep`], which is the same thing)
-/// is called.
-///
-/// Starts at zero. Shared freely across the simulated server, its
-/// engines, and the harness loop so that every component observes the
-/// same virtual instant.
-#[derive(Debug, Default)]
-pub struct SimClock {
-    now_ns: AtomicU64,
-}
-
-impl SimClock {
-    /// Moves virtual time forward by `d` (saturating at `u64::MAX`).
-    pub fn advance(&self, d: Duration) {
-        let step = d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let _ = self
-            .now_ns
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |now| Some(now.saturating_add(step)));
-    }
-}
-
-impl Clock for SimClock {
-    fn now_ns(&self) -> u64 {
-        self.now_ns.load(Ordering::SeqCst)
-    }
-
-    fn sleep(&self, d: Duration) {
-        self.advance(d);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn system_clock_is_monotonic_and_roughly_tracks_real_time() {
         let clock = SystemClock::default();
         let a = clock.now_ns();
-        clock.sleep(Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(2));
         let b = clock.now_ns();
         assert!(b >= a + 1_000_000, "2ms sleep advanced {}ns", b - a);
     }
 
     #[test]
-    fn sim_clock_only_moves_when_advanced() {
-        let clock = SimClock::default();
-        assert_eq!(clock.now_ns(), 0);
-        clock.advance(Duration::from_secs(300));
-        assert_eq!(clock.now_ns(), 300_000_000_000);
-        // A "sleep" is instant wall-time but visible virtual time.
-        clock.sleep(Duration::from_millis(7));
-        assert_eq!(clock.now_ns(), 300_007_000_000);
-    }
-
-    #[test]
-    fn sim_clock_saturates_instead_of_wrapping() {
-        let clock = SimClock::default();
-        clock.advance(Duration::from_nanos(u64::MAX));
-        clock.advance(Duration::from_secs(1));
-        assert_eq!(clock.now_ns(), u64::MAX);
-    }
-
-    #[test]
     fn clocks_are_object_safe_and_shareable() {
-        let clock: std::sync::Arc<dyn Clock> = std::sync::Arc::new(SimClock::default());
+        let clock: std::sync::Arc<dyn Clock> = std::sync::Arc::new(SystemClock::default());
         let thread_clock = std::sync::Arc::clone(&clock);
-        std::thread::spawn(move || thread_clock.now_ns()).join().unwrap();
-        assert_eq!(clock.now_ns(), 0);
+        let seen = std::thread::spawn(move || thread_clock.now_ns()).join().unwrap();
+        assert!(clock.now_ns() >= seen, "one epoch across threads");
     }
 }

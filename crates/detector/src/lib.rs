@@ -64,7 +64,6 @@ pub mod oracle;
 mod parse;
 mod pretty;
 pub mod server;
-pub mod sim;
 mod summary;
 pub mod trace;
 
@@ -78,7 +77,7 @@ pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use cache::{
     source_fingerprint, CacheLookup, CachedAnalysis, PersistentCache, PersistentCacheStats,
 };
-pub use clock::{Clock, SimClock, SystemClock};
+pub use clock::{Clock, SystemClock};
 pub use delta::{invalidation_cone, ConeStats};
 pub use exec::{ExecEvent, ExecEventKind, ExecOutcome, Executor};
 pub use findings::{Finding, FindingKind, Report, ReportFilter, Severity};

@@ -610,14 +610,14 @@ pub struct ServerConfig {
     /// in flight — before the server closes it (`idle-timeout`).
     /// `None` = never.
     pub idle_timeout: Option<Duration>,
-    /// The time source for idle reaping, uptime, pass timing, and
-    /// `--watch` pacing. The real [`SystemClock`] by default; the DST
-    /// harness ([`crate::sim`]) installs a [`crate::clock::SimClock`]
-    /// so whole schedules run on virtual time.
+    /// The time source for idle reaping, uptime and pass timing. The
+    /// real [`SystemClock`] by default; the DST harness (the `pnew-dst`
+    /// crate) installs a virtual clock so whole schedules run on
+    /// virtual time.
     pub clock: Arc<dyn Clock>,
     /// Test seam: wraps the persistent backend once, as it is opened.
     /// `None` (always, outside the DST harness) uses the backend as
-    /// opened; the harness injects [`crate::sim::FaultyBackend`] here.
+    /// opened; the harness injects its fault-injecting backend here.
     pub backend_wrap: Option<BackendWrap>,
 }
 
@@ -741,13 +741,6 @@ impl Server {
     /// `true` once a `shutdown` request has been served.
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// The server's time source ([`ServerConfig::clock`]) — transports
-    /// and `--watch` pace themselves through this so simulated servers
-    /// never touch real time.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.config.clock
     }
 
     /// Handles one request line and returns the framed reply. This is

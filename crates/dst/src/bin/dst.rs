@@ -1,7 +1,7 @@
 //! `dst` — the deterministic-simulation soak driver.
 //!
 //! Runs seeded schedules of mixed `pncheckd` traffic through the
-//! in-process DST harness (`detector::sim`), which drives the daemon's
+//! in-process DST harness (this crate's library), which drives the daemon's
 //! production connection core, and reports any invariant violation
 //! together with the seed that reproduces it:
 //!
@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use pnew_detector::sim::{run_schedule, SimOptions, SimReport};
+use pnew_dst::{run_schedule, SimOptions, SimReport};
 
 const USAGE: &str = "usage: dst [--seeds N] [--seed-base B] [--replay-seed S] \
                      [--phases N] [--mutate] [--kill] [--no-faults] [--expect-catch] [--quiet]";

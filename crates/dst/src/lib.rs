@@ -7,7 +7,8 @@
 //! clocks, and a well-behaved filesystem. This module soaks that
 //! layer through thousands of *seeded schedules* instead: every
 //! schedule is a pure function of one `u64` seed, so any failure is a
-//! one-seed repro.
+//! one-seed repro. The harness is a development crate: no product
+//! binary links it.
 //!
 //! A schedule ([`run_schedule`]) builds a scratch corpus of generated
 //! `.pnx` sources, then runs one or more server "phases" — each phase
@@ -62,6 +63,9 @@
 //! witness). The `dst` binary drives soaks and single-seed replays
 //! from the command line; `docs/pnx-syntax.md` has the operator guide.
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::fs;
@@ -71,14 +75,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::analysis::AnalyzerConfig;
-use crate::backend::{CacheBackend, DirBackend};
-use crate::cache::{fnv128, source_fingerprint, CacheLookup, PersistentCache};
-use crate::cliopts::expand_inputs;
-use crate::clock::{Clock, SimClock};
-use crate::emit::json_string;
-use crate::eventloop::Core;
-use crate::server::{parse_json, BackendWrap, JsonNode, Reply, Server, ServerConfig};
+use pnew_detector::cache::{fnv128, source_fingerprint, CacheLookup, PersistentCache};
+use pnew_detector::cliopts::expand_inputs;
+use pnew_detector::clock::Clock;
+use pnew_detector::emit::json_string;
+use pnew_detector::eventloop::Core;
+use pnew_detector::server::{parse_json, BackendWrap, JsonNode, Reply, Server, ServerConfig};
+use pnew_detector::{AnalyzerConfig, CacheBackend, DirBackend};
 
 /// Functions in every generated workload file (`main` plus two
 /// helpers) — the constant behind the delta accounting identity.
@@ -122,6 +125,39 @@ impl SimRng {
     /// `true` once in `one_in` draws on average (never for `0`).
     pub fn chance(&mut self, one_in: u64) -> bool {
         one_in != 0 && self.below(one_in) == 0
+    }
+}
+
+// ---------------------------------------------------------------------
+// Virtual time.
+// ---------------------------------------------------------------------
+
+/// A virtual clock for deterministic simulation: time only moves when
+/// [`SimClock::advance`] is called, so a schedule that "waits" five
+/// virtual minutes for an idle reap completes in microseconds of wall
+/// time, identically on every run.
+///
+/// Starts at zero. Shared freely across the simulated server, its
+/// engines, and the harness loop so that every component observes the
+/// same virtual instant.
+#[derive(Debug, Default)]
+pub struct SimClock {
+    now_ns: AtomicU64,
+}
+
+impl SimClock {
+    /// Moves virtual time forward by `d` (saturating at `u64::MAX`).
+    pub fn advance(&self, d: Duration) {
+        let step = d.as_nanos().min(u128::from(u64::MAX)) as u64;
+        let _ = self
+            .now_ns
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |now| Some(now.saturating_add(step)));
+    }
+}
+
+impl Clock for SimClock {
+    fn now_ns(&self) -> u64 {
+        self.now_ns.load(Ordering::SeqCst)
     }
 }
 
@@ -397,7 +433,7 @@ impl Corpus {
             pad += 1;
             text = render_source(file.uid, file.version, vulnerable, big, pad);
         }
-        debug_assert!(crate::parse::parse_program(&text).is_ok(), "generator must parse");
+        debug_assert!(pnew_detector::parse_program(&text).is_ok(), "generator must parse");
         file.len = text.len();
         fs::write(&file.path, text)
     }
@@ -1301,6 +1337,24 @@ mod tests {
     }
 
     #[test]
+    fn sim_clock_only_moves_when_advanced() {
+        let clock = SimClock::default();
+        assert_eq!(clock.now_ns(), 0);
+        clock.advance(Duration::from_secs(300));
+        assert_eq!(clock.now_ns(), 300_000_000_000);
+        clock.advance(Duration::from_millis(7));
+        assert_eq!(clock.now_ns(), 300_007_000_000);
+    }
+
+    #[test]
+    fn sim_clock_saturates_instead_of_wrapping() {
+        let clock = SimClock::default();
+        clock.advance(Duration::from_nanos(u64::MAX));
+        clock.advance(Duration::from_secs(1));
+        assert_eq!(clock.now_ns(), u64::MAX);
+    }
+
+    #[test]
     fn faulty_backend_disk_full_leaves_prior_entries_intact() {
         let dir = std::env::temp_dir().join("pnx-sim-diskfull");
         let _ = fs::remove_dir_all(&dir);
@@ -1342,7 +1396,7 @@ mod tests {
         for uid in 0..4 {
             for vulnerable in [false, true] {
                 let text = render_source(uid, uid, vulnerable, 48, uid % 3);
-                let program = crate::parse::parse_program(&text).expect("generator parses");
+                let program = pnew_detector::parse_program(&text).expect("generator parses");
                 assert_eq!(program.functions.len(), FUNCTIONS_PER_FILE as usize);
             }
         }

@@ -1,13 +1,13 @@
 //! Deterministic-simulation soak of the `pncheckd` service stack.
 //!
-//! Each test drives `detector::sim::run_schedule`: seeded schedules of
+//! Each test drives `pnew_dst::run_schedule`: seeded schedules of
 //! mixed analyze/delta/stats/shutdown traffic against an in-process
 //! server on a virtual clock, through the daemon's own connection
 //! core, with fault injection in the persistent tier. Any failure
 //! names its seed; `dst --replay-seed N` (with the matching flags)
 //! re-runs exactly that schedule.
 
-use placement_new_attacks::detector::sim::{run_schedule, SimOptions, SimReport};
+use pnew_dst::{run_schedule, SimOptions, SimReport};
 
 /// The acceptance soak: a thousand seeded schedules, five invariants
 /// each, and the aggregate must prove the harness actually exercised

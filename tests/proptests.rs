@@ -328,7 +328,7 @@ proptest! {
         terminated: bool,
     ) {
         use placement_new_attacks::detector::eventloop::{Frame, LineFramer};
-        use placement_new_attacks::detector::sim::SimRng;
+        use pnew_dst::SimRng;
 
         // Newlines are the frame delimiter; strip them from the line
         // bodies so `raw_lines` is the ground truth.
