@@ -98,7 +98,7 @@ fn ratio(slow: Spread, fast: Spread) -> f64 {
 /// one file between its original text and `edited` and times the
 /// `rescan_delta` that re-analyzes exactly that file — once with the
 /// edit named in the hint (the editor-integration fast path: no stat
-/// sweep) and once unhinted (the watch-mode stat sweep over every
+/// sweep) and once unhinted (the polling stat sweep over every
 /// tracked file). Returns `(cold, hinted, sweep, cone_functions)`.
 fn delta_scenario(
     dir: &Path,

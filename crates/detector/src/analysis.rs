@@ -959,6 +959,27 @@ impl Analyzer {
         }
     }
 
+    /// Sizes a `strncpy` or `memset` of `len` bytes into `dst` the way
+    /// the simulated calls write: a negative length writes nothing.
+    fn bulk_write(&self, ix: &Index<'_>, dst: VarId, len: &Expr, state: &State<'_>) -> BulkWrite {
+        let region = self.region_of_var(ix, dst, state);
+        let dst_size = region.and_then(|r| self.region_size(ix, r, state));
+        let iv = self.eval_interval(ix, len, state);
+        let max_len = iv.upper().map(|h| i128::from(h).max(0));
+        let worst_overflow = match (max_len, dst_size) {
+            (Some(l), Some(d)) if l > i128::from(d) => Some((l - i128::from(d)) as u64),
+            _ => None,
+        };
+        BulkWrite {
+            region,
+            dst_size,
+            min_len: i128::from(iv.lo).max(0),
+            max_len,
+            exact: iv.as_const().is_some(),
+            worst_overflow,
+        }
+    }
+
     fn region_class(&self, ix: &Index<'_>, id: RegionId, state: &State<'_>) -> Option<Symbol> {
         match id {
             RegionId::Var(v) => ix.var_class[v.index() as usize],
@@ -1214,48 +1235,19 @@ impl Analyzer {
             Stmt::Strncpy { site, dst, src, len } => {
                 let len_tainted = state.expr_tainted(len);
                 let src_tainted = state.expr_tainted(src);
-                let region = self.region_of_var(ix, *dst, state);
-                let dst_size = region.and_then(|r| self.region_size(ix, r, state));
-                let iv = self.eval_interval(ix, len, state);
-                // The simulated strncpy clamps a negative length to zero,
-                // so a provably non-positive length copies nothing.
-                let min_len = i128::from(iv.lo).max(0);
-                let max_len = iv.upper().map(|h| i128::from(h).max(0));
-                let worst_overflow = match (max_len, dst_size) {
-                    (Some(l), Some(d)) if l > i128::from(d) => Some((l - i128::from(d)) as u64),
-                    _ => None,
-                };
-
-                if let Some(dst_size) = dst_size {
-                    if min_len > i128::from(dst_size) {
-                        let message = if iv.as_const().is_some() {
-                            format!("strncpy of {min_len} bytes into a {dst_size}-byte buffer")
-                        } else {
-                            format!(
-                                "strncpy of at least {min_len} bytes into a {dst_size}-byte buffer"
-                            )
-                        };
-                        emit(
-                            report,
-                            Finding {
-                                kind: FindingKind::ClassicOverflow,
-                                severity: Severity::Error,
-                                site: site.clone(),
-                                message,
-                                width: worst_overflow,
-                            },
-                        );
-                    }
+                let write = self.bulk_write(ix, *dst, len, state);
+                if let Some(finding) = write.overflow("strncpy", site) {
+                    emit(report, finding);
                 }
-                let pool_tainted =
-                    region.and_then(|r| state.regions.get(&r)).is_some_and(|r| r.tainted_pool);
-                let bound_covers =
-                    matches!((max_len, dst_size), (Some(l), Some(d)) if l <= i128::from(d));
-                if (len_tainted || pool_tainted) && src_tainted && !bound_covers {
+                let pool_tainted = write
+                    .region
+                    .and_then(|r| state.regions.get(&r))
+                    .is_some_and(|r| r.tainted_pool);
+                if (len_tainted || pool_tainted) && src_tainted && !write.fits() {
                     let mut message =
                         "untrusted data copied with an untrusted length through a pool-placed buffer — the §4 two-step overflow"
                             .to_owned();
-                    if let Some(w) = worst_overflow {
+                    if let Some(w) = write.worst_overflow {
                         message.push_str(&format!(
                             "; the guard admits a worst case overflowing the buffer by {w} bytes"
                         ));
@@ -1264,20 +1256,24 @@ impl Analyzer {
                         report,
                         Finding {
                             kind: FindingKind::TaintedCopyThroughPool,
-                            severity: if worst_overflow.is_some() {
+                            severity: if write.worst_overflow.is_some() {
                                 Severity::Error
                             } else {
                                 Severity::Warning
                             },
                             site: site.clone(),
                             message,
-                            width: worst_overflow,
+                            width: write.worst_overflow,
                         },
                     );
                 }
             }
-            Stmt::Memset { dst, .. } => {
-                if let Some(r) = self.region_of_var(ix, *dst, state) {
+            Stmt::Memset { site, dst, len } => {
+                let write = self.bulk_write(ix, *dst, len, state);
+                if let Some(finding) = write.overflow("memset", site) {
+                    emit(report, finding);
+                }
+                if let Some(r) = write.region {
                     let rs = state.region_mut(r);
                     rs.has_secret = false;
                     rs.residue_at = None;
@@ -1566,6 +1562,47 @@ fn append_span_digest(body: &[Stmt], out: &mut String) {
             Stmt::While { body, .. } => append_span_digest(body, out),
             _ => {}
         }
+    }
+}
+
+/// One `strncpy` or `memset` sized against its destination region.
+struct BulkWrite {
+    /// The destination region, when known.
+    region: Option<RegionId>,
+    /// The destination region's size, when known.
+    dst_size: Option<u64>,
+    /// The shortest length the guard admits, clamped at zero.
+    min_len: i128,
+    /// The longest length the guard admits, clamped at zero; `None`
+    /// when unbounded.
+    max_len: Option<i128>,
+    /// The length is a constant.
+    exact: bool,
+    /// Bytes the longest admitted length writes past the destination.
+    worst_overflow: Option<u64>,
+}
+
+impl BulkWrite {
+    /// A `classic-overflow` at `site` when even the shortest admitted
+    /// length overflows the destination.
+    fn overflow(&self, call: &str, site: &Site) -> Option<Finding> {
+        let size = self.dst_size.filter(|&d| self.min_len > i128::from(d))?;
+        let at_least = if self.exact { "" } else { "at least " };
+        Some(Finding {
+            kind: FindingKind::ClassicOverflow,
+            severity: Severity::Error,
+            site: site.clone(),
+            message: format!(
+                "{call} of {at_least}{} bytes into a {size}-byte buffer",
+                self.min_len
+            ),
+            width: self.worst_overflow,
+        })
+    }
+
+    /// The longest admitted length fits the destination.
+    fn fits(&self) -> bool {
+        matches!((self.max_len, self.dst_size), (Some(l), Some(d)) if l <= i128::from(d))
     }
 }
 

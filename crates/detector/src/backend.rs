@@ -42,13 +42,16 @@ pub trait CacheBackend: Send + Sync + fmt::Debug {
     /// not validate entry contents — the caller's decode layer
     /// classifies stale and corrupt bytes.
     fn load(&self, key: u128) -> Option<Vec<u8>>;
-    /// Durably stores `bytes` under `key`, replacing any prior entry.
-    /// Concurrent readers must see the old entry or the new one in
-    /// full, never a mix.
+    /// Atomically stores `bytes` under `key`, replacing any prior
+    /// entry. Concurrent readers must see the old entry or the new one
+    /// in full, never a mix. Not durable: a crash may lose the newest
+    /// entries, but never tears one.
     fn store(&self, key: u128, bytes: &[u8]) -> io::Result<()>;
     /// The delta manifest text, if one has been stored.
     fn load_manifest(&self) -> Option<String>;
-    /// Durably stores the delta manifest text.
+    /// Atomically stores the delta manifest text; like
+    /// [`store`](CacheBackend::store), a crash may lose it but never
+    /// tears it.
     fn store_manifest(&self, text: &str) -> io::Result<()>;
 }
 

@@ -362,8 +362,8 @@ pub struct BatchEngine {
     fn_reused_total: AtomicU64,
     /// Time source for scan/rescan elapsed measurements. The real
     /// [`SystemClock`] by default; the DST harness (the `pnew-dst`
-    /// crate) threads a virtual clock through so stat sweeps never read
-    /// real time.
+    /// crate) threads a virtual clock through so stat sweeps never
+    /// read real time.
     clock: Arc<dyn Clock>,
 }
 
@@ -545,8 +545,8 @@ impl BatchEngine {
     /// returned [`DeltaStats`], not the verdicts.
     ///
     /// `changed_hint` selects the change-detection mode. `None` — the
-    /// poll mode a client gets by sending `delta` — stats every tracked file and re-analyzes
-    /// whatever drifted. `Some(list)` — the editor-integration mode —
+    /// poll mode, a client sending `delta` without a hint — stats every
+    /// tracked file and re-analyzes whatever drifted. `Some(list)` — the editor-integration mode —
     /// trusts the client completely: hinted paths are re-analyzed,
     /// every other tracked path is served from the index without even a
     /// `stat`, which is what makes a single-file edit in a 10k-file

@@ -75,7 +75,7 @@ use pnew_detector::oracle::{Matrix, Oracle, Verdict};
 use pnew_detector::trace::TraceCollector;
 use pnew_detector::{
     parse_program_recovering, Analyzer, AnalyzerConfig, BaselineChecker, BatchEngine, BatchStats,
-    Fixer, ParseError, PersistentCache, Program, ReportFilter, Severity,
+    Fixer, ParseError, PersistentCache, Program, ReportFilter,
 };
 
 const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--delta] [--stats] PATH... | -\n(write a path that starts with '-' as ./-name)";
@@ -373,43 +373,31 @@ impl Tail<'_> {
         // to parse. Neither kind ever produces a report, so the count is
         // exact regardless of --jobs.
         let errored_files = unreadable + records.iter().filter(|r| r.report.is_none()).count();
-        let any_findings = records
-            .iter()
-            .filter_map(|r| r.report.as_ref())
-            .any(|r| r.detected_at(Severity::Warning));
 
-        match self.format {
-            OutputFormat::Text => {
-                for (i, record) in records.iter().enumerate() {
-                    let Some(report) = &record.report else { continue };
-                    print!("{report}");
-                    for finding in &report.findings {
-                        println!("    hint: {}", finding.kind.suggestion());
-                    }
-                    if let Some(sources) = self.fix {
-                        // The report may have come from the disk cache,
-                        // so the IR is re-derived here; --fix is a rare,
-                        // interactive path where one extra parse is cheap.
-                        let program = parse_program_recovering(&sources[i].source)
-                            .expect("a file with a report parses");
-                        let (fixed, fixes) = Fixer::new().fix(&program);
-                        for f in &fixes {
-                            eprintln!("fix: {f}");
-                        }
-                        print!("{}", pnew_detector::pretty_program(&fixed));
-                    }
+        if let Some(sources) = self.fix {
+            // --fix is text-only: each report, then its remediated
+            // program. The report may have come from the disk cache, so
+            // the IR is re-derived here; --fix is a rare, interactive
+            // path where one extra parse is cheap.
+            for (record, file) in records.iter().zip(sources) {
+                if record.report.is_none() {
+                    continue;
                 }
+                print!("{}", emit::render(self.format, std::slice::from_ref(record), None, None));
+                let program =
+                    parse_program_recovering(&file.source).expect("a file with a report parses");
+                let (fixed, fixes) = Fixer::new().fix(&program);
+                for f in &fixes {
+                    eprintln!("fix: {f}");
+                }
+                print!("{}", pnew_detector::pretty_program(&fixed));
             }
-            OutputFormat::Json => {
-                // Stats and trace carry wall-clock timings, so they embed
-                // only on request — the default envelope is deterministic.
-                let snapshot = self.trace.map(|t| t.snapshot());
-                let embedded = if self.stats { scan } else { None };
-                print!("{}", emit::render_json(records, embedded, snapshot.as_ref()));
-            }
-            OutputFormat::Sarif => {
-                print!("{}", emit::render_sarif(records));
-            }
+        } else {
+            // Stats and trace carry wall-clock timings, so they embed
+            // only on request — the default envelope is deterministic.
+            let snapshot = self.trace.map(|t| t.snapshot());
+            let embedded = if self.stats { scan } else { None };
+            print!("{}", emit::render(self.format, records, embedded, snapshot.as_ref()));
         }
 
         if self.stats {
@@ -453,13 +441,7 @@ impl Tail<'_> {
             }
         }
 
-        if had_errors {
-            ExitCode::from(2)
-        } else if any_findings {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        }
+        ExitCode::from(emit::exit_status(records, had_errors))
     }
 }
 

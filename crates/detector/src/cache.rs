@@ -58,7 +58,10 @@ const MAGIC: &[u8; 8] = b"PNXCACHE";
 /// Version 5 stores the unfiltered report: the reporting threshold and
 /// disabled kinds left the entry tag and apply when a report is
 /// rendered, so a v4 entry (possibly filtered) must read as a miss.
-pub const SCHEMA_VERSION: u32 = 5;
+/// Version 6 checks a `memset` length against its destination (a
+/// `classic-overflow` the same text did not report before), so a v5
+/// entry must read as a miss and never serve the old report.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// 128-bit FNV-1a over raw bytes: the source key and the entry
 /// checksum.
@@ -238,7 +241,7 @@ impl PersistentCache {
         self.backend.load_manifest()
     }
 
-    /// Durably stores the delta manifest text alongside the entries.
+    /// Atomically stores the delta manifest text alongside the entries.
     /// Best-effort like `put`: a failure degrades the next cold start
     /// to a full rescan, and is counted so it is visible, not silent.
     /// (`stores` counts analysis entries only, so tier accounting

@@ -26,10 +26,10 @@
 //! and source-fingerprint key. The manifest is an
 //! accelerator, not a source of truth — a missing or stale manifest
 //! degrades to stat+read+cache-probe per file, never to a wrong report.
-//! The DST harness (the `pnew-dst` crate) leans on exactly that contract: its
-//! kill faults drop manifest writes mid-schedule and its restarts must
-//! still serve envelopes byte-identical to a fresh scan, with
-//! `functions_reanalyzed + functions_reused` accounting for every
+//! The DST harness (the `pnew-dst` crate) leans on exactly that
+//! contract: its kill faults drop manifest writes mid-schedule and its
+//! restarts must still serve envelopes byte-identical to a fresh scan,
+//! with `functions_reanalyzed + functions_reused` accounting for every
 //! function of every re-analyzed file.
 
 use crate::summary::FunctionSummaryRecord;

@@ -181,7 +181,7 @@ fn write_value(v: &JsonValue, indent: usize, out: &mut String) {
     }
 }
 
-fn render(v: &JsonValue) -> String {
+fn render_indented(v: &JsonValue) -> String {
     let mut out = String::new();
     write_value(v, 0, &mut out);
     out.push('\n');
@@ -191,7 +191,7 @@ fn render(v: &JsonValue) -> String {
 /// Renders `v` on one line with no insignificant whitespace — the
 /// framing the daemon's newline-delimited response headers need (a
 /// header must never contain a raw newline). Deterministic like
-/// [`render`]: field order is construction order.
+/// [`render_indented`]: field order is construction order.
 pub(crate) fn render_compact(v: &JsonValue) -> String {
     fn write_compact(v: &JsonValue, out: &mut String) {
         match v {
@@ -322,6 +322,50 @@ fn file_value(record: &FileRecord) -> JsonValue {
     ])
 }
 
+/// Renders `records` in `format`: what `pncheck` prints and what a
+/// `pncheckd` `analyze` or `delta` reply carries, so the two can never
+/// drift apart. Text is each parsed file's report followed by one fix
+/// hint per finding; `stats` and `trace` embed in the JSON envelope and
+/// are ignored by the other formats.
+pub fn render(
+    format: OutputFormat,
+    records: &[FileRecord],
+    stats: Option<&BatchStats>,
+    trace: Option<&TraceReport>,
+) -> String {
+    match format {
+        OutputFormat::Text => {
+            let mut out = String::new();
+            for report in records.iter().filter_map(|r| r.report.as_ref()) {
+                let _ = write!(out, "{report}");
+                for finding in &report.findings {
+                    let _ = writeln!(out, "    hint: {}", finding.kind.suggestion());
+                }
+            }
+            out
+        }
+        OutputFormat::Json => render_json(records, stats, trace),
+        OutputFormat::Sarif => render_sarif(records),
+    }
+}
+
+/// The exit rule `pncheck` and `pncheckd` share: 2 when any input
+/// could not be read or parsed, 1 when a report holds a warning-level
+/// finding, 0 otherwise.
+pub fn exit_status(records: &[FileRecord], had_errors: bool) -> u8 {
+    if had_errors {
+        2
+    } else if records
+        .iter()
+        .filter_map(|r| r.report.as_ref())
+        .any(|r| r.detected_at(Severity::Warning))
+    {
+        1
+    } else {
+        0
+    }
+}
+
 /// Renders the `pncheck-report/1` JSON envelope.
 ///
 /// Deterministic for identical input: field order is fixed and map-based
@@ -351,7 +395,7 @@ pub fn render_json(
         ("stats", stats.map_or(JsonValue::Null, stats_value)),
         ("trace", trace.map_or(JsonValue::Null, trace_value)),
     ]);
-    render(&envelope)
+    render_indented(&envelope)
 }
 
 /// Renders a `pncheck-report/1` envelope describing a run that could
@@ -374,7 +418,7 @@ pub fn render_error_json(code: &str, message: &str) -> String {
         ("files", JsonValue::Arr(Vec::new())),
         ("error", obj(vec![("code", s(code)), ("message", s(message))])),
     ]);
-    render(&envelope)
+    render_indented(&envelope)
 }
 
 // ---------------------------------------------------------------------
@@ -450,7 +494,7 @@ pub fn render_oracle_json(records: &[OracleRecord], matrix: &Matrix) -> String {
         ("matrix", JsonValue::Arr(matrix_rows)),
         ("files", JsonValue::Arr(files)),
     ]);
-    render(&envelope)
+    render_indented(&envelope)
 }
 
 // ---------------------------------------------------------------------
@@ -591,7 +635,7 @@ pub fn render_sarif(files: &[FileRecord]) -> String {
             ])]),
         ),
     ]);
-    render(&log)
+    render_indented(&log)
 }
 
 #[cfg(test)]
@@ -631,7 +675,7 @@ mod tests {
     #[test]
     fn json_escaping_covers_control_and_quote_characters() {
         let v = s("a\"b\\c\nd\te\u{1}");
-        assert_eq!(render(&v), "\"a\\\"b\\\\c\\nd\\te\\u0001\"\n");
+        assert_eq!(render_indented(&v), "\"a\\\"b\\\\c\\nd\\te\\u0001\"\n");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   through the core and hands their replies back to it.
 //! * [`Server::serve_connection`] — stdio: input is fed one line at a
 //!   time and each request is served before the next is read.
-//! * the deterministic simulator (the `pnew-dst` crate): seeded read chunks,
-//!   seeded partial writes and a virtual clock, so the DST soak runs
-//!   this code rather than a model of it.
+//! * the deterministic simulator (the `pnew-dst` crate): seeded read
+//!   chunks, seeded partial writes and a virtual clock, so the DST soak
+//!   runs this code rather than a model of it.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};

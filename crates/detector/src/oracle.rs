@@ -461,6 +461,22 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_memset_is_a_confirmed_classic_overflow() {
+        // memset is the §5.1 sanitization step; its length is checked
+        // against the destination the way strncpy's is.
+        let program = crate::parse::parse_program(
+            "program t;\nfn main() { local n: int; local buf: char[16]; memset(buf, 64); }\n",
+        )
+        .expect("parses");
+        let diff = Oracle::new().differential(&program);
+        let kinds: Vec<FindingKind> = diff.findings.iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, [FindingKind::ClassicOverflow], "{:?}", diff.findings);
+        assert_eq!(diff.findings[0].severity, Severity::Error);
+        assert_eq!(diff.true_positives(), 1, "{:?}", diff.verdicts);
+        assert!(diff.agrees(), "{:?}", diff.verdicts);
+    }
+
+    #[test]
     fn matrix_accumulates_and_formats() {
         let mut p = ProgramBuilder::new("t");
         students(&mut p);

@@ -92,7 +92,7 @@ use crate::cliopts;
 use crate::clock::{Clock, SystemClock};
 use crate::emit::{self, obj, FileRecord, JsonValue, OutputFormat};
 use crate::eventloop::{Core, TickPoller};
-use crate::findings::{ReportFilter, Severity};
+use crate::findings::ReportFilter;
 use crate::trace::TraceCollector;
 
 /// The protocol name and version announced in every response header.
@@ -927,14 +927,15 @@ impl Server {
         let findings = emit::filter_records(&mut records, &req.filter);
         self.trace.count("server.files", records.len() as u64);
         self.trace.count("server.findings", findings as u64);
-        let payload = render_payload(req, &records, &BatchStats { findings, ..scan_stats });
+        let stats = BatchStats { findings, ..scan_stats };
+        let payload = emit::render(req.format, &records, req.stats.then_some(&stats), None);
         let had_errors = !file_errors.is_empty() || records.iter().any(|r| !r.errors.is_empty());
         let mut header_fields = vec![
             ("schema", emit::s(PROTOCOL)),
             ("id", id.to_value()),
             ("ok", JsonValue::Bool(true)),
             ("op", emit::s(if req.delta { "delta" } else { "analyze" })),
-            ("exit", JsonValue::U64(exit_code(&records, had_errors))),
+            ("exit", JsonValue::U64(emit::exit_status(&records, had_errors).into())),
         ];
         header_fields.extend(delta.map(|counters| ("delta", counters)));
         if !file_errors.is_empty() {
@@ -1280,45 +1281,6 @@ fn flush_stream(core: &Mutex<Core<'_>>, id: u64, stream: &mut TcpStream) {
 /// connection away outright.
 pub(crate) fn hard_connection_cap(config: &ServerConfig) -> usize {
     config.max_connections.saturating_mul(8).max(1)
-}
-
-/// Renders the analyze/delta payload in the request's format — exactly
-/// the envelope `pncheck` prints for the same records, so the two ops
-/// (and the CLI) can never drift apart.
-fn render_payload(req: &AnalyzeRequest, records: &[FileRecord], scan_stats: &BatchStats) -> String {
-    match req.format {
-        OutputFormat::Json => {
-            let embedded = req.stats.then_some(scan_stats);
-            emit::render_json(records, embedded, None)
-        }
-        OutputFormat::Sarif => emit::render_sarif(records),
-        OutputFormat::Text => {
-            use std::fmt::Write as _;
-            let mut out = String::new();
-            for record in records {
-                let Some(report) = &record.report else { continue };
-                let _ = write!(out, "{report}");
-                for finding in &report.findings {
-                    let _ = writeln!(out, "    hint: {}", finding.kind.suggestion());
-                }
-            }
-            out
-        }
-    }
-}
-
-/// The CLI's exit rule: 2 on any read/parse error, 1 on warning-level
-/// findings, 0 otherwise.
-fn exit_code(records: &[FileRecord], had_errors: bool) -> u64 {
-    let any_findings =
-        records.iter().filter_map(|r| r.report.as_ref()).any(|r| r.detected_at(Severity::Warning));
-    if had_errors {
-        2
-    } else if any_findings {
-        1
-    } else {
-        0
-    }
 }
 
 #[cfg(test)]

@@ -114,7 +114,10 @@ fn main() -> ExitCode {
             report.phases,
             report.requests_sent,
             report.replies_delivered,
-            report.payload_checks + report.identity_checks + report.warm_floor_checks,
+            report.payload_checks
+                + report.identity_checks
+                + report.warm_floor_checks
+                + report.output_bound_checks,
             report.faults_injected,
             report.corrupt_detected,
             report.reaped,
@@ -137,15 +140,20 @@ fn main() -> ExitCode {
     let mut faults = 0u64;
     let mut corrupt = 0u64;
     let (mut reaped, mut busy, mut held, mut drains) = (0usize, 0usize, 0usize, 0usize);
+    let mut bound = 0usize;
     for seed in args.seed_base..args.seed_base + args.seeds {
         let report = run_schedule(seed, &opts);
-        checks += report.payload_checks + report.identity_checks + report.warm_floor_checks;
+        checks += report.payload_checks
+            + report.identity_checks
+            + report.warm_floor_checks
+            + report.output_bound_checks;
         faults += report.faults_injected;
         corrupt += report.corrupt_detected;
         reaped += report.reaped;
         busy += report.busy;
         held += report.output_deferrals;
         drains += report.drains;
+        bound += report.output_bound_checks;
         if !report.ok() {
             failed += 1;
             print_failure(&report);
@@ -160,7 +168,8 @@ fn main() -> ExitCode {
     );
     println!(
         "dst: connections: {reaped} idle reaps, {busy} busy at the hard cap, \
-         {held} reaps/closes held for unwritten output, {drains} shutdown drains"
+         {held} reaps/closes held for unwritten output, {drains} shutdown drains, \
+         {bound} connections held at the output bound"
     );
     if args.expect_catch {
         // Mutation-check mode: the run PASSES only if the harness

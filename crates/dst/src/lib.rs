@@ -20,14 +20,17 @@
 //! mid-line stalls, mid-request drops), runs a seeded number of queued
 //! requests per tick through [`Server::handle_line`], takes seeded
 //! partial writes of the owed output, and lets the core reap, close and
-//! drain — all on virtual time, with no real sleeps anywhere.
+//! drain — all on virtual time, with no real sleeps anywhere. One peer
+//! per phase stops taking its output for a seeded stretch of ticks
+//! while it keeps sending, so the core's per-connection output bound
+//! is reached.
 //!
 //! The persistent tier runs behind [`FaultyBackend`], which applies a
 //! seeded [`FaultPlan`] of short (torn) writes, bit flips, disk-full
 //! errors, and kill points after which every write silently vanishes
 //! (a crash, observed by the next phase's restart).
 //!
-//! Five invariants are asserted on every schedule:
+//! Six invariants are asserted on every schedule:
 //!
 //! 1. **Envelope identity** — every successfully delivered `analyze` /
 //!    `delta` payload is byte-identical (and `exit`-identical) to a
@@ -55,6 +58,10 @@
 //!    of texts it presented that the clean phase did not (a memo hit
 //!    never probes disk). A tier that drops or overwrites entries still
 //!    returns identical envelopes, so only these counts can see it.
+//! 6. **Bounded output** — a connection that owes `max_request_bytes`
+//!    or more of unwritten output is never among the connections the
+//!    core reads when the driver feeds bytes, so a client that stops
+//!    reading cannot grow the daemon's buffers.
 //!
 //! A failing schedule names its seed in every violation, and
 //! re-running [`run_schedule`] with the same seed and options replays
@@ -532,6 +539,9 @@ pub struct SimReport {
     /// Phases whose disk tier was held to the warm floor of invariant 5
     /// (each followed a clean phase).
     pub warm_floor_checks: usize,
+    /// Connections that owed at least `max_request_bytes` while the
+    /// driver fed bytes, each held to invariant 6 for as long as it did.
+    pub output_bound_checks: usize,
     /// Faults the backend injected (torn, flipped, disk-full, swaps).
     pub faults_injected: u64,
     /// Corrupt persistent entries the stack detected (and healed).
@@ -629,11 +639,123 @@ struct Peer {
     /// The peer vanished: exempt from the connection invariant.
     dropped: bool,
     received: Vec<u8>,
+    /// Set for the pausing peer: it draws its chunks and writes from
+    /// this instead of the schedule's stream.
+    pause: Option<Pause>,
+    /// The connection has owed the output bound (invariant 6).
+    at_bound: bool,
+}
+
+impl Peer {
+    fn new(script: Vec<u8>, end: EndKind) -> Peer {
+        Peer {
+            script,
+            sent: 0,
+            end,
+            eof_sent: false,
+            dropped: false,
+            received: Vec::new(),
+            pause: None,
+            at_bound: false,
+        }
+    }
+}
+
+/// The pausing peer's own draws: it takes no output during ticks
+/// `from..until` while it keeps sending, then resumes.
+struct Pause {
+    rng: SimRng,
+    from: usize,
+    until: usize,
+}
+
+/// Requests the pausing peer sends at least: enough replies (about 0.8
+/// to 1.4 KB each) to owe more than [`MAX_REQUEST_BYTES`].
+const PAUSED_REQUESTS: u64 = 10;
+
+/// How many of `owed` bytes a peer takes this tick: none, some or all.
+fn take(rng: &mut SimRng, owed: usize) -> usize {
+    match rng.below(4) {
+        0 => 0,
+        1 => 1 + rng.below(owed as u64) as usize,
+        _ => owed,
+    }
 }
 
 /// One phase's traffic: per-connection `(byte script, end kind)` pairs
 /// plus the map from request line to its verification spec.
 type Traffic = (Vec<(Vec<u8>, EndKind)>, HashMap<String, CheckSpec>);
+
+/// Draws one request line with id `id` — a weighted mix of analyze,
+/// delta, stats, ping and hostile lines — and records the spec of every
+/// line whose reply is checked against a one-shot scan.
+fn request_line(
+    rng: &mut SimRng,
+    corpus: &Corpus,
+    id: u64,
+    checks: &mut HashMap<String, CheckSpec>,
+) -> String {
+    let dir = corpus.dir.to_string_lossy().into_owned();
+    // Optional per-request filter and format, mirrored verbatim in
+    // the reference line so the comparison is filter-for-filter.
+    let mut extras = String::new();
+    if rng.chance(5) {
+        extras.push_str(",\"min_severity\":\"error\"");
+    }
+    match rng.below(6) {
+        0 => extras.push_str(",\"format\":\"sarif\""),
+        1 => extras.push_str(",\"format\":\"text\""),
+        _ => {}
+    }
+
+    match rng.below(10) {
+        // Weighted mix: delta-heavy, stats/ping/hostile sprinkled.
+        0 | 1 => {
+            let path = if rng.below(2) == 0 {
+                dir
+            } else {
+                let pick = rng.below(corpus.files.len() as u64) as usize;
+                corpus.files[pick].path.to_string_lossy().into_owned()
+            };
+            let target = json_string(&path);
+            let line = format!("{{\"op\":\"analyze\",\"id\":{id},\"paths\":[{target}]{extras}}}");
+            let reference = format!("{{\"op\":\"analyze\",\"paths\":[{target}]{extras}}}");
+            let input = Input::Path(path);
+            let spec = CheckSpec { reference_line: reference, delta: false, input };
+            checks.insert(line.clone(), spec);
+            line
+        }
+        2 => {
+            let source = render_source(900 + rng.below(8), 0, rng.below(2) == 0, 48, 0);
+            let quoted = json_string(&source);
+            let line = format!("{{\"op\":\"analyze\",\"id\":{id},\"source\":{quoted}{extras}}}");
+            let reference = format!("{{\"op\":\"analyze\",\"source\":{quoted}{extras}}}");
+            let input = Input::Source(source);
+            let spec = CheckSpec { reference_line: reference, delta: false, input };
+            checks.insert(line.clone(), spec);
+            line
+        }
+        3..=6 => {
+            let target = json_string(&dir);
+            let line = format!("{{\"op\":\"delta\",\"id\":{id},\"paths\":[{target}]{extras}}}");
+            let reference = format!("{{\"op\":\"analyze\",\"paths\":[{target}]{extras}}}");
+            let input = Input::Path(dir);
+            let spec = CheckSpec { reference_line: reference, delta: true, input };
+            checks.insert(line.clone(), spec);
+            line
+        }
+        7 => format!("{{\"op\":\"stats\",\"id\":{id}}}"),
+        8 => format!("{{\"op\":\"ping\",\"id\":{id}}}"),
+        _ => match rng.below(3) {
+            // Hostile lines: oversized, junk, blank. All must get
+            // clean protocol errors (or be skipped) without ever
+            // desynchronizing the framer.
+            0 => "x".repeat(5000),
+            1 => "this is not json".to_owned(),
+            _ => String::new(),
+        },
+    }
+}
 
 /// Builds one phase's traffic: per-connection byte scripts plus the
 /// map from request line to its verification spec.
@@ -647,73 +769,11 @@ fn build_traffic(
     let clients = opts.clients.max(1);
     let mut scripts: Vec<Vec<u8>> = vec![Vec::new(); clients];
     let mut checks = HashMap::new();
-    let dir = corpus.dir.to_string_lossy().into_owned();
 
     for _ in 0..opts.requests {
         let conn = rng.below(clients as u64) as usize;
         *next_request_id += 1;
-        let id = *next_request_id;
-        // Optional per-request filter and format, mirrored verbatim in
-        // the reference line so the comparison is filter-for-filter.
-        let mut extras = String::new();
-        if rng.chance(5) {
-            extras.push_str(",\"min_severity\":\"error\"");
-        }
-        match rng.below(6) {
-            0 => extras.push_str(",\"format\":\"sarif\""),
-            1 => extras.push_str(",\"format\":\"text\""),
-            _ => {}
-        }
-
-        let line = match rng.below(10) {
-            // Weighted mix: delta-heavy, stats/ping/hostile sprinkled.
-            0 | 1 => {
-                let path = if rng.below(2) == 0 {
-                    dir.clone()
-                } else {
-                    let pick = rng.below(corpus.files.len() as u64) as usize;
-                    corpus.files[pick].path.to_string_lossy().into_owned()
-                };
-                let target = json_string(&path);
-                let line =
-                    format!("{{\"op\":\"analyze\",\"id\":{id},\"paths\":[{target}]{extras}}}");
-                let reference = format!("{{\"op\":\"analyze\",\"paths\":[{target}]{extras}}}");
-                let input = Input::Path(path);
-                let spec = CheckSpec { reference_line: reference, delta: false, input };
-                checks.insert(line.clone(), spec);
-                line
-            }
-            2 => {
-                let source = render_source(900 + rng.below(8), 0, rng.below(2) == 0, 48, 0);
-                let quoted = json_string(&source);
-                let line =
-                    format!("{{\"op\":\"analyze\",\"id\":{id},\"source\":{quoted}{extras}}}");
-                let reference = format!("{{\"op\":\"analyze\",\"source\":{quoted}{extras}}}");
-                let input = Input::Source(source);
-                let spec = CheckSpec { reference_line: reference, delta: false, input };
-                checks.insert(line.clone(), spec);
-                line
-            }
-            3..=6 => {
-                let target = json_string(&dir);
-                let line = format!("{{\"op\":\"delta\",\"id\":{id},\"paths\":[{target}]{extras}}}");
-                let reference = format!("{{\"op\":\"analyze\",\"paths\":[{target}]{extras}}}");
-                let input = Input::Path(dir.clone());
-                let spec = CheckSpec { reference_line: reference, delta: true, input };
-                checks.insert(line.clone(), spec);
-                line
-            }
-            7 => format!("{{\"op\":\"stats\",\"id\":{id}}}"),
-            8 => format!("{{\"op\":\"ping\",\"id\":{id}}}"),
-            _ => match rng.below(3) {
-                // Hostile lines: oversized, junk, blank. All must get
-                // clean protocol errors (or be skipped) without ever
-                // desynchronizing the framer.
-                0 => "x".repeat(5000),
-                1 => "this is not json".to_owned(),
-                _ => String::new(),
-            },
-        };
+        let line = request_line(rng, corpus, *next_request_id, &mut checks);
         scripts[conn].extend_from_slice(line.as_bytes());
         scripts[conn].push(b'\n');
     }
@@ -946,6 +1006,9 @@ const TICK_LIMIT: usize = 100_000;
 /// harness's own plumbing, never the stack under test).
 pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
     let mut rng = SimRng::new(seed ^ 0x5dee_ce66_d158_1f86);
+    // The pausing peers draw from a stream of their own, so the other
+    // peers keep the draws they had without them.
+    let mut pause_rng = SimRng::new(seed ^ 0x2545_f491_4f6c_dd1d);
     let root = std::env::temp_dir().join(format!("pnx-dst-{}-{seed:016x}", opts.tag));
     let _ = fs::remove_dir_all(&root);
     let src_dir = root.join("src");
@@ -991,6 +1054,7 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
             stats: &stats,
             warm_floor: warm_floor.as_ref(),
             next_request_id: &mut next_request_id,
+            pause_seed: pause_rng.next_u64(),
             last_phase: phase + 1 == phases,
             digest_buf: &mut digest_buf,
             report: &mut report,
@@ -1017,6 +1081,29 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
     report
 }
 
+/// The phase's pausing peer: [`PAUSED_REQUESTS`] or a few more request
+/// lines sent up to 63 bytes a tick, and a pause of 60 to 180 ticks
+/// starting in the first eight, all drawn from `rng`. It never drops,
+/// so invariant 4 holds for it.
+fn pausing_peer(
+    mut rng: SimRng,
+    corpus: &Corpus,
+    next_request_id: &mut u64,
+    checks: &mut HashMap<String, CheckSpec>,
+) -> Peer {
+    let mut script = Vec::new();
+    for _ in 0..PAUSED_REQUESTS + rng.below(4) {
+        *next_request_id += 1;
+        script
+            .extend_from_slice(request_line(&mut rng, corpus, *next_request_id, checks).as_bytes());
+        script.push(b'\n');
+    }
+    let end = if rng.chance(2) { EndKind::Linger } else { EndKind::CleanEof };
+    let from = rng.below(8) as usize;
+    let until = from + 60 + rng.below(121) as usize;
+    Peer { pause: Some(Pause { rng, from, until }), ..Peer::new(script, end) }
+}
+
 /// Everything one phase needs, bundled to keep the call site sane.
 struct PhaseContext<'a> {
     rng: &'a mut SimRng,
@@ -1030,6 +1117,8 @@ struct PhaseContext<'a> {
     /// applies to this phase.
     warm_floor: Option<&'a HashSet<u128>>,
     next_request_id: &'a mut u64,
+    /// Seeds the phase's pausing peer.
+    pause_seed: u64,
     last_phase: bool,
     digest_buf: &'a mut Vec<u8>,
     report: &'a mut SimReport,
@@ -1047,6 +1136,7 @@ fn run_phase(ctx: PhaseContext<'_>) -> HashSet<u128> {
         stats,
         warm_floor,
         next_request_id,
+        pause_seed,
         last_phase,
         digest_buf,
         report,
@@ -1073,9 +1163,14 @@ fn run_phase(ctx: PhaseContext<'_>) -> HashSet<u128> {
     })
     .expect("simulated server builds");
 
-    let (scripts, checks) = build_traffic(rng, corpus, opts, next_request_id, last_phase);
-    report.requests_sent +=
-        scripts.iter().map(|(s, _)| s.iter().filter(|&&b| b == b'\n').count()).sum::<usize>();
+    let (scripts, mut checks) = build_traffic(rng, corpus, opts, next_request_id, last_phase);
+    let pausing = pausing_peer(SimRng::new(pause_seed), corpus, next_request_id, &mut checks);
+    report.requests_sent += scripts
+        .iter()
+        .map(|(s, _)| s)
+        .chain([&pausing.script])
+        .map(|s| s.iter().filter(|&&b| b == b'\n').count())
+        .sum::<usize>();
 
     // Invariant 5's bounds: every text the executed analyze and delta
     // requests presented.
@@ -1083,10 +1178,9 @@ fn run_phase(ctx: PhaseContext<'_>) -> HashSet<u128> {
     let mut core = Core::new(&server);
     let mut peers: BTreeMap<u64, Peer> = BTreeMap::new();
     for (script, end) in scripts {
-        let peer =
-            Peer { script, sent: 0, end, eof_sent: false, dropped: false, received: Vec::new() };
-        peers.insert(core.accept(clock.now_ns()), peer);
+        peers.insert(core.accept(clock.now_ns()), Peer::new(script, end));
     }
+    peers.insert(core.accept(clock.now_ns()), pausing);
 
     let mut tick = 0;
     while !core.is_idle() {
@@ -1111,7 +1205,26 @@ fn run_phase(ctx: PhaseContext<'_>) -> HashSet<u128> {
                 _ => corpus.edit_file(rng),
             };
         }
-        for id in core.readable() {
+        let readable = core.readable();
+        // Invariant 6: a connection owing the output bound is not read.
+        for id in core.unwritten() {
+            let owed = core.output(id).len();
+            if owed < MAX_REQUEST_BYTES {
+                continue;
+            }
+            if readable.contains(&id) {
+                report.violations.push(format!(
+                    "seed {}: connection {id} owes {owed} bytes (bound {MAX_REQUEST_BYTES}) \
+                     but is still read",
+                    report.seed
+                ));
+                return presented;
+            }
+            let peer = peers.get_mut(&id).expect("every connection has a peer");
+            report.output_bound_checks += usize::from(!peer.at_bound);
+            peer.at_bound = true;
+        }
+        for id in readable {
             let peer = peers.get_mut(&id).expect("every connection has a peer");
             let rest = &peer.script[peer.sent..];
             if rest.is_empty() {
@@ -1128,10 +1241,13 @@ fn run_phase(ctx: PhaseContext<'_>) -> HashSet<u128> {
                 }
                 continue;
             }
-            let n = match rng.below(6) {
-                0 => 0,
-                1 => 1,
-                _ => 1 + rng.below(18) as usize,
+            let n = match &mut peer.pause {
+                Some(pause) => pause.rng.below(64) as usize,
+                None => match rng.below(6) {
+                    0 => 0,
+                    1 => 1,
+                    _ => 1 + rng.below(18) as usize,
+                },
             }
             .min(rest.len());
             if n > 0 {
@@ -1157,15 +1273,16 @@ fn run_phase(ctx: PhaseContext<'_>) -> HashSet<u128> {
 
         // 3. Seeded partial writes: a peer takes none, some, or all of
         // what it is owed, so reaps, closes and the drain meet output
-        // that is still unwritten.
+        // that is still unwritten. The pausing peer takes nothing
+        // during its pause.
         for id in core.unwritten() {
             let owed = core.output(id);
-            let n = match rng.below(4) {
-                0 => 0,
-                1 => 1 + rng.below(owed.len() as u64) as usize,
-                _ => owed.len(),
-            };
             let peer = peers.get_mut(&id).expect("every connection has a peer");
+            let n = match &mut peer.pause {
+                Some(pause) if (pause.from..pause.until).contains(&tick) => 0,
+                Some(pause) => take(&mut pause.rng, owed.len()),
+                None => take(rng, owed.len()),
+            };
             if !peer.dropped {
                 peer.received.extend_from_slice(&owed[..n]);
                 digest_buf.extend_from_slice(&owed[..n]);

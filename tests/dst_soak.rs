@@ -9,12 +9,13 @@
 
 use pnew_dst::{run_schedule, SimOptions, SimReport};
 
-/// The acceptance soak: a thousand seeded schedules, five invariants
+/// The acceptance soak: a thousand seeded schedules, six invariants
 /// each, and the aggregate must prove the harness actually exercised
 /// the interesting machinery (faults landed, corruption was detected
 /// and healed, idle reaping both fired and was correctly deferred,
 /// floods met the hard cap, unwritten output held back reaps and
-/// closes, and shutdowns drained).
+/// closes, paused peers reached the output bound, and shutdowns
+/// drained).
 #[test]
 fn soak_one_thousand_seeds_holds_all_invariants() {
     let opts = SimOptions { tag: "soak-test".to_owned(), ..SimOptions::default() };
@@ -23,7 +24,7 @@ fn soak_one_thousand_seeds_holds_all_invariants() {
     let mut corrupt = 0u64;
     let mut reaped = 0usize;
     let mut deferrals = 0usize;
-    let (mut busy, mut held, mut drains) = (0usize, 0usize, 0usize);
+    let (mut busy, mut held, mut drains, mut bound) = (0usize, 0usize, 0usize, 0usize);
     let mut payload_checks = 0usize;
     let mut identity_checks = 0usize;
     for seed in 0..1000 {
@@ -35,6 +36,7 @@ fn soak_one_thousand_seeds_holds_all_invariants() {
         busy += report.busy;
         held += report.output_deferrals;
         drains += report.drains;
+        bound += report.output_bound_checks;
         payload_checks += report.payload_checks;
         identity_checks += report.identity_checks;
         if !report.ok() {
@@ -53,6 +55,7 @@ fn soak_one_thousand_seeds_holds_all_invariants() {
     assert!(busy > 0, "the soak must turn connections away with busy at the hard cap");
     assert!(held > 0, "the soak must hold reaps or closes for unwritten output");
     assert!(drains > 0, "the soak must drain after shutdown");
+    assert!(bound > 0, "the soak must hold a connection at the output bound");
     assert!(payload_checks > 100, "the soak must compare warm payloads against one-shot scans");
     assert!(identity_checks > 100, "the soak must check accounting identities");
 }
