@@ -48,7 +48,7 @@ use crate::summary::{
     region_sort_key, CallGraph, CallSummary, FunctionSummaryRecord, Memo, StoredSummary,
     SummaryDep, SummaryKey, SummaryStore,
 };
-use crate::trace::TraceCollector;
+use crate::trace::{Counter, Pass, Trace};
 
 /// Precomputed per-program lookup tables.
 ///
@@ -468,24 +468,17 @@ impl Analyzer {
         report
     }
 
-    /// [`analyze`](Self::analyze), recording per-pass timings
-    /// (`analysis.index`, `analysis.walk`) and counters (programs,
-    /// functions, summaries computed/applied, findings per kind of the
-    /// unfiltered report) into `trace`.
-    pub fn analyze_traced(&self, program: &Program, trace: &TraceCollector) -> Report {
-        self.analyze_impl(program, Some(trace), None).report
-    }
-
     /// The full analysis product the persistent cache stores: the
     /// unfiltered report, the per-function summary records, and the
-    /// finding pool the records' `finding_ids` index. `store` taps the
+    /// finding pool the records' `finding_ids` index. `trace` receives
+    /// the analysis's counts and pass timings. `store` taps the
     /// cross-file [`SummaryStore`]: functions whose closure fingerprint
     /// hits the store replay the stored entry summary instead of being
     /// re-walked, and fresh summaries are published back.
     pub fn analyze_full(
         &self,
         program: &Program,
-        trace: Option<&TraceCollector>,
+        trace: Option<&Trace>,
         store: Option<&SummaryStore>,
     ) -> CachedAnalysis {
         self.analyze_impl(program, trace, store)
@@ -513,11 +506,23 @@ impl Analyzer {
         old: &CachedAnalysis,
         store: Option<&SummaryStore>,
     ) -> Option<PartialAnalysis> {
+        self.analyze_partial_traced(program, old, store, None)
+    }
+
+    /// [`analyze_partial`](Self::analyze_partial), counting into
+    /// `trace` like [`analyze_full`](Self::analyze_full) does.
+    pub(crate) fn analyze_partial_traced(
+        &self,
+        program: &Program,
+        old: &CachedAnalysis,
+        store: Option<&SummaryStore>,
+        trace: Option<&Trace>,
+    ) -> Option<PartialAnalysis> {
         if old.summaries.is_empty() {
             return None;
         }
         let n = program.functions.len();
-        let ix = Index::build(program);
+        let ix = timed(trace, Pass::AnalysisIndex, || Index::build(program));
         if ix.fn_by_name.len() != n {
             return None; // duplicate names: identity-by-name is ambiguous
         }
@@ -568,81 +573,31 @@ impl Analyzer {
             }
         }
 
-        let mut report = Report::new(&program.name);
-        let mut records = Vec::with_capacity(n);
-        let mut pool = FindingPool::default();
-        let mut env = WalkEnv { memo: Memo::default(), inline: false };
-        let closure_fps = store.map(|_| graph.closure_fingerprints(&fn_fps));
-        // Seed cone members callees-first: the global bottom-up order
-        // restricted to the cone is exactly the induced subgraph's order
-        // (non-cone callees are reached on demand at depth > 0).
-        for &fi in &graph.bottom_up {
-            if cone[fi] {
-                self.entry_summary(&ix, fi, &mut env);
-            }
-        }
-        let mut functions_reanalyzed = 0u32;
-        let mut functions_reused = 0u32;
-        for fi in 0..n {
-            let name = program.functions[fi].name.as_str();
-            let deps: Vec<SummaryDep> = graph.callees[fi]
-                .iter()
-                .map(|&j| SummaryDep {
-                    callee: program.functions[j].name.clone(),
-                    fingerprint: fn_fps[j],
-                })
-                .collect();
-            let (findings_n, finding_ids, region_effects, clobbers) = if cone[fi] {
-                functions_reanalyzed += 1;
-                let summary = self.entry_summary(&ix, fi, &mut env);
-                let ids = summary
-                    .findings
-                    .iter()
-                    .map(|f| {
-                        emit(&mut report, f.clone());
-                        pool.intern(f)
-                    })
-                    .collect();
-                let region_effects = summary.exit_regions.len() as u32;
-                let clobbers = summary.exit_clobber.is_some();
-                if let (Some(s), Some(closure)) = (store, &closure_fps) {
-                    if let Some(key) = closure[fi] {
-                        s.insert(
-                            key,
-                            StoredSummary {
-                                findings: summary.findings.clone(),
-                                region_effects,
-                                clobbers,
-                            },
-                        );
+        // Every function outside the cone replays its old record.
+        let replay: Vec<Option<Replay<'_>>> = (0..n)
+            .map(|fi| {
+                (!cone[fi]).then(|| {
+                    let rec = old_by_name[program.functions[fi].name.as_str()];
+                    Replay {
+                        findings: rec
+                            .finding_ids
+                            .iter()
+                            .map(|&id| &old.finding_pool[id as usize])
+                            .collect(),
+                        region_effects: rec.region_effects,
+                        clobbers: rec.clobbers,
                     }
-                }
-                (summary.findings.len() as u32, ids, region_effects, clobbers)
-            } else {
-                functions_reused += 1;
-                let rec = old_by_name[name];
-                let ids = rec
-                    .finding_ids
-                    .iter()
-                    .map(|&id| {
-                        let f = &old.finding_pool[id as usize];
-                        emit(&mut report, f.clone());
-                        pool.intern(f)
-                    })
-                    .collect();
-                (rec.findings, ids, rec.region_effects, rec.clobbers)
-            };
-            records.push(FunctionSummaryRecord {
-                function: name.to_owned(),
-                fingerprint: fn_fps[fi],
-                findings: findings_n,
-                finding_ids,
-                region_effects,
-                clobbers,
-                deps,
-            });
+                })
+            })
+            .collect();
+        let closure_fps = store.map(|_| graph.closure_fingerprints(&fn_fps));
+        let publish = store.zip(closure_fps.as_deref());
+        let (analysis, walked) = timed(trace, Pass::AnalysisWalk, || {
+            self.assemble(&ix, &graph, &fn_fps, publish, &replay, trace)
+        });
+        if let Some(t) = trace {
+            t.count(Counter::PartialAnalyses, 1);
         }
-        let analysis = CachedAnalysis { report, summaries: records, finding_pool: pool.pool };
         #[cfg(debug_assertions)]
         {
             let fresh = self.analyze_impl(program, None, None);
@@ -652,53 +607,84 @@ impl Analyzer {
                 program.name
             );
         }
-        Some(PartialAnalysis { analysis, functions_reanalyzed, functions_reused })
+        Some(PartialAnalysis {
+            analysis,
+            functions_reanalyzed: walked,
+            functions_reused: n as u32 - walked,
+        })
     }
 
     fn analyze_impl(
         &self,
         program: &Program,
-        trace: Option<&TraceCollector>,
+        trace: Option<&Trace>,
         store: Option<&SummaryStore>,
     ) -> CachedAnalysis {
-        let ix = match trace {
-            Some(t) => t.time("analysis.index", || Index::build(program)),
-            None => Index::build(program),
-        };
+        let ix = timed(trace, Pass::AnalysisIndex, || Index::build(program));
+        timed(trace, Pass::AnalysisWalk, || {
+            // Per-function content fingerprints (see
+            // [`FunctionSummaryRecord::fingerprint`]). The dependency
+            // lists carry the callee fingerprints, so two record sets
+            // alone determine the invalidation cone of an edit.
+            let graph = CallGraph::build(program, &ix.fn_by_name);
+            let fn_fps = function_fingerprints(program);
+            // Cross-file exchange: a function whose closure fingerprint
+            // (own text + full callee closure) hits the store replays the
+            // stored entry summary instead of being walked at all.
+            let closure_fps = store.map(|_| graph.closure_fingerprints(&fn_fps));
+            let publish = store.zip(closure_fps.as_deref());
+            let store_hits: Vec<Option<Arc<StoredSummary>>> = match publish {
+                Some((s, closure)) => {
+                    closure.iter().map(|k| k.and_then(|key| s.get(key))).collect()
+                }
+                None => vec![None; program.functions.len()],
+            };
+            let replay: Vec<Option<Replay<'_>>> = store_hits
+                .iter()
+                .map(|hit| {
+                    hit.as_deref().map(|h| Replay {
+                        findings: h.findings.iter().collect(),
+                        region_effects: h.region_effects,
+                        clobbers: h.clobbers,
+                    })
+                })
+                .collect();
+            self.assemble(&ix, &graph, &fn_fps, publish, &replay, trace).0
+        })
+    }
+
+    /// The per-function assembly both analysis paths share. A function
+    /// with no `replay` source is walked — callees first, so one
+    /// bottom-up pass over the SCC condensation seeds the memo table
+    /// (recursive cycles rely on the depth guard's bounded widening
+    /// instead; a replayed callee is walked on demand at depth > 0) —
+    /// and its entry summary is published to the store under its
+    /// closure fingerprint. A function with one replays those findings
+    /// instead. Findings are emitted in definition order,
+    /// keeping reports byte-identical to the inline walk. Returns the
+    /// analysis and the number of functions walked, and counts the
+    /// analysis into `trace`.
+    fn assemble<'p>(
+        &self,
+        ix: &Index<'p>,
+        graph: &CallGraph,
+        fn_fps: &[u128],
+        publish: Option<(&SummaryStore, &[Option<u128>])>,
+        replay: &[Option<Replay<'_>>],
+        trace: Option<&Trace>,
+    ) -> (CachedAnalysis, u32) {
+        let program = ix.program;
         let mut report = Report::new(&program.name);
-        let mut records = Vec::new();
+        let mut records = Vec::with_capacity(program.functions.len());
         let mut pool = FindingPool::default();
-        let walk_start = trace.map(|_| std::time::Instant::now());
         let mut env = WalkEnv { memo: Memo::default(), inline: false };
-        let n = program.functions.len();
-        // Per-function content fingerprints (see
-        // [`FunctionSummaryRecord::fingerprint`]). The dependency lists
-        // below carry the callee fingerprints, so two record sets alone
-        // determine the invalidation cone of an edit.
-        let graph = CallGraph::build(program, &ix.fn_by_name);
-        let fn_fps = function_fingerprints(program);
-        // Cross-file exchange: a function whose closure fingerprint (own
-        // text + full callee closure) hits the store replays the stored
-        // entry summary instead of being walked at all.
-        let closure_fps = store.map(|_| graph.closure_fingerprints(&fn_fps));
-        let store_hits: Vec<Option<Arc<StoredSummary>>> = match (store, &closure_fps) {
-            (Some(s), Some(closure)) => {
-                closure.iter().map(|k| k.and_then(|key| s.get(key))).collect()
-            }
-            _ => vec![None; n],
-        };
-        // One bottom-up pass over the SCC condensation seeds the memo
-        // table callees-first (recursive cycles rely on the depth guard's
-        // bounded widening instead)…
         for &fi in &graph.bottom_up {
-            if store_hits[fi].is_none() {
-                self.entry_summary(&ix, fi, &mut env);
+            if replay[fi].is_none() {
+                self.entry_summary(ix, fi, &mut env);
             }
         }
-        // …then every function's entry findings replay in definition
-        // order, keeping reports byte-identical to the inline walk.
-        let mut store_reused = 0u64;
-        for fi in 0..n {
+        let mut walked = 0u32;
+        for (fi, function) in program.functions.iter().enumerate() {
             let deps: Vec<SummaryDep> = graph.callees[fi]
                 .iter()
                 .map(|&j| SummaryDep {
@@ -706,69 +692,51 @@ impl Analyzer {
                     fingerprint: fn_fps[j],
                 })
                 .collect();
-            let (findings_n, finding_ids, region_effects, clobbers) =
-                if let Some(hit) = &store_hits[fi] {
-                    store_reused += 1;
-                    let ids = hit
-                        .findings
-                        .iter()
-                        .map(|f| {
-                            emit(&mut report, f.clone());
-                            pool.intern(f)
-                        })
-                        .collect();
-                    (hit.findings.len() as u32, ids, hit.region_effects, hit.clobbers)
-                } else {
-                    let summary = self.entry_summary(&ix, fi, &mut env);
-                    let ids = summary
-                        .findings
-                        .iter()
-                        .map(|f| {
-                            emit(&mut report, f.clone());
-                            pool.intern(f)
-                        })
-                        .collect();
+            let (finding_ids, region_effects, clobbers) = match &replay[fi] {
+                Some(r) => {
+                    let ids = pool.emit_all(&mut report, r.findings.iter().copied());
+                    (ids, r.region_effects, r.clobbers)
+                }
+                None => {
+                    walked += 1;
+                    let summary = self.entry_summary(ix, fi, &mut env);
+                    let ids = pool.emit_all(&mut report, summary.findings.iter());
                     let region_effects = summary.exit_regions.len() as u32;
                     let clobbers = summary.exit_clobber.is_some();
-                    if let (Some(s), Some(closure)) = (store, &closure_fps) {
-                        if let Some(key) = closure[fi] {
-                            s.insert(
-                                key,
-                                StoredSummary {
-                                    findings: summary.findings.clone(),
-                                    region_effects,
-                                    clobbers,
-                                },
-                            );
-                        }
+                    if let Some((s, Some(key))) = publish.map(|(s, closure)| (s, closure[fi])) {
+                        s.insert(
+                            key,
+                            StoredSummary {
+                                findings: summary.findings.clone(),
+                                region_effects,
+                                clobbers,
+                            },
+                        );
                     }
-                    (summary.findings.len() as u32, ids, region_effects, clobbers)
-                };
+                    (ids, region_effects, clobbers)
+                }
+            };
             records.push(FunctionSummaryRecord {
-                function: program.functions[fi].name.clone(),
+                function: function.name.clone(),
                 fingerprint: fn_fps[fi],
-                findings: findings_n,
+                findings: finding_ids.len() as u32,
                 finding_ids,
                 region_effects,
                 clobbers,
                 deps,
             });
         }
-        if let (Some(t), Some(start)) = (trace, walk_start) {
-            t.record_pass("analysis.walk", start.elapsed());
-            t.count("analysis.programs", 1);
-            t.count("analysis.functions", n as u64);
-            t.count("analysis.summaries-computed", env.memo.computed);
-            t.count("analysis.summaries-applied", env.memo.applied);
-            t.count("analysis.recursive-functions", graph.recursive_functions() as u64);
-            if store.is_some() {
-                t.count("analysis.store-reused", store_reused);
-            }
+        if let Some(t) = trace {
+            t.count(Counter::Analyses, 1);
+            t.count(Counter::FunctionsAnalyzed, program.functions.len() as u64);
+            t.count(Counter::SummariesComputed, env.memo.computed);
+            t.count(Counter::SummariesApplied, env.memo.applied);
+            t.count(Counter::RecursiveFunctions, graph.recursive_functions() as u64);
             for f in &report.findings {
-                t.count(&format!("findings.{}", f.kind.name()), 1);
+                t.finding(f.kind);
             }
         }
-        CachedAnalysis { report, summaries: records, finding_pool: pool.pool }
+        (CachedAnalysis { report, summaries: records, finding_pool: pool.pool }, walked)
     }
 
     /// The memoized entry summary of function `fi`: its body walked at
@@ -1477,6 +1445,26 @@ pub struct PartialAnalysis {
     pub functions_reused: u32,
 }
 
+/// The findings and effects a function that is not walked takes from
+/// elsewhere: a summary-store hit on the full path, the old record
+/// outside the cone on the partial path.
+struct Replay<'a> {
+    findings: Vec<&'a Finding>,
+    region_effects: u32,
+    clobbers: bool,
+}
+
+/// Runs `f`, timing it as one run of `pass` when there is a `trace`.
+fn timed<T>(trace: Option<&Trace>, pass: Pass, f: impl FnOnce() -> T) -> T {
+    let Some(t) = trace else {
+        return f();
+    };
+    let start = std::time::Instant::now();
+    let out = f();
+    t.time(pass, start.elapsed());
+    out
+}
+
 /// Full-content identity of a finding, for pool interning. `Site`'s own
 /// `PartialEq` deliberately ignores spans, but the pool must distinguish
 /// findings down to the rendered byte (spans, message, width) — two
@@ -1506,6 +1494,21 @@ struct FindingPool {
 }
 
 impl FindingPool {
+    /// Emits each finding into `report` and interns it, returning the
+    /// pool ids in order.
+    fn emit_all<'a>(
+        &mut self,
+        report: &mut Report,
+        findings: impl Iterator<Item = &'a Finding>,
+    ) -> Vec<u32> {
+        findings
+            .map(|f| {
+                emit(report, f.clone());
+                self.intern(f)
+            })
+            .collect()
+    }
+
     fn intern(&mut self, f: &Finding) -> u32 {
         if let Some(&id) = self.index.get(&finding_pool_key(f)) {
             return id;
@@ -2223,12 +2226,12 @@ mod tests {
         main.finish();
         let program = p.build();
         assert_modes_agree(&program);
-        let trace = TraceCollector::new();
-        Analyzer::new().analyze_traced(&program, &trace);
+        let trace = Trace::default();
+        Analyzer::new().analyze_full(&program, Some(&trace), None);
         let snap = trace.snapshot();
         // 2 entry summaries + 1 distinct call context.
-        assert_eq!(snap.counters["analysis.summaries-computed"], 3);
-        assert!(snap.counters["analysis.summaries-applied"] >= 9);
+        assert_eq!(snap.counter(Counter::SummariesComputed), 3);
+        assert!(snap.counter(Counter::SummariesApplied) >= 9);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! their spans. With [`BatchEngine::with_persistent_cache`], an
 //! *on-disk* tier under the source key extends the memo across process
 //! restarts. Corrupt or stale disk entries degrade to a normal analysis
-//! (and get rewritten), never to an error.
+//! (and get rewritten), never to an error. Workers that miss one key at
+//! the same time analyze it once: the first claims the key, and the
+//! others wait for its entry and count a memo hit.
 //!
 //! ```
 //! use pnew_detector::{Analyzer, BatchEngine, Expr, ProgramBuilder, Ty};
@@ -48,10 +50,10 @@
 //! assert_eq!(stats.cache_hits, 1);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -64,7 +66,7 @@ use crate::ir::Program;
 use crate::parse::{parse_program_recovering, ParseError};
 use crate::pretty::pretty;
 use crate::summary::{FunctionSummaryRecord, SummaryStore};
-use crate::trace::TraceCollector;
+use crate::trace::{Pass, Trace, TraceReport};
 
 /// Stable content fingerprint of a program.
 ///
@@ -80,8 +82,10 @@ pub fn fingerprint(program: &Program) -> u128 {
     fnv128(pretty(program).as_bytes())
 }
 
-/// Counters describing one [`BatchEngine::scan_with_stats`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Counters describing one scan: the sum of what that scan's own items
+/// did, whatever else ran on the engine at the same time. Each worker
+/// sums its items into one, and the scan sums the workers'.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Programs scanned.
     pub programs: usize,
@@ -108,6 +112,8 @@ pub struct BatchStats {
     pub persistent_misses: u64,
     /// On-disk entries that failed validation and were re-analyzed.
     pub persistent_corrupt: u64,
+    /// Entries written to the on-disk cache.
+    pub persistent_stores: u64,
     /// On-disk entries that could not be written (full disk, directory
     /// removed mid-run). Always 0 without a persistent cache.
     pub persistent_write_errors: u64,
@@ -133,40 +139,120 @@ impl BatchStats {
             0.0
         }
     }
+
+    /// Adds what `o` counted; `jobs` is per scan and is left alone.
+    fn add(&mut self, o: &BatchStats) {
+        self.programs += o.programs;
+        self.findings += o.findings;
+        self.cache_hits += o.cache_hits;
+        self.cache_misses += o.cache_misses;
+        self.elapsed += o.elapsed;
+        self.parses += o.parses;
+        self.persistent_hits += o.persistent_hits;
+        self.persistent_misses += o.persistent_misses;
+        self.persistent_corrupt += o.persistent_corrupt;
+        self.persistent_stores += o.persistent_stores;
+        self.persistent_write_errors += o.persistent_write_errors;
+    }
+
+    /// Counts one disk probe by what it found.
+    fn disk_probe(&mut self, lookup: &CacheLookup) {
+        match lookup {
+            CacheLookup::Hit(_) => self.persistent_hits += 1,
+            CacheLookup::Miss => self.persistent_misses += 1,
+            CacheLookup::Corrupt => {
+                self.persistent_misses += 1;
+                self.persistent_corrupt += 1;
+            }
+        }
+    }
 }
 
-/// Lifetime cache counters for a [`BatchEngine`].
-///
-/// Snapshots are *consistent*: all fields are copied under one lock,
-/// so `hits + misses == lookups` holds in every snapshot — a stats
-/// reader racing live requests can never observe a torn pair.
+/// Lifetime totals of a [`BatchEngine`], added to once when each scan
+/// ends. A snapshot is copied under one lock, so hits plus misses equal
+/// `lookups` even while requests race the read; a scan still running
+/// is not in it yet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Inputs answered from the in-memory memo since construction.
-    pub hits: u64,
-    /// Inputs that ran the analyzer since construction.
-    pub misses: u64,
+pub struct EngineTotals {
+    /// Every finished scan's [`BatchStats`], summed (`jobs` stays 0).
+    /// `persistent_write_errors` also counts failed manifest writes.
+    pub scans: BatchStats,
     /// Memo lookups that ended in a hit or an analysis — always exactly
-    /// `hits + misses` within one snapshot. A source served from the
-    /// disk tier is neither.
+    /// `scans.cache_hits + scans.cache_misses` within one snapshot. A
+    /// source served from the disk tier is neither.
     pub lookups: u64,
-    /// Analyses currently held in the memo.
+    /// Analyses held in the memo when the snapshot was taken.
     pub entries: usize,
-    /// Source texts parsed since construction.
-    pub parses: u64,
+    /// Functions re-walked by delta rescans.
+    pub functions_reanalyzed: u64,
+    /// Functions hydrated from prior records by delta rescans.
+    pub functions_reused: u64,
+    /// Files delta rescans re-analyzed: changed plus added.
+    pub delta_changed_files: u64,
+    /// Files delta rescans served unchanged.
+    pub delta_unchanged_files: u64,
+    /// Functions in the invalidation cones of delta rescans.
+    pub cone_functions: u64,
 }
 
-/// The engine's live hit/miss/parse counters, mutated and snapshotted
-/// under one mutex so readers never see a half-updated set (the
-/// `pncheckd-stats/1` torn-pair bug: `hits + misses != lookups`).
-/// The hot path already takes the memo mutex, so the extra
-/// uncontended lock is noise next to a parse or an analysis.
-#[derive(Debug, Clone, Copy, Default)]
-struct EngineCounters {
-    hits: u64,
-    misses: u64,
-    lookups: u64,
-    parses: u64,
+impl EngineTotals {
+    /// Adds one finished scan, and a delta rescan's file and function
+    /// counts.
+    fn add(&mut self, scan: &BatchStats, delta: Option<&DeltaStats>) {
+        self.scans.add(scan);
+        self.lookups += scan.cache_hits + scan.cache_misses;
+        if let Some(d) = delta {
+            self.functions_reanalyzed += d.functions_reanalyzed as u64;
+            self.functions_reused += d.functions_reused as u64;
+            self.delta_changed_files += (d.changed_files + d.added_files) as u64;
+            self.delta_unchanged_files += d.unchanged_files as u64;
+            self.cone_functions += d.cone_functions as u64;
+        }
+    }
+}
+
+/// The in-memory memo: finished analyses, and the keys a worker has
+/// claimed and is working on right now.
+#[derive(Debug, Default)]
+struct Memo {
+    ready: HashMap<MemoKey, CachedAnalysis>,
+    claimed: HashSet<MemoKey>,
+}
+
+/// What a memo probe found: a hit, or a miss and the prober's claim.
+enum Probe<'e> {
+    Hit(CachedAnalysis),
+    Miss(Claim<'e>),
+}
+
+/// A worker's claim on a memo key it missed, so a worker that meets
+/// the key waits instead of repeating the work. Dropping the claim, on
+/// any exit path, a panic included, publishes the entry it was
+/// [`fill`](Self::fill)ed with, if any, releases the key and wakes the
+/// waiters.
+struct Claim<'e> {
+    engine: &'e BatchEngine,
+    key: MemoKey,
+    entry: Option<CachedAnalysis>,
+}
+
+impl Claim<'_> {
+    /// Publishes `entry` under the claimed key.
+    fn fill(mut self, entry: &CachedAnalysis) {
+        self.entry = Some(entry.clone());
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut memo = self.engine.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.claimed.remove(&self.key);
+        if let Some(entry) = self.entry.take() {
+            memo.ready.insert(self.key, entry);
+        }
+        drop(memo);
+        self.engine.memo_filled.notify_all();
+    }
 }
 
 /// A memo key: the fingerprint plus the kind of input it was taken
@@ -339,9 +425,13 @@ pub struct DeltaStats {
 pub struct BatchEngine {
     analyzer: Analyzer,
     jobs: usize,
-    memo: Mutex<HashMap<MemoKey, CachedAnalysis>>,
-    counters: Mutex<EngineCounters>,
-    trace: Option<Arc<TraceCollector>>,
+    memo: Mutex<Memo>,
+    /// Signalled whenever a memo claim is released.
+    memo_filled: Condvar,
+    /// Lifetime totals, added to once per finished scan.
+    totals: Mutex<EngineTotals>,
+    /// The analyzer's counts and pass timings; always on.
+    trace: Trace,
     persistent: Option<PersistentCache>,
     tracked: Mutex<HashMap<String, TrackedFile>>,
     /// The manifest text this engine last stored successfully, so a
@@ -356,10 +446,6 @@ pub struct BatchEngine {
     /// persistence) against each other and against tracked full scans,
     /// so no request ever snapshots a half-updated tracked index.
     delta_gate: Mutex<()>,
-    /// Lifetime sums of the per-rescan `functions_reanalyzed` /
-    /// `functions_reused` counters, for daemon stats.
-    fn_reanalyzed_total: AtomicU64,
-    fn_reused_total: AtomicU64,
     /// Time source for scan/rescan elapsed measurements. The real
     /// [`SystemClock`] by default; the DST harness (the `pnew-dst`
     /// crate) threads a virtual clock through so stat sweeps never
@@ -380,16 +466,15 @@ impl BatchEngine {
         BatchEngine {
             analyzer,
             jobs,
-            memo: Mutex::new(HashMap::new()),
-            counters: Mutex::new(EngineCounters::default()),
-            trace: None,
+            memo: Mutex::new(Memo::default()),
+            memo_filled: Condvar::new(),
+            totals: Mutex::new(EngineTotals::default()),
+            trace: Trace::default(),
             persistent: None,
             tracked: Mutex::new(HashMap::new()),
             saved_manifest: Mutex::new(None),
             summary_store: Arc::new(SummaryStore::new()),
             delta_gate: Mutex::new(()),
-            fn_reanalyzed_total: AtomicU64::new(0),
-            fn_reused_total: AtomicU64::new(0),
             clock: Arc::new(SystemClock::default()),
         }
     }
@@ -409,15 +494,6 @@ impl BatchEngine {
         self
     }
 
-    /// Feeds counter and timing events (`batch.*`, `analysis.*`,
-    /// `findings.*`) into `trace` during every scan. All workers share
-    /// the one collector.
-    #[must_use]
-    pub fn with_trace(mut self, trace: Arc<TraceCollector>) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
     /// Adds the on-disk tier: [`scan_sources_with_stats`]
     /// (Self::scan_sources_with_stats) will probe (and populate) `cache`
     /// before parsing anything.
@@ -432,13 +508,10 @@ impl BatchEngine {
         &self.summary_store
     }
 
-    /// Lifetime `(functions_reanalyzed, functions_reused)` sums across
-    /// every delta rescan this engine has served.
-    pub fn function_delta_totals(&self) -> (u64, u64) {
-        (
-            self.fn_reanalyzed_total.load(Ordering::Relaxed),
-            self.fn_reused_total.load(Ordering::Relaxed),
-        )
+    /// The analyzer's counts and pass timings over everything this
+    /// engine analyzed, with its summary store's hits.
+    pub fn trace_report(&self) -> TraceReport {
+        TraceReport { summary_store_hits: self.summary_store.hits(), ..self.trace.snapshot() }
     }
 
     /// The on-disk cache tier, if one is attached.
@@ -469,10 +542,11 @@ impl BatchEngine {
     /// [`scan`](Self::scan), plus throughput and cache counters for the
     /// run.
     pub fn scan_with_stats(&self, programs: &[Program]) -> (Vec<Report>, BatchStats) {
-        let (reports, stats) =
-            self.run_queue(programs, self.jobs, |program| self.analyze_cached(program).report);
-        let findings = reports.iter().map(|r| r.findings.len()).sum();
-        (reports, BatchStats { findings, ..stats })
+        let start_ns = self.clock.now_ns();
+        let (reports, tally, workers) =
+            self.run_queue(programs, self.jobs, |p, tally| self.analyze_cached(p, tally).report);
+        let stats = self.finish_scan(tally, None, start_ns, workers, reports.iter());
+        (reports, stats)
     }
 
     /// Scans raw source texts through every cache tier, returning one
@@ -498,15 +572,17 @@ impl BatchEngine {
         sources: &[S],
         jobs: usize,
     ) -> (Vec<SourceOutcome>, BatchStats) {
-        let (outcomes, stats) =
-            self.run_queue(sources, jobs, |source| self.analyze_source(source.as_ref()));
         // `programs` counts inputs that produced a report — parse
         // failures are files, not programs — matching the program-based
         // scan, whose batch only ever contains parsed programs.
-        let programs = outcomes.iter().filter(|o| o.report.is_some()).count();
-        let findings =
-            outcomes.iter().filter_map(|o| o.report.as_ref()).map(|r| r.findings.len()).sum();
-        (outcomes, BatchStats { programs, findings, ..stats })
+        let start_ns = self.clock.now_ns();
+        let (outcomes, tally, workers) = self.run_queue(sources, jobs, |source, tally| {
+            let source = source.as_ref();
+            self.analyze_source(source, source_fingerprint(source), None, tally).0
+        });
+        let reports = outcomes.iter().filter_map(|o| o.report.as_ref());
+        let stats = self.finish_scan(tally, None, start_ns, workers, reports);
+        (outcomes, stats)
     }
 
     /// Scans files **by path**, registering each in the tracked index
@@ -523,14 +599,12 @@ impl BatchEngine {
         // the tracked index while this scan is half-way through
         // updating it.
         let _gate = self.delta_gate.lock().expect("delta gate poisoned");
-        let (outcomes, stats) = self.run_queue(paths, self.jobs, |path| self.read_and_track(path));
-        let programs = outcomes.iter().filter(|o| o.analysis.is_some()).count();
-        let findings = outcomes
-            .iter()
-            .filter_map(|o| o.analysis.as_ref())
-            .map(|a| a.report.findings.len())
-            .sum();
-        (outcomes, BatchStats { programs, findings, ..stats })
+        let start_ns = self.clock.now_ns();
+        let (outcomes, tally, workers) =
+            self.run_queue(paths, self.jobs, |path, tally| self.read_and_track(path, None, tally));
+        let reports = outcomes.iter().filter_map(|o| o.analysis.as_ref()).map(|a| &a.report);
+        let stats = self.finish_scan(tally, None, start_ns, workers, reports);
+        (outcomes, stats)
     }
 
     /// Re-scans `paths` incrementally against the tracked index: files
@@ -578,9 +652,6 @@ impl BatchEngine {
         use std::collections::HashSet;
 
         let start_ns = self.clock.now_ns();
-        let before = self.counters_snapshot();
-        let persistent_before = self.persistent_snapshot();
-
         let hint: Option<HashSet<&str>> =
             changed_hint.map(|c| c.iter().map(String::as_str).collect());
         let mut delta = DeltaStats::default();
@@ -619,13 +690,14 @@ impl BatchEngine {
                     // entry has none in memory, but the old verdict is
                     // still on disk under the old key — pulling it
                     // keeps cones precise across restarts. The read is
-                    // uncounted: it serves no file, and a broken old
-                    // entry names text that no longer exists, so there
-                    // is nothing to warn about or rewrite.
+                    // left out of the tally: it serves no file, and a
+                    // broken old entry names text that no longer
+                    // exists, so there is nothing to warn about or
+                    // rewrite.
                     let old = match &entry.analysis {
                         Some(a) => Some(Arc::clone(a)),
                         None if entry.errors.is_empty() => {
-                            match self.persistent.as_ref().map(|pc| pc.peek(entry.key)) {
+                            match self.persistent.as_ref().map(|pc| pc.get(entry.key)) {
                                 Some(CacheLookup::Hit(hit)) => Some(Arc::new(hit)),
                                 _ => None,
                             }
@@ -672,21 +744,26 @@ impl BatchEngine {
             }
         }
 
+        let mut tally = BatchStats::default();
         if !hydrate.is_empty() {
             // Pull manifest-seeded results off disk in parallel, with
             // the tracked lock released; a missing or corrupt entry
             // degrades to a re-analysis (and heals the cache). Each
             // entry's summaries go into the summary store, which is how
             // a new process rebuilds it.
-            let (hydrated, _) = self.run_queue(&hydrate, jobs, |&(_, _, key)| {
-                match self.persistent.as_ref().map(|pc| pc.get(key)) {
-                    Some(CacheLookup::Hit(hit)) => {
-                        self.summary_store.publish(&hit);
-                        Some(Arc::new(hit))
+            let (hydrated, hydrate_tally, _) =
+                self.run_queue(&hydrate, jobs, |&(_, _, key), tally| {
+                    let lookup = self.persistent.as_ref()?.get(key);
+                    tally.disk_probe(&lookup);
+                    match lookup {
+                        CacheLookup::Hit(hit) => {
+                            self.summary_store.publish(&hit);
+                            Some(Arc::new(hit))
+                        }
+                        _ => None,
                     }
-                    _ => None,
-                }
-            });
+                });
+            tally.add(&hydrate_tally);
             let mut tracked = self.tracked.lock().expect("tracked index poisoned");
             for (&(i, path, _), analysis) in hydrate.iter().zip(hydrated) {
                 let Some(analysis) = analysis else {
@@ -717,9 +794,10 @@ impl BatchEngine {
             }
         }
 
-        let (rescanned, _) = self.run_queue(&changed, jobs, |item| {
-            self.read_and_track_partial(item.1, item.2.as_deref())
+        let (rescanned, rescan_tally, workers) = self.run_queue(&changed, jobs, |item, tally| {
+            self.read_and_track(item.1, item.2.as_deref(), tally)
         });
+        tally.add(&rescan_tally);
         for ((i, _, old), outcome) in changed.iter().zip(rescanned) {
             let empty: &[FunctionSummaryRecord] = &[];
             let old_sums = old.as_ref().map_or(empty, |a| a.summaries.as_slice());
@@ -731,8 +809,6 @@ impl BatchEngine {
             delta.functions_reused += outcome.functions_reused;
             slots[*i] = Some(outcome);
         }
-        self.fn_reanalyzed_total.fetch_add(delta.functions_reanalyzed as u64, Ordering::Relaxed);
-        self.fn_reused_total.fetch_add(delta.functions_reused as u64, Ordering::Relaxed);
         {
             let tracked = self.tracked.lock().expect("tracked index poisoned");
             delta.tracked_files = tracked.len();
@@ -745,35 +821,8 @@ impl BatchEngine {
 
         let outcomes: Vec<TrackedOutcome> =
             slots.into_iter().map(|s| s.expect("every path is classified")).collect();
-        let programs = outcomes.iter().filter(|o| o.analysis.is_some()).count();
-        let findings = outcomes
-            .iter()
-            .filter_map(|o| o.analysis.as_ref())
-            .map(|a| a.report.findings.len())
-            .sum();
-        let persistent_after = self.persistent_snapshot();
-        let after = self.counters_snapshot();
-        let stats = BatchStats {
-            programs,
-            findings,
-            cache_hits: after.hits - before.hits,
-            cache_misses: after.misses - before.misses,
-            elapsed: Duration::from_nanos(self.clock.now_ns().saturating_sub(start_ns)),
-            jobs: jobs.max(1).min(changed.len().max(1)),
-            parses: after.parses - before.parses,
-            persistent_hits: persistent_after.0 - persistent_before.0,
-            persistent_misses: persistent_after.1 - persistent_before.1,
-            persistent_corrupt: persistent_after.2 - persistent_before.2,
-            persistent_write_errors: persistent_after.3 - persistent_before.3,
-        };
-        if let Some(t) = &self.trace {
-            t.count("batch.delta-changed", (delta.changed_files + delta.added_files) as u64);
-            t.count("batch.delta-unchanged", delta.unchanged_files as u64);
-            t.count("batch.delta-cone-functions", delta.cone_functions as u64);
-            t.count("batch.delta-fn-reanalyzed", delta.functions_reanalyzed as u64);
-            t.count("batch.delta-fn-reused", delta.functions_reused as u64);
-            t.record_pass("batch.rescan-delta", stats.elapsed);
-        }
+        let reports = outcomes.iter().filter_map(|o| o.analysis.as_ref()).map(|a| &a.report);
+        let stats = self.finish_scan(tally, Some(&delta), start_ns, workers, reports);
         (outcomes, stats, delta)
     }
 
@@ -872,6 +921,9 @@ impl BatchEngine {
             return true;
         }
         let wrote = pc.store_manifest(&text);
+        if !wrote {
+            self.totals.lock().expect("engine totals poisoned").scans.persistent_write_errors += 1;
+        }
         *saved = wrote.then_some(text);
         wrote
     }
@@ -885,16 +937,15 @@ impl BatchEngine {
     /// index. Stat runs *before* the read: if the file changes between
     /// the two, the recorded mtime is older than the analyzed content,
     /// so the next rescan errs toward re-analysis, never staleness.
-    fn read_and_track(&self, path: &str) -> TrackedOutcome {
-        self.read_and_track_partial(path, None)
-    }
-
-    /// [`read_and_track`](Self::read_and_track), with the file's prior
-    /// analysis available for a function-granular partial re-analysis:
-    /// when the new text parses and only some functions changed, just
-    /// the invalidation cone is re-walked and everything else hydrates
-    /// from `old`.
-    fn read_and_track_partial(&self, path: &str, old: Option<&CachedAnalysis>) -> TrackedOutcome {
+    /// With the file's prior analysis in `old`, a text that parses and
+    /// changed only some functions re-walks just the invalidation cone
+    /// and hydrates everything else from `old`.
+    fn read_and_track(
+        &self,
+        path: &str,
+        old: Option<&CachedAnalysis>,
+        tally: &mut BatchStats,
+    ) -> TrackedOutcome {
         let meta = fs::metadata(path);
         let text = match fs::read_to_string(path) {
             Ok(t) => t,
@@ -916,7 +967,7 @@ impl BatchEngine {
             meta.map_or((text.len() as u64, 0), |m| (m.len(), Self::mtime_ns(&m)));
         let key = source_fingerprint(&text);
         let (outcome, functions_reanalyzed, functions_reused) =
-            self.analyze_source_partial(&text, old);
+            self.analyze_source(&text, key, old, tally);
         let SourceOutcome {
             report,
             summaries,
@@ -953,31 +1004,33 @@ impl BatchEngine {
             .map_or(0, |d| d.as_nanos())
     }
 
-    /// Drains `items` through the worker pool, preserving input order,
-    /// and accounts the memo and the disk tier over the run. `findings`
-    /// in the returned stats is left at 0 for the caller to fill.
+    /// Drains `items` through the worker pool, preserving input order.
+    /// Each worker sums what its items did into a tally of its own.
+    /// Returns the results, the sum of the tallies and the worker
+    /// count.
     fn run_queue<I: Sync, R: Send>(
         &self,
         items: &[I],
         jobs: usize,
-        work: impl Fn(&I) -> R + Sync,
-    ) -> (Vec<R>, BatchStats) {
-        let start_ns = self.clock.now_ns();
-        let before = self.counters_snapshot();
-        let persistent_before = self.persistent_snapshot();
-
+        work: impl Fn(&I, &mut BatchStats) -> R + Sync,
+    ) -> (Vec<R>, BatchStats, usize) {
         let workers = jobs.max(1).min(items.len().max(1));
         let cursor = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
+        let total = Mutex::new(BatchStats::default());
         thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else {
-                        break;
-                    };
-                    let result = work(item);
-                    results.lock().expect("batch results poisoned")[i] = Some(result);
+                scope.spawn(|| {
+                    let mut tally = BatchStats::default();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            break;
+                        };
+                        let result = work(item, &mut tally);
+                        results.lock().expect("batch results poisoned")[i] = Some(result);
+                    }
+                    total.lock().expect("batch tally poisoned").add(&tally);
                 });
             }
         });
@@ -987,151 +1040,110 @@ impl BatchEngine {
             .into_iter()
             .map(|slot| slot.expect("every queue slot is filled before the scope ends"))
             .collect();
-
-        let persistent_after = self.persistent_snapshot();
-        let after = self.counters_snapshot();
-        let stats = BatchStats {
-            programs: items.len(),
-            findings: 0,
-            cache_hits: after.hits - before.hits,
-            cache_misses: after.misses - before.misses,
-            elapsed: Duration::from_nanos(self.clock.now_ns().saturating_sub(start_ns)),
-            jobs: workers,
-            parses: after.parses - before.parses,
-            persistent_hits: persistent_after.0 - persistent_before.0,
-            persistent_misses: persistent_after.1 - persistent_before.1,
-            persistent_corrupt: persistent_after.2 - persistent_before.2,
-            persistent_write_errors: persistent_after.3 - persistent_before.3,
-        };
-        if let Some(t) = &self.trace {
-            t.count("batch.programs", items.len() as u64);
-            t.record_pass("batch.scan", stats.elapsed);
-        }
-        (results, stats)
+        (results, total.into_inner().expect("batch tally poisoned"), workers)
     }
 
-    fn persistent_snapshot(&self) -> (u64, u64, u64, u64) {
-        self.persistent.as_ref().map_or((0, 0, 0, 0), |pc| {
-            let s = pc.stats();
-            (s.hits, s.misses, s.corrupt, s.write_errors)
-        })
-    }
-
-    /// A consistent copy of the live counters.
-    fn counters_snapshot(&self) -> EngineCounters {
-        *self.counters.lock().expect("engine counters poisoned")
-    }
-
-    /// Applies one counter update atomically with respect to snapshots.
-    fn bump(&self, update: impl FnOnce(&mut EngineCounters)) {
-        update(&mut self.counters.lock().expect("engine counters poisoned"));
+    /// Ends a scan: completes its tally into its [`BatchStats`] with the
+    /// `reports` it produced, adds them (and a delta rescan's counts) to
+    /// the lifetime totals, once, and times the scan.
+    fn finish_scan<'r>(
+        &self,
+        tally: BatchStats,
+        delta: Option<&DeltaStats>,
+        start_ns: u64,
+        jobs: usize,
+        reports: impl Iterator<Item = &'r Report> + Clone,
+    ) -> BatchStats {
+        let elapsed = Duration::from_nanos(self.clock.now_ns().saturating_sub(start_ns));
+        let programs = reports.clone().count();
+        let findings = reports.map(|r| r.findings.len()).sum();
+        let stats = BatchStats { programs, findings, elapsed, jobs, ..tally };
+        self.totals.lock().expect("engine totals poisoned").add(&stats, delta);
+        let pass = if delta.is_some() { Pass::BatchRescanDelta } else { Pass::BatchScan };
+        self.trace.time(pass, elapsed);
+        stats
     }
 
     /// Runs the analyzer on a parsed program, bypassing the memo and
     /// the disk tier but sharing the engine's summary store.
     fn analyze_uncached(&self, program: &Program) -> CachedAnalysis {
-        self.analyzer.analyze_full(program, self.trace.as_deref(), Some(&self.summary_store))
+        self.analyzer.analyze_full(program, Some(&self.trace), Some(&self.summary_store))
     }
 
-    /// Probes the memo. A hit counts one lookup and one hit; a miss
-    /// counts nothing until the caller commits to an analysis
-    /// ([`count_miss`](Self::count_miss)), so an input served from the
-    /// disk tier is neither.
-    fn memo_get(&self, key: MemoKey) -> Option<CachedAnalysis> {
-        let hit = self.memo.lock().expect("memo poisoned").get(&key).cloned()?;
-        self.bump(|c| {
-            c.lookups += 1;
-            c.hits += 1;
-        });
-        if let Some(t) = &self.trace {
-            t.count("batch.cache-hit", 1);
-        }
-        Some(hit)
-    }
-
-    /// Counts one memo lookup that ends in a fresh analysis.
-    fn count_miss(&self) {
-        self.bump(|c| {
-            c.lookups += 1;
-            c.misses += 1;
-        });
-        if let Some(t) = &self.trace {
-            t.count("batch.cache-miss", 1);
+    /// Probes the memo. A hit counts one hit. A miss claims the key and
+    /// counts nothing until the caller commits to an analysis, so an
+    /// input served from the disk tier is neither. A key another worker
+    /// has claimed is waited for, then probed again: one text is
+    /// analyzed once, however many workers meet it at the same time.
+    fn memo_probe(&self, key: MemoKey, tally: &mut BatchStats) -> Probe<'_> {
+        let mut memo = self.memo.lock().expect("memo poisoned");
+        loop {
+            if let Some(hit) = memo.ready.get(&key) {
+                tally.cache_hits += 1;
+                return Probe::Hit(hit.clone());
+            }
+            if memo.claimed.insert(key) {
+                return Probe::Miss(Claim { engine: self, key, entry: None });
+            }
+            memo = self.memo_filled.wait(memo).expect("memo poisoned");
         }
     }
 
-    fn memo_put(&self, key: MemoKey, entry: &CachedAnalysis) {
-        self.memo.lock().expect("memo poisoned").insert(key, entry.clone());
-    }
-
-    /// Analyzes one parsed program through the memo. The lock is
-    /// dropped during analysis: concurrent misses on the same key may
-    /// both analyze (identical, deterministic results), but workers
-    /// never serialize behind a slow analysis.
-    fn analyze_cached(&self, program: &Program) -> CachedAnalysis {
-        let key = MemoKey::Program(fingerprint(program));
-        if let Some(hit) = self.memo_get(key) {
-            return hit;
-        }
-        self.count_miss();
+    /// Analyzes one parsed program through the memo.
+    fn analyze_cached(&self, program: &Program, tally: &mut BatchStats) -> CachedAnalysis {
+        let claim = match self.memo_probe(MemoKey::Program(fingerprint(program)), tally) {
+            Probe::Hit(hit) => return hit,
+            Probe::Miss(claim) => claim,
+        };
+        tally.cache_misses += 1;
         let entry = self.analyze_uncached(program);
-        self.memo_put(key, &entry);
+        claim.fill(&entry);
         entry
     }
 
-    /// Analyzes one source text through every cache tier: the memo
-    /// first (fastest, and the one a resident daemon stays warm on),
-    /// then the on-disk tier, then parse and analysis.
-    fn analyze_source(&self, source: &str) -> SourceOutcome {
-        self.analyze_source_partial(source, None).0
-    }
-
-    /// [`analyze_source`](Self::analyze_source), attempting a
-    /// function-granular partial re-analysis against `old` when every
-    /// cache tier misses. Returns the outcome plus the
+    /// Analyzes one source text, whose [`source_fingerprint`] is `key`,
+    /// through every cache tier: the memo first (fastest, and the one a
+    /// resident daemon stays warm on), then the on-disk tier, then
+    /// parse and analysis — a function-granular partial re-analysis
+    /// against `old` when there is one. Returns the outcome plus the
     /// `(functions_reanalyzed, functions_reused)` pair for delta
     /// accounting — `(0, all)` for any tier hit (a touched file whose
     /// content a warm tier already knows reuses every function without
     /// a walk), `(all, 0)` for a whole-file analysis — so the pair
     /// always sums to the file's function count.
-    fn analyze_source_partial(
+    fn analyze_source(
         &self,
         source: &str,
+        key: u128,
         old: Option<&CachedAnalysis>,
+        tally: &mut BatchStats,
     ) -> (SourceOutcome, usize, usize) {
-        let key = source_fingerprint(source);
-        if let Some(hit) = self.memo_get(MemoKey::Source(key)) {
-            let reused = hit.summaries.len();
-            let outcome = SourceOutcome { from_source_cache: true, ..SourceOutcome::analyzed(hit) };
-            return (outcome, 0, reused);
-        }
+        let claim = match self.memo_probe(MemoKey::Source(key), tally) {
+            Probe::Hit(hit) => {
+                let reused = hit.summaries.len();
+                let outcome =
+                    SourceOutcome { from_source_cache: true, ..SourceOutcome::analyzed(hit) };
+                return (outcome, 0, reused);
+            }
+            Probe::Miss(claim) => claim,
+        };
         let mut cache_corrupt = false;
         if let Some(pc) = &self.persistent {
-            match pc.get(key) {
+            let lookup = pc.get(key);
+            tally.disk_probe(&lookup);
+            match lookup {
                 CacheLookup::Hit(entry) => {
-                    if let Some(t) = &self.trace {
-                        t.count("batch.persistent-hit", 1);
-                    }
-                    self.memo_put(MemoKey::Source(key), &entry);
+                    claim.fill(&entry);
                     let reused = entry.summaries.len();
                     let outcome =
                         SourceOutcome { from_disk_cache: true, ..SourceOutcome::analyzed(entry) };
                     return (outcome, 0, reused);
                 }
-                CacheLookup::Corrupt => {
-                    cache_corrupt = true;
-                    if let Some(t) = &self.trace {
-                        t.count("batch.persistent-corrupt", 1);
-                    }
-                }
-                CacheLookup::Miss => {
-                    if let Some(t) = &self.trace {
-                        t.count("batch.persistent-miss", 1);
-                    }
-                }
+                CacheLookup::Corrupt => cache_corrupt = true,
+                CacheLookup::Miss => {}
             }
         }
-        self.bump(|c| c.parses += 1);
+        tally.parses += 1;
         let program = match parse_program_recovering(source) {
             Ok(program) => program,
             Err(errors) => {
@@ -1142,48 +1154,43 @@ impl BatchEngine {
         // paying for a whole-file analysis. The result is byte-identical
         // either way (asserted in debug builds), so it feeds the same
         // caches.
-        self.count_miss();
-        let partial =
-            old.and_then(|o| self.analyzer.analyze_partial(&program, o, Some(&self.summary_store)));
+        tally.cache_misses += 1;
+        let store = Some(self.summary_store.as_ref());
+        let partial = old.and_then(|o| {
+            self.analyzer.analyze_partial_traced(&program, o, store, Some(&self.trace))
+        });
         let (entry, reanalyzed, reused) = match partial {
-            Some(p) => {
-                if let Some(t) = &self.trace {
-                    t.count("batch.partial-analysis", 1);
-                }
-                (p.analysis, p.functions_reanalyzed as usize, p.functions_reused as usize)
-            }
+            Some(p) => (p.analysis, p.functions_reanalyzed as usize, p.functions_reused as usize),
             None => {
                 let entry = self.analyze_uncached(&program);
                 let reanalyzed = entry.summaries.len();
                 (entry, reanalyzed, 0)
             }
         };
-        self.memo_put(MemoKey::Source(key), &entry);
+        claim.fill(&entry);
         if let Some(pc) = &self.persistent {
-            pc.put(key, &entry);
+            if pc.put(key, &entry) {
+                tally.persistent_stores += 1;
+            } else {
+                tally.persistent_write_errors += 1;
+            }
         }
         (SourceOutcome { cache_corrupt, ..SourceOutcome::analyzed(entry) }, reanalyzed, reused)
     }
 
-    /// Lifetime hit/miss/parse counters and the current memo size.
-    /// The counters come from one consistent snapshot, so
-    /// `hits + misses == lookups` holds even while requests race this
-    /// read.
-    pub fn cache_stats(&self) -> CacheStats {
-        let counters = self.counters_snapshot();
-        CacheStats {
-            hits: counters.hits,
-            misses: counters.misses,
-            lookups: counters.lookups,
-            entries: self.memo.lock().expect("memo poisoned").len(),
-            parses: counters.parses,
-        }
+    /// The lifetime totals, with the memo's current size. One
+    /// consistent snapshot, so `hits + misses == lookups` holds even
+    /// while requests race this read; a scan still running is not in
+    /// it yet.
+    pub fn totals(&self) -> EngineTotals {
+        let entries = self.memo.lock().expect("memo poisoned").ready.len();
+        EngineTotals { entries, ..*self.totals.lock().expect("engine totals poisoned") }
     }
 
-    /// Drops every analysis in the memo (counters are kept; the on-disk
-    /// tier is untouched).
+    /// Drops every analysis in the memo (the totals are kept; the
+    /// on-disk tier is untouched).
     pub fn clear_cache(&self) {
-        self.memo.lock().expect("memo poisoned").clear();
+        self.memo.lock().expect("memo poisoned").ready.clear();
     }
 }
 
@@ -1192,7 +1199,10 @@ mod tests {
     use super::*;
     use crate::analysis::AnalyzerConfig;
     use crate::builder::ProgramBuilder;
+    use crate::findings::FindingKind;
     use crate::ir::{Expr, Span, Ty};
+    use crate::trace::Counter;
+    use std::sync::atomic::AtomicU64;
 
     fn vulnerable(name: &str) -> Program {
         let mut p = ProgramBuilder::new(name);
@@ -1300,25 +1310,74 @@ mod tests {
         engine.clear_cache();
         let (_, stats) = engine.scan_with_stats(&programs);
         assert_eq!(stats.cache_misses, 4);
-        let lifetime = engine.cache_stats();
-        assert_eq!(lifetime.misses, 8);
+        let lifetime = engine.totals();
+        assert_eq!(lifetime.scans.cache_misses, 8);
         assert_eq!(lifetime.entries, 4);
     }
 
     #[test]
     fn trace_collects_scan_counters() {
-        let trace = Arc::new(TraceCollector::new());
         // One worker: the duplicate is deterministically a cache hit.
-        let engine = BatchEngine::default().with_jobs(1).with_trace(Arc::clone(&trace));
+        let engine = BatchEngine::default().with_jobs(1);
         let programs = vec![vulnerable("same"), vulnerable("same"), safe("other")];
-        engine.scan(&programs);
-        let snap = trace.snapshot();
-        assert_eq!(snap.counters["batch.programs"], 3);
-        assert_eq!(snap.counters["batch.cache-hit"], 1);
-        assert_eq!(snap.counters["batch.cache-miss"], 2);
-        assert_eq!(snap.counters["findings.oversized-placement"], 1);
-        assert!(snap.passes.iter().any(|p| p.name == "batch.scan"));
-        assert!(snap.passes.iter().any(|p| p.name == "analysis.walk"));
+        let (_, stats) = engine.scan_with_stats(&programs);
+        assert_eq!((stats.programs, stats.cache_hits, stats.cache_misses), (3, 1, 2));
+        let trace = engine.trace_report();
+        assert_eq!(trace.counter(Counter::Analyses), 2, "the memo hit runs no analysis");
+        assert_eq!(trace.findings_of(FindingKind::OversizedPlacement), 1);
+        assert_eq!(trace.pass(Pass::BatchScan).calls, 1);
+        assert_eq!(trace.pass(Pass::AnalysisWalk).calls, 2);
+    }
+
+    #[test]
+    fn a_text_is_analyzed_once_per_scan_whatever_the_worker_count() {
+        // Three workers meet one text at once: the first to miss claims
+        // it, the other two wait for it and hit the memo.
+        let other = SAFE_SRC.replace("program safe", "program other");
+        let sources = [SAFE_SRC, SAFE_SRC, SAFE_SRC, other.as_str()];
+        for round in 0..200 {
+            let engine = BatchEngine::default();
+            let (outcomes, stats) = engine.scan_sources_with_stats_jobs(&sources, 4);
+            let counts = (stats.cache_misses, stats.cache_hits, stats.parses);
+            assert_eq!(counts, (2, 2, 2), "round {round}: (misses, hits, parses)");
+            assert_eq!(outcomes[0].report, outcomes[2].report);
+        }
+    }
+
+    #[test]
+    fn a_parse_failure_releases_its_claim() {
+        // Failures are never cached: each worker that meets the text
+        // parses it in turn, and none waits forever.
+        let broken = "program broken;\nfn main( {}\n";
+        let engine = BatchEngine::default();
+        let (outcomes, stats) = engine.scan_sources_with_stats_jobs(&[broken; 3], 3);
+        assert!(outcomes.iter().all(|o| o.report.is_none() && !o.errors.is_empty()));
+        assert_eq!((stats.parses, stats.cache_hits, stats.cache_misses), (3, 0, 0));
+        assert_eq!(engine.totals().entries, 0);
+    }
+
+    #[test]
+    fn concurrent_scans_count_only_their_own_items() {
+        // Two threads rescan warm texts on one engine at once: each
+        // scan's stats are its own hits, never the other scan's too.
+        let engine = BatchEngine::default().with_jobs(1);
+        let sources = [VULN_SRC, SAFE_SRC];
+        engine.scan_sources_with_stats(&sources);
+        thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..500 {
+                        let (_, stats) = engine.scan_sources_with_stats(&sources);
+                        assert_eq!((stats.cache_hits, stats.cache_misses), (2, 0));
+                    }
+                });
+            }
+        });
+        let totals = engine.totals();
+        assert_eq!(
+            (totals.scans.cache_hits, totals.scans.cache_misses, totals.lookups),
+            (2000, 2, 2002)
+        );
     }
 
     fn tmp_cache_dir(name: &str) -> std::path::PathBuf {
@@ -1352,6 +1411,7 @@ mod tests {
         let (first, stats) = cold.scan_sources_with_stats(&sources);
         assert_eq!(stats.persistent_hits, 0);
         assert_eq!(stats.persistent_misses, 2);
+        assert_eq!(stats.persistent_stores, 2);
         assert!(first.iter().all(|o| !o.from_disk_cache));
         assert!(first[0].report.as_ref().unwrap().detected());
         assert!(!first[1].report.as_ref().unwrap().detected());
@@ -1371,6 +1431,19 @@ mod tests {
         assert_eq!(first[0].summaries, second[0].summaries);
         assert!(!second[0].summaries.is_empty(), "summary records survive the round-trip");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_disk_writes_are_counted_not_silent() {
+        // The cache directory vanishes mid-run: every put fails, the
+        // scan still succeeds, and the scan and the engine count it.
+        let dir = tmp_cache_dir("write-errors");
+        let engine = engine_with_disk_cache(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let (outcomes, stats) = engine.scan_sources_with_stats(&[VULN_SRC]);
+        assert!(outcomes[0].report.as_ref().unwrap().detected());
+        assert_eq!((stats.persistent_stores, stats.persistent_write_errors), (0, 1));
+        assert_eq!(engine.totals().scans.persistent_write_errors, 1);
     }
 
     #[test]
@@ -1465,8 +1538,8 @@ mod tests {
             cold.iter().map(|o| &o.report).collect::<Vec<_>>(),
             warm.iter().map(|o| &o.report).collect::<Vec<_>>(),
         );
-        let lifetime = engine.cache_stats();
-        assert_eq!(lifetime.parses, 2);
+        let lifetime = engine.totals();
+        assert_eq!(lifetime.scans.parses, 2);
         assert_eq!(lifetime.entries, 2, "one memo entry per text, no second copy");
     }
 
@@ -1490,7 +1563,7 @@ mod tests {
         // Nor the reverse: the program scan still hits its own entry.
         let (_, stats) = engine.scan_with_stats(std::slice::from_ref(&program));
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 0));
-        assert_eq!(engine.cache_stats().entries, 2);
+        assert_eq!(engine.totals().entries, 2);
     }
 
     #[test]
@@ -1732,19 +1805,20 @@ mod tests {
             }
             // Sample only once a scan has counted a lookup, so the 500
             // samples provably overlap live scans.
-            while engine.cache_stats().lookups == 0 {
+            while engine.totals().lookups == 0 {
                 thread::yield_now();
             }
             let mut sampled = 0u64;
             while sampled < 500 {
-                let snap = engine.cache_stats();
-                assert_eq!(snap.hits + snap.misses, snap.lookups, "torn stats snapshot: {snap:?}");
+                let snap = engine.totals();
+                let (hits, misses) = (snap.scans.cache_hits, snap.scans.cache_misses);
+                assert_eq!(hits + misses, snap.lookups, "torn stats snapshot: {snap:?}");
                 sampled += 1;
             }
             stop.store(true, Ordering::Relaxed);
         });
-        let final_snap = engine.cache_stats();
-        assert_eq!(final_snap.hits + final_snap.misses, final_snap.lookups);
+        let final_snap = engine.totals();
+        assert_eq!(final_snap.scans.cache_hits + final_snap.scans.cache_misses, final_snap.lookups);
         assert!(final_snap.lookups > 0);
     }
 
@@ -1800,7 +1874,7 @@ mod tests {
         let count = || writes.load(Ordering::Relaxed);
 
         engine.delta_scan(&paths, None, 1);
-        assert_eq!((count(), engine.persistent_cache().unwrap().stats().write_errors), (1, 1));
+        assert_eq!((count(), engine.totals().scans.persistent_write_errors), (1, 1));
         engine.delta_scan(&paths, None, 1);
         assert_eq!(count(), 2, "the failed first write is redone by a no-op delta");
         engine.delta_scan(&paths, None, 1);

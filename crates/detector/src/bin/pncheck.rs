@@ -47,14 +47,15 @@
 //!                           later runs go incremental. Requires
 //!                           --cache-dir; incompatible with --baseline,
 //!                           --oracle, --fix, and stdin input.
-//!   --stats                 print scan throughput, cache counters
-//!                           (both the in-memory and the on-disk tier),
-//!                           and per-pass trace lines — including
-//!                           summary computation/application counts —
-//!                           to stderr; with --format json, also embed
-//!                           them in the envelope (findings.<kind>
-//!                           trace counters count fresh analyses before
-//!                           the filter)
+//!   --stats                 print scan throughput and cache counters
+//!                           (both the in-memory and the on-disk tier)
+//!                           to stderr, then the analyzer's trace: pass
+//!                           timings and the counters the daemon's
+//!                           stats op prints under the same names
+//!                           (analyses, summaries computed and applied,
+//!                           findings_by_kind before the filter); with
+//!                           --format json, also embed both in the
+//!                           envelope
 //! ```
 //!
 //! Exit status: 0 when no warning-level findings, 1 when any program has
@@ -67,12 +68,11 @@
 use std::io::Read as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use pnew_detector::cliopts::{self, CommonOpts};
 use pnew_detector::emit::{self, FileRecord, OracleRecord, OutputFormat};
 use pnew_detector::oracle::{Matrix, Oracle, Verdict};
-use pnew_detector::trace::TraceCollector;
+use pnew_detector::trace::TraceReport;
 use pnew_detector::{
     parse_program_recovering, Analyzer, AnalyzerConfig, BaselineChecker, BatchEngine, BatchStats,
     Fixer, ParseError, PersistentCache, Program, ReportFilter,
@@ -219,15 +219,11 @@ fn main() -> ExitCode {
 
     if delta {
         let pc = persistent.expect("--delta validated --cache-dir above");
-        let trace = stats.then(|| Arc::new(TraceCollector::new()));
         let mut engine = BatchEngine::new(Analyzer::new()).with_persistent_cache(pc);
         if let Some(n) = jobs {
             engine = engine.with_jobs(n);
         }
-        if let Some(t) = &trace {
-            engine = engine.with_trace(Arc::clone(t));
-        }
-        let tail = Tail { format, stats, trace: trace.as_deref(), disk: true, fix: None };
+        let tail = Tail { format, stats, disk: true, fix: None };
         return run_delta(&paths, &engine, &filter, &tail, had_errors);
     }
 
@@ -261,19 +257,10 @@ fn main() -> ExitCode {
         files.push(SourceFile { path, source });
     }
 
-    let trace = stats.then(|| Arc::new(TraceCollector::new()));
-
     if oracle {
         let (scanned, parse_errors) = parse_all(&files);
         let errored_files = unreadable + scanned.iter().filter(|f| f.program.is_none()).count();
-        return run_oracle(
-            &scanned,
-            errored_files,
-            had_errors || parse_errors,
-            format,
-            stats,
-            trace.as_deref(),
-        );
+        return run_oracle(&scanned, errored_files, had_errors || parse_errors, format, stats);
     }
 
     // The baseline checker needs the IR up front; the real analyzer
@@ -297,9 +284,6 @@ fn main() -> ExitCode {
         if let Some(n) = jobs {
             engine = engine.with_jobs(n);
         }
-        if let Some(t) = &trace {
-            engine = engine.with_trace(Arc::clone(t));
-        }
         if let Some(pc) = persistent {
             engine = engine.with_persistent_cache(pc);
         }
@@ -320,15 +304,10 @@ fn main() -> ExitCode {
             })
             .collect();
         let findings = emit::filter_records(&mut records, &filter);
-        (records, Some(BatchStats { findings, ..s }))
+        (records, Some((BatchStats { findings, ..s }, engine.trace_report())))
     };
-    let tail = Tail {
-        format,
-        stats,
-        trace: trace.as_deref(),
-        disk: cache_dir.is_some(),
-        fix: fix.then_some(files.as_slice()),
-    };
+    let tail =
+        Tail { format, stats, disk: cache_dir.is_some(), fix: fix.then_some(files.as_slice()) };
     tail.finish(&records, scan_stats.as_ref(), unreadable, had_errors, None)
 }
 
@@ -338,7 +317,6 @@ fn main() -> ExitCode {
 struct Tail<'a> {
     format: OutputFormat,
     stats: bool,
-    trace: Option<&'a TraceCollector>,
     /// The stats line reports the disk tier (`--cache-dir`; always
     /// under `--delta`).
     disk: bool,
@@ -348,21 +326,22 @@ struct Tail<'a> {
 }
 
 impl Tail<'_> {
-    /// Renders `records` and returns the exit status. `scan` is `None`
-    /// under `--baseline`, which runs no batch engine; `unreadable`
-    /// counts the inputs that never became a record; `delta_line` is
-    /// the `--delta` accounting printed after the stats line.
+    /// Renders `records` and returns the exit status. `scan` is the
+    /// scan's stats and the engine's trace, `None` under `--baseline`,
+    /// which runs no batch engine; `unreadable` counts the inputs that
+    /// never became a record; `delta_line` is the `--delta` accounting
+    /// printed after the stats line.
     fn finish(
         &self,
         records: &[FileRecord],
-        scan: Option<&BatchStats>,
+        scan: Option<&(BatchStats, TraceReport)>,
         unreadable: usize,
         had_errors: bool,
         delta_line: Option<String>,
     ) -> ExitCode {
         // A dying cache must not look like a working one: warn once per
         // scan when any entry failed to persist.
-        let write_errors = scan.map_or(0, |s| s.persistent_write_errors);
+        let write_errors = scan.map_or(0, |(s, _)| s.persistent_write_errors);
         if write_errors > 0 {
             eprintln!(
                 "pncheck: warning: {write_errors} cache write error(s); those results were not persisted"
@@ -395,13 +374,13 @@ impl Tail<'_> {
         } else {
             // Stats and trace carry wall-clock timings, so they embed
             // only on request — the default envelope is deterministic.
-            let snapshot = self.trace.map(|t| t.snapshot());
-            let embedded = if self.stats { scan } else { None };
-            print!("{}", emit::render(self.format, records, embedded, snapshot.as_ref()));
+            let embedded = scan.filter(|_| self.stats);
+            let (stats, trace) = (embedded.map(|(s, _)| s), embedded.map(|(_, t)| t));
+            print!("{}", emit::render(self.format, records, stats, trace));
         }
 
         if self.stats {
-            if let Some(s) = scan {
+            if let Some((s, _)) = scan {
                 // The disk tier reports separately from the in-memory
                 // fingerprint cache: "cache" is per-process memoization,
                 // "disk" is the cross-run --cache-dir store.
@@ -434,10 +413,8 @@ impl Tail<'_> {
             if let Some(line) = delta_line {
                 eprintln!("{line}");
             }
-            if let Some(t) = self.trace {
-                for line in t.snapshot().lines() {
-                    eprintln!("{line}");
-                }
+            for line in scan.iter().flat_map(|(_, t)| t.lines()) {
+                eprintln!("{line}");
             }
         }
 
@@ -503,7 +480,8 @@ fn run_delta(
         delta.functions_reused,
         delta.stat_fastpath_hits,
     ));
-    tail.finish(&records, Some(&scan_stats), unreadable, had_errors, delta_line)
+    let scan = (scan_stats, engine.trace_report());
+    tail.finish(&records, Some(&scan), unreadable, had_errors, delta_line)
 }
 
 /// The `--oracle` mode: run the analyzer/executor differential over
@@ -515,7 +493,6 @@ fn run_oracle(
     had_errors: bool,
     format: OutputFormat,
     stats: bool,
-    trace: Option<&TraceCollector>,
 ) -> ExitCode {
     let oracle = Oracle::new();
     let mut matrix = Matrix::new();
@@ -525,13 +502,6 @@ fn run_oracle(
         let report = oracle.differential(program);
         matrix.absorb(&report);
         records.push(OracleRecord { path: file.path.clone(), report });
-    }
-    if let Some(t) = trace {
-        let (tp, fp, fnn) = matrix.totals();
-        t.count("oracle.programs", records.len() as u64);
-        t.count("oracle.true-positives", tp);
-        t.count("oracle.false-positives", fp);
-        t.count("oracle.false-negatives", fnn);
     }
 
     match format {
@@ -569,11 +539,6 @@ fn run_oracle(
             errored_files,
             records.iter().map(|r| r.report.verdicts.len()).sum::<usize>(),
         );
-        if let Some(t) = trace {
-            for line in t.snapshot().lines() {
-                eprintln!("{line}");
-            }
-        }
     }
 
     let false_negatives = records

@@ -25,13 +25,14 @@
 //!
 //! Byte *storage* sits behind a [`CacheBackend`], which moves opaque
 //! entry and manifest bytes, while everything semantic — encoding,
-//! checksum, schema/config staleness, corrupt accounting — stays here,
-//! so a wrapped backend (see [`crate::backend`]) inherits the same
-//! invariants.
+//! checksum, schema/config staleness, the hit/miss/corrupt verdict —
+//! stays here, so a wrapped backend (see [`crate::backend`]) inherits
+//! the same invariants. The cache counts nothing: [`PersistentCache::get`]
+//! reports what it found and [`PersistentCache::put`] whether it stored,
+//! and the [`BatchEngine`](crate::BatchEngine) counts both.
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::analysis::AnalyzerConfig;
 use crate::backend::{CacheBackend, DirBackend};
@@ -112,36 +113,12 @@ pub enum CacheLookup {
 
 /// A store of content-addressed analysis results shared across
 /// `pncheck` runs. Thread-safe: backends synchronize their own byte
-/// storage, and counters are atomics.
+/// storage.
 #[derive(Debug)]
 pub struct PersistentCache {
     dir: PathBuf,
     backend: Box<dyn CacheBackend>,
     config_tag: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    stores: AtomicU64,
-    write_errors: AtomicU64,
-}
-
-/// Lifetime counters of one [`PersistentCache`] handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PersistentCacheStats {
-    /// Probes served from disk.
-    pub hits: u64,
-    /// Probes with no usable entry.
-    pub misses: u64,
-    /// Probes that found a broken entry (counted in `misses` too).
-    pub corrupt: u64,
-    /// Entries written.
-    pub stores: u64,
-    /// Entries that could not be written (full disk, directory removed
-    /// mid-run, permission change). Each failed `put` degrades that one
-    /// file to uncached — the scan still succeeds — but a silently
-    /// dying cache looks exactly like a working one, so the count is
-    /// surfaced in `--stats` and the daemon's stats envelope.
-    pub write_errors: u64,
 }
 
 /// Tag folding everything that decides what an entry holds: the schema
@@ -175,49 +152,23 @@ impl PersistentCache {
         _config: &AnalyzerConfig,
         backend: Box<dyn CacheBackend>,
     ) -> Self {
-        PersistentCache {
-            dir: dir.to_path_buf(),
-            backend,
-            config_tag: config_tag(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-        }
+        PersistentCache { dir: dir.to_path_buf(), backend, config_tag: config_tag() }
     }
 
-    /// Probes the cache for `key`, counting the outcome in
-    /// [`stats`](Self::stats).
+    /// Probes the cache for `key`: a valid entry, none, or a broken one.
     pub fn get(&self, key: u128) -> CacheLookup {
-        let lookup = self.peek(key);
-        match lookup {
-            CacheLookup::Hit(_) => &self.hits,
-            CacheLookup::Miss => &self.misses,
-            CacheLookup::Corrupt => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                &self.misses
-            }
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        lookup
-    }
-
-    /// [`get`](Self::get) without counting, for a read that serves no
-    /// file: the delta's look at an edited file's previous entry.
-    pub(crate) fn peek(&self, key: u128) -> CacheLookup {
         match self.backend.load(key) {
             Some(bytes) => decode_entry(&bytes, key, self.config_tag),
             None => CacheLookup::Miss,
         }
     }
 
-    /// Stores an entry for `key`. Best-effort: a full disk or a
-    /// read-only directory downgrades the cache, it does not fail the
-    /// scan — but every failed write is counted
-    /// ([`PersistentCacheStats::write_errors`]) so the degradation is
-    /// visible instead of silent.
-    pub fn put(&self, key: u128, entry: &CachedAnalysis) {
+    /// Stores an entry for `key` and returns whether it landed.
+    /// Best-effort: a full disk or a read-only directory downgrades the
+    /// cache, it does not fail the scan. The engine counts every `false`
+    /// as a write error, so a dying cache does not look like a working
+    /// one.
+    pub fn put(&self, key: u128, entry: &CachedAnalysis) -> bool {
         let payload = encode_payload(key, entry);
         let mut bytes = Vec::with_capacity(payload.len() + 36);
         bytes.extend_from_slice(MAGIC);
@@ -226,14 +177,7 @@ impl PersistentCache {
         bytes.extend_from_slice(&fnv128(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
 
-        match self.backend.store(key, &bytes) {
-            Ok(()) => {
-                self.stores.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.backend.store(key, &bytes).is_ok()
     }
 
     /// The delta manifest text stored alongside the entries, if any.
@@ -241,29 +185,11 @@ impl PersistentCache {
         self.backend.load_manifest()
     }
 
-    /// Atomically stores the delta manifest text alongside the entries.
-    /// Best-effort like `put`: a failure degrades the next cold start
-    /// to a full rescan, and is counted so it is visible, not silent.
-    /// (`stores` counts analysis entries only, so tier accounting
-    /// stays comparable across runs that do and don't write
-    /// manifests.)
+    /// Atomically stores the delta manifest text alongside the entries
+    /// and returns whether it landed. Best-effort like `put`: a failure
+    /// degrades the next cold start to a full rescan.
     pub fn store_manifest(&self, text: &str) -> bool {
-        let wrote = self.backend.store_manifest(text).is_ok();
-        if !wrote {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        wrote
-    }
-
-    /// Lifetime probe/store counters of this handle.
-    pub fn stats(&self) -> PersistentCacheStats {
-        PersistentCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-        }
+        self.backend.store_manifest(text).is_ok()
     }
 
     /// The directory entries live in.
@@ -568,10 +494,8 @@ mod tests {
         let key = source_fingerprint("program demo; fn main() {}");
         assert_eq!(cache.get(key), CacheLookup::Miss);
         let entry = sample_entry();
-        cache.put(key, &entry);
+        assert!(cache.put(key, &entry), "the put reports that it stored");
         assert_eq!(cache.get(key), CacheLookup::Hit(entry));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.corrupt, stats.stores), (1, 1, 0, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -610,7 +534,6 @@ mod tests {
         // Empty file.
         fs::write(&path, b"").unwrap();
         assert_eq!(cache.get(key), CacheLookup::Corrupt);
-        assert_eq!(cache.stats().corrupt, 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -633,8 +556,7 @@ mod tests {
         let mut foreign_tag = good.clone();
         foreign_tag[12..20].copy_from_slice(&(config_tag() ^ 1).to_le_bytes());
         fs::write(&path, &foreign_tag).unwrap();
-        assert_eq!(cache.get(key), CacheLookup::Miss);
-        assert_eq!(cache.stats().corrupt, 0, "a stale entry is not a corrupt one");
+        assert_eq!(cache.get(key), CacheLookup::Miss, "a stale entry is not a corrupt one");
 
         // Foreign magic: broken.
         let mut foreign = good;
@@ -680,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_writes_are_counted_not_silent() {
+    fn failed_writes_are_reported_not_silent() {
         // Remove the directory after open: every put now fails at
         // File::create (ENOENT) — the classic "cache dir deleted
         // mid-run" degradation. (chmod-based read-only cannot be
@@ -689,10 +611,7 @@ mod tests {
         let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
         fs::remove_dir_all(&dir).unwrap();
         let key = source_fingerprint("w");
-        cache.put(key, &sample_entry());
-        let stats = cache.stats();
-        assert_eq!(stats.write_errors, 1);
-        assert_eq!(stats.stores, 0);
+        assert!(!cache.put(key, &sample_entry()), "the put reports that it did not store");
         assert_eq!(cache.get(key), CacheLookup::Miss, "a failed put leaves no entry");
     }
 
@@ -701,12 +620,13 @@ mod tests {
         let dir = tmp_dir("manifest");
         let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
         assert_eq!(cache.load_manifest(), None);
-        cache.store_manifest("pnx-delta-manifest/1\n3 4 00000000000000000000000000000005 a\n");
+        assert!(
+            cache.store_manifest("pnx-delta-manifest/1\n3 4 00000000000000000000000000000005 a\n")
+        );
         assert_eq!(
             cache.load_manifest().as_deref(),
             Some("pnx-delta-manifest/1\n3 4 00000000000000000000000000000005 a\n")
         );
-        assert_eq!(cache.stats().write_errors, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -729,7 +649,7 @@ mod tests {
                     let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
                     for round in 0..200 {
                         let key = keys[round % keys.len()];
-                        cache.put(key, &entry);
+                        assert!(cache.put(key, &entry), "a write failed");
                         match cache.get(key) {
                             CacheLookup::Hit(got) => assert_eq!(got, entry),
                             CacheLookup::Miss => {} // racing rename not yet visible
@@ -738,8 +658,6 @@ mod tests {
                             }
                         }
                     }
-                    assert_eq!(cache.stats().corrupt, 0);
-                    assert_eq!(cache.stats().write_errors, 0);
                 });
             }
         });

@@ -24,7 +24,7 @@ use crate::findings::{FindingKind, Report, ReportFilter, Severity};
 use crate::ir::Span;
 use crate::oracle::{DifferentialReport, Matrix, SiteVerdict};
 use crate::parse::ParseError;
-use crate::trace::TraceReport;
+use crate::trace::{Counter, Pass, TraceReport};
 
 /// The output format selected by `pncheck --format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -254,21 +254,33 @@ fn span_value(span: Option<Span>) -> JsonValue {
     }
 }
 
-fn trace_value(trace: &TraceReport) -> JsonValue {
-    let counters: Vec<(String, JsonValue)> =
-        trace.counters.iter().map(|(name, value)| (name.clone(), JsonValue::U64(*value))).collect();
-    let passes: Vec<JsonValue> = trace
-        .passes
+/// The counters of a [`TraceReport`] under their one names: `pncheck`'s
+/// `trace.counters`, and the same keys in the daemon's `analysis` stats.
+pub(crate) fn trace_counters(trace: &TraceReport) -> Vec<(&'static str, JsonValue)> {
+    let mut fields: Vec<(&str, JsonValue)> =
+        Counter::ALL.iter().map(|&c| (c.name(), JsonValue::U64(trace.counter(c)))).collect();
+    fields.push(("summary_store_hits", JsonValue::U64(trace.summary_store_hits)));
+    let by_kind = FindingKind::ALL
         .iter()
-        .map(|p| {
+        .map(|&k| (k.name(), JsonValue::U64(trace.findings_of(k))))
+        .collect();
+    fields.push(("findings_by_kind", obj(by_kind)));
+    fields
+}
+
+fn trace_value(trace: &TraceReport) -> JsonValue {
+    let passes: Vec<JsonValue> = Pass::ALL
+        .iter()
+        .map(|&pass| {
+            let p = trace.pass(pass);
             obj(vec![
-                ("name", s(&p.name)),
+                ("name", s(pass.name())),
                 ("calls", JsonValue::U64(p.calls)),
                 ("total_us", JsonValue::U64(p.total.as_micros().min(u128::from(u64::MAX)) as u64)),
             ])
         })
         .collect();
-    obj(vec![("counters", JsonValue::Obj(counters)), ("passes", JsonValue::Arr(passes))])
+    obj(vec![("counters", obj(trace_counters(trace))), ("passes", JsonValue::Arr(passes))])
 }
 
 fn stats_value(stats: &BatchStats) -> JsonValue {
@@ -368,10 +380,10 @@ pub fn exit_status(records: &[FileRecord], had_errors: bool) -> u8 {
 
 /// Renders the `pncheck-report/1` JSON envelope.
 ///
-/// Deterministic for identical input: field order is fixed and map-based
-/// content (trace counters) is sorted. `stats` and `trace` are optional
-/// (`--stats`); they carry timings and are therefore *not* deterministic
-/// — golden tests should pass `None`.
+/// Deterministic for identical input: field order is fixed, trace
+/// counters included. `stats` and `trace` are optional (`--stats`); they
+/// carry timings and are therefore *not* deterministic — golden tests
+/// should pass `None`.
 pub fn render_json(
     files: &[FileRecord],
     stats: Option<&BatchStats>,
@@ -797,22 +809,20 @@ mod tests {
 
     #[test]
     fn stats_and_trace_embed_when_given() {
-        use crate::trace::TraceCollector;
         use crate::{Analyzer, BatchEngine};
-        use std::sync::Arc;
         let program = parse_program(VULNERABLE).unwrap();
-        let trace = Arc::new(TraceCollector::new());
-        let engine = BatchEngine::new(Analyzer::new()).with_jobs(1).with_trace(Arc::clone(&trace));
+        let engine = BatchEngine::new(Analyzer::new()).with_jobs(1);
         let (reports, stats) = engine.scan_with_stats(std::slice::from_ref(&program));
         let record = FileRecord {
             path: "demo.pnx".into(),
             report: Some(reports[0].clone()),
             errors: Vec::new(),
         };
-        let json = render_json(&[record], Some(&stats), Some(&trace.snapshot()));
+        let json = render_json(&[record], Some(&stats), Some(&engine.trace_report()));
         assert!(json.contains("\"stats\": {"), "{json}");
         assert!(json.contains("\"cache_misses\": 1"), "{json}");
         assert!(json.contains("\"counters\": {"), "{json}");
-        assert!(json.contains("\"analysis.programs\": 1"), "{json}");
+        assert!(json.contains("\"analyses\": 1"), "{json}");
+        assert!(json.contains("\"oversized-placement\": 1"), "{json}");
     }
 }

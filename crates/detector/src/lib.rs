@@ -71,12 +71,10 @@ pub use analysis::{Analyzer, AnalyzerConfig, PartialAnalysis};
 pub use backend::{CacheBackend, DirBackend};
 pub use baseline::BaselineChecker;
 pub use batch::{
-    fingerprint, BatchEngine, BatchStats, CacheStats, DeltaStats, SourceOutcome, TrackedOutcome,
+    fingerprint, BatchEngine, BatchStats, DeltaStats, EngineTotals, SourceOutcome, TrackedOutcome,
 };
 pub use builder::{FunctionBuilder, ProgramBuilder};
-pub use cache::{
-    source_fingerprint, CacheLookup, CachedAnalysis, PersistentCache, PersistentCacheStats,
-};
+pub use cache::{source_fingerprint, CacheLookup, CachedAnalysis, PersistentCache};
 pub use clock::{Clock, SystemClock};
 pub use delta::{invalidation_cone, ConeStats};
 pub use exec::{ExecEvent, ExecEventKind, ExecOutcome, Executor};

@@ -93,13 +93,12 @@ use crate::clock::{Clock, SystemClock};
 use crate::emit::{self, obj, FileRecord, JsonValue, OutputFormat};
 use crate::eventloop::{Core, TickPoller};
 use crate::findings::ReportFilter;
-use crate::trace::TraceCollector;
 
 /// The protocol name and version announced in every response header.
 pub const PROTOCOL: &str = "pncheckd/1";
 
 /// The stats payload schema.
-pub const STATS_SCHEMA: &str = "pncheckd-stats/4";
+pub const STATS_SCHEMA: &str = "pncheckd-stats/5";
 
 // ---------------------------------------------------------------------
 // A minimal, defensive JSON parser.
@@ -685,6 +684,31 @@ impl Reply {
     }
 }
 
+/// The events a [`Server`] counts, each once. `stats` prints them as
+/// `requests.*` (an `Error` is any request answered with an error,
+/// refusals other than `busy` and `idle-timeout` included),
+/// `connections.{accepted, rejected, idle_reaped}`, and
+/// `analysis.{files, findings}` (findings after each request's filter).
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Request,
+    Analyze,
+    Delta,
+    Ping,
+    Stats,
+    Shutdown,
+    Error,
+    QuotaExceeded,
+    Connection,
+    Rejected,
+    IdleReaped,
+    File,
+    Finding,
+}
+
+/// One slot per [`Event`]; `Finding` is the last.
+const EVENTS: usize = Event::Finding as usize + 1;
+
 /// The resident analysis service. See the [module docs](self) for the
 /// protocol. Thread-safe: one `Server` handles any number of
 /// connections concurrently, and all of them share the warm engine.
@@ -694,13 +718,10 @@ pub struct Server {
     /// The one analysis engine. It caches unfiltered analyses, so it
     /// serves every request whatever filter the request asks for.
     engine: BatchEngine,
-    trace: TraceCollector,
+    events: [AtomicU64; EVENTS],
     started_ns: u64,
     shutdown: AtomicBool,
     active_connections: AtomicUsize,
-    rejected_connections: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
 }
 
 impl Server {
@@ -728,14 +749,19 @@ impl Server {
         Ok(Server {
             config,
             engine,
-            trace: TraceCollector::new(),
+            events: Default::default(),
             started_ns,
             shutdown: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
-            rejected_connections: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
         })
+    }
+
+    fn count(&self, event: Event, n: u64) {
+        self.events[event as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn counted(&self, event: Event) -> JsonValue {
+        JsonValue::U64(self.events[event as usize].load(Ordering::Relaxed))
     }
 
     /// `true` once a `shutdown` request has been served.
@@ -747,8 +773,7 @@ impl Server {
     /// the whole protocol with the transport peeled off — the tests
     /// drive it directly, and every transport goes through it.
     pub fn handle_line(&self, line: &str) -> Reply {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.trace.count("server.requests", 1);
+        self.count(Event::Request, 1);
         let parsed = match parse_json(line) {
             Ok(node) => parse_request(node, &self.config.filter),
             Err(e) => Err((
@@ -758,12 +783,11 @@ impl Server {
         };
         match parsed {
             Err((id, err)) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.trace.count("server.errors", 1);
+                self.count(Event::Error, 1);
                 Reply::error(&id, &err)
             }
             Ok((id, Request::Ping)) => {
-                self.trace.count("server.ping", 1);
+                self.count(Event::Ping, 1);
                 let header = obj(vec![
                     ("schema", emit::s(PROTOCOL)),
                     ("id", id.to_value()),
@@ -779,7 +803,7 @@ impl Server {
                 }
             }
             Ok((id, Request::Stats)) => {
-                self.trace.count("server.stats", 1);
+                self.count(Event::Stats, 1);
                 let payload = self.render_stats();
                 let header = obj(vec![
                     ("schema", emit::s(PROTOCOL)),
@@ -791,7 +815,7 @@ impl Server {
                 Reply { header: emit::render_compact(&header), payload, shutdown: false }
             }
             Ok((id, Request::Shutdown)) => {
-                self.trace.count("server.shutdown", 1);
+                self.count(Event::Shutdown, 1);
                 self.shutdown.store(true, Ordering::SeqCst);
                 let header = obj(vec![
                     ("schema", emit::s(PROTOCOL)),
@@ -808,14 +832,8 @@ impl Server {
                 }
             }
             Ok((id, Request::Analyze(req))) => {
-                let pass = if req.delta { "server.delta" } else { "server.analyze" };
-                self.trace.count(pass, 1);
-                let start_ns = self.config.clock.now_ns();
-                let reply = self.analyze(&id, &req);
-                let elapsed =
-                    Duration::from_nanos(self.config.clock.now_ns().saturating_sub(start_ns));
-                self.trace.record_pass(pass, elapsed);
-                reply
+                self.count(if req.delta { Event::Delta } else { Event::Analyze }, 1);
+                self.analyze(&id, &req)
             }
         }
     }
@@ -889,11 +907,6 @@ impl Server {
             });
         }
 
-        self.trace.count("server.delta-changed", (delta.changed_files + delta.added_files) as u64);
-        self.trace.count("server.delta-unchanged", delta.unchanged_files as u64);
-        self.trace.count("server.delta-cone-functions", delta.cone_functions as u64);
-        self.trace.count("server.delta-fn-reanalyzed", delta.functions_reanalyzed as u64);
-        self.trace.count("server.delta-fn-reused", delta.functions_reused as u64);
         let counters = obj(vec![
             ("tracked", JsonValue::U64(delta.tracked_files as u64)),
             ("unchanged", JsonValue::U64(delta.unchanged_files as u64)),
@@ -925,8 +938,8 @@ impl Server {
         delta: Option<JsonValue>,
     ) -> Reply {
         let findings = emit::filter_records(&mut records, &req.filter);
-        self.trace.count("server.files", records.len() as u64);
-        self.trace.count("server.findings", findings as u64);
+        self.count(Event::File, records.len() as u64);
+        self.count(Event::Finding, findings as u64);
         let stats = BatchStats { findings, ..scan_stats };
         let payload = emit::render(req.format, &records, req.stats.then_some(&stats), None);
         let had_errors = !file_errors.is_empty() || records.iter().any(|r| !r.errors.is_empty());
@@ -948,22 +961,41 @@ impl Server {
         Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false }
     }
 
-    /// The `pncheckd-stats/4` payload: request counters, connection
-    /// state, and the engine's cache/parse counters.
+    /// The `pncheckd-stats/5` payload: the server's request and
+    /// connection counts, and the engine's lifetime totals and analyzer
+    /// counters. The engine adds a scan to its totals when the scan
+    /// ends, so a `stats` request served during a scan sees the totals
+    /// as of the last finished one. No wall-clock figure enters it.
     fn render_stats(&self) -> String {
         let engine = &self.engine;
         // One consistent snapshot, so `hits + misses == lookups`
         // survives concurrent requests: a stats reader can never see a
         // torn pair.
-        let c = engine.cache_stats();
-        let (fn_reanalyzed, fn_reused) = engine.function_delta_totals();
+        let t = engine.totals();
         let store = engine.summary_store();
-        let p = engine.persistent_cache().map(|pc| pc.stats()).unwrap_or_default();
-
-        let snap = self.trace.snapshot();
-        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        let trace_counters: Vec<(String, JsonValue)> =
-            snap.counters.iter().map(|(name, v)| (name.clone(), JsonValue::U64(*v))).collect();
+        let mut analysis = vec![
+            ("files", self.counted(Event::File)),
+            ("findings", self.counted(Event::Finding)),
+            ("parses", JsonValue::U64(t.scans.parses)),
+            ("fingerprint_hits", JsonValue::U64(t.scans.cache_hits)),
+            ("fingerprint_misses", JsonValue::U64(t.scans.cache_misses)),
+            ("fingerprint_lookups", JsonValue::U64(t.lookups)),
+            ("memo_entries", JsonValue::U64(t.entries as u64)),
+            ("persistent_hits", JsonValue::U64(t.scans.persistent_hits)),
+            ("persistent_misses", JsonValue::U64(t.scans.persistent_misses)),
+            ("persistent_corrupt", JsonValue::U64(t.scans.persistent_corrupt)),
+            ("persistent_stores", JsonValue::U64(t.scans.persistent_stores)),
+            ("persistent_write_errors", JsonValue::U64(t.scans.persistent_write_errors)),
+            ("tracked_files", JsonValue::U64(engine.tracked_files() as u64)),
+            ("delta_changed_files", JsonValue::U64(t.delta_changed_files)),
+            ("delta_unchanged_files", JsonValue::U64(t.delta_unchanged_files)),
+            ("cone_functions", JsonValue::U64(t.cone_functions)),
+            ("functions_reanalyzed", JsonValue::U64(t.functions_reanalyzed)),
+            ("functions_reused", JsonValue::U64(t.functions_reused)),
+            ("summary_store_entries", JsonValue::U64(store.len() as u64)),
+            ("summary_store_misses", JsonValue::U64(store.misses())),
+        ];
+        analysis.extend(emit::trace_counters(&engine.trace_report()));
         let payload = obj(vec![
             ("schema", emit::s(STATS_SCHEMA)),
             (
@@ -980,13 +1012,14 @@ impl Server {
             (
                 "requests",
                 obj(vec![
-                    ("total", JsonValue::U64(self.requests.load(Ordering::Relaxed))),
-                    ("analyze", JsonValue::U64(counter("server.analyze"))),
-                    ("delta", JsonValue::U64(counter("server.delta"))),
-                    ("ping", JsonValue::U64(counter("server.ping"))),
-                    ("stats", JsonValue::U64(counter("server.stats"))),
-                    ("shutdown", JsonValue::U64(counter("server.shutdown"))),
-                    ("errors", JsonValue::U64(self.errors.load(Ordering::Relaxed))),
+                    ("total", self.counted(Event::Request)),
+                    ("analyze", self.counted(Event::Analyze)),
+                    ("delta", self.counted(Event::Delta)),
+                    ("ping", self.counted(Event::Ping)),
+                    ("stats", self.counted(Event::Stats)),
+                    ("shutdown", self.counted(Event::Shutdown)),
+                    ("errors", self.counted(Event::Error)),
+                    ("quota_exceeded", self.counted(Event::QuotaExceeded)),
                 ]),
             ),
             (
@@ -996,36 +1029,15 @@ impl Server {
                         "active",
                         JsonValue::U64(self.active_connections.load(Ordering::Relaxed) as u64),
                     ),
-                    ("rejected", JsonValue::U64(self.rejected_connections.load(Ordering::Relaxed))),
+                    ("accepted", self.counted(Event::Connection)),
+                    ("rejected", self.counted(Event::Rejected)),
+                    ("idle_reaped", self.counted(Event::IdleReaped)),
                     ("max", JsonValue::U64(self.config.max_connections as u64)),
                     ("hard_cap", JsonValue::U64(hard_connection_cap(&self.config) as u64)),
                     ("client_quota", JsonValue::U64(self.config.client_quota as u64)),
                 ]),
             ),
-            (
-                "analysis",
-                obj(vec![
-                    ("files", JsonValue::U64(counter("server.files"))),
-                    ("findings", JsonValue::U64(counter("server.findings"))),
-                    ("parses", JsonValue::U64(c.parses)),
-                    ("fingerprint_hits", JsonValue::U64(c.hits)),
-                    ("fingerprint_misses", JsonValue::U64(c.misses)),
-                    ("fingerprint_lookups", JsonValue::U64(c.lookups)),
-                    ("memo_entries", JsonValue::U64(c.entries as u64)),
-                    ("persistent_hits", JsonValue::U64(p.hits)),
-                    ("persistent_misses", JsonValue::U64(p.misses)),
-                    ("persistent_corrupt", JsonValue::U64(p.corrupt)),
-                    ("persistent_stores", JsonValue::U64(p.stores)),
-                    ("persistent_write_errors", JsonValue::U64(p.write_errors)),
-                    ("tracked_files", JsonValue::U64(engine.tracked_files() as u64)),
-                    ("functions_reanalyzed", JsonValue::U64(fn_reanalyzed)),
-                    ("functions_reused", JsonValue::U64(fn_reused)),
-                    ("summary_store_entries", JsonValue::U64(store.len() as u64)),
-                    ("summary_store_hits", JsonValue::U64(store.hits())),
-                    ("summary_store_misses", JsonValue::U64(store.misses())),
-                ]),
-            ),
-            ("trace", JsonValue::Obj(trace_counters)),
+            ("analysis", obj(analysis)),
         ]);
         emit::render_compact(&payload) + "\n"
     }
@@ -1214,16 +1226,12 @@ impl Server {
     /// running a request, and renders its frame.
     pub(crate) fn refusal(&self, code: &'static str, message: String) -> Reply {
         match code {
-            "busy" => {
-                self.rejected_connections.fetch_add(1, Ordering::Relaxed);
-                self.trace.count("server.rejected-connections", 1);
-            }
-            "idle-timeout" => self.trace.count("server.idle-reaped", 1),
+            "busy" => self.count(Event::Rejected, 1),
+            "idle-timeout" => self.count(Event::IdleReaped, 1),
             _ => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.trace.count("server.errors", 1);
+                self.count(Event::Error, 1);
                 if code == "quota-exceeded" {
-                    self.trace.count("server.quota-exceeded", 1);
+                    self.count(Event::QuotaExceeded, 1);
                 }
             }
         }
@@ -1235,7 +1243,7 @@ impl Server {
     pub(crate) fn track_connection(&self, opened: bool) {
         if opened {
             self.active_connections.fetch_add(1, Ordering::SeqCst);
-            self.trace.count("server.connections", 1);
+            self.count(Event::Connection, 1);
         } else {
             self.active_connections.fetch_sub(1, Ordering::SeqCst);
         }

@@ -118,8 +118,9 @@ fn format_json_with_stats_embeds_stats_and_trace() {
         run_with_stdin(&["--format", "json", "--stats", "--jobs", "1", "-"], VULNERABLE);
     assert_eq!(code, 1);
     assert!(stdout.contains("\"cache_misses\": 1"), "{stdout}");
-    assert!(stdout.contains("\"analysis.programs\": 1"), "{stdout}");
-    assert!(stderr.contains("trace: counter batch.programs = 1"), "{stderr}");
+    assert!(stdout.contains("\"analyses\": 1"), "{stdout}");
+    assert!(stderr.contains("stats: 1 programs"), "{stderr}");
+    assert!(stderr.contains("trace: counter analyses = 1"), "{stderr}");
 }
 
 #[test]

@@ -274,6 +274,76 @@ fn inline_source_matches_pncheck_reading_stdin() {
 }
 
 // ---------------------------------------------------------------------
+// Counting: a request's stats are its own, and one vocabulary.
+// ---------------------------------------------------------------------
+
+/// A named object inside a parsed JSON object.
+fn object<'a>(fields: &'a [(String, JsonNode)], name: &str) -> &'a [(String, JsonNode)] {
+    match field(fields, name) {
+        JsonNode::Obj(inner) => inner,
+        other => panic!("field {name} is not an object: {other:?}"),
+    }
+}
+
+fn parse_object(text: &str) -> Vec<(String, JsonNode)> {
+    match parse_json(text.trim()).expect("payload parses") {
+        JsonNode::Obj(fields) => fields,
+        other => panic!("payload is not an object: {other:?}"),
+    }
+}
+
+/// Two clients send warm one-file `"stats":true` requests to one
+/// server at once. Each reply's embedded stats count that request's
+/// own memo hit and nothing of the other client's.
+#[test]
+fn per_request_stats_never_count_another_clients_work() {
+    let server = Server::new(ServerConfig { jobs: Some(1), ..ServerConfig::default() })
+        .expect("server builds");
+    let lines: Vec<String> = [VULNERABLE.to_owned(), VULNERABLE.replace("served-demo", "other")]
+        .iter()
+        .map(|text| format!("{{\"op\":\"analyze\",\"source\":{},\"stats\":true}}", json_str(text)))
+        .collect();
+    for line in &lines {
+        server.handle_line(line);
+    }
+    std::thread::scope(|scope| {
+        for line in &lines {
+            let server = &server;
+            scope.spawn(move || {
+                for i in 0..5_000 {
+                    let payload = server.handle_line(line).payload;
+                    let stats = parse_object(&payload);
+                    let stats = object(&stats, "stats");
+                    assert_eq!(int_field(stats, "cache_hits"), 1, "request {i}: {stats:?}");
+                    assert_eq!(int_field(stats, "cache_misses"), 0, "request {i}: {stats:?}");
+                }
+            });
+        }
+    });
+}
+
+/// `pncheck --stats` and the daemon's `stats` op count in one
+/// vocabulary: every trace counter `pncheck` embeds is a key of the
+/// daemon's `analysis` object, with the same value for the same work.
+#[test]
+fn pncheck_trace_counters_are_daemon_analysis_counters() {
+    let (cli_json, _) = pncheck_output(&["--stats", "--format", "json", "--jobs", "1", EXAMPLES]);
+    let envelope = parse_object(&cli_json);
+    let counters = object(object(&envelope, "trace"), "counters");
+
+    let server = Server::new(ServerConfig { jobs: Some(1), ..ServerConfig::default() })
+        .expect("server builds");
+    server.handle_line(&analyze_paths_request(1, EXAMPLES));
+    let stats = parse_object(&server.handle_line("{\"op\":\"stats\"}").payload);
+    let analysis = object(&stats, "analysis");
+    assert!(counters.len() > 5, "{counters:?}");
+    for (name, value) in counters {
+        assert_eq!(field(analysis, name), value, "counter {name}");
+    }
+    assert_ne!(field(counters, "analyses"), &JsonNode::Int(0));
+}
+
+// ---------------------------------------------------------------------
 // Lifecycle: warm caches, timeouts, backpressure, shutdown.
 // ---------------------------------------------------------------------
 

@@ -1426,14 +1426,15 @@ fn verify_unhealed_sabotage(cache_dir: &Path, stats: &FaultStats, report: &mut S
     }
     let cache = PersistentCache::with_backend(cache_dir, &AnalyzerConfig::default(), Box::new(raw));
     for key in survivors {
-        if matches!(cache.get(key), CacheLookup::Hit(_)) {
-            report.violations.push(format!(
+        match cache.get(key) {
+            CacheLookup::Hit(_) => report.violations.push(format!(
                 "seed {}: sabotaged entry {key:032x} decoded as a servable hit",
                 report.seed
-            ));
+            )),
+            CacheLookup::Corrupt => report.corrupt_detected += 1,
+            CacheLookup::Miss => {}
         }
     }
-    report.corrupt_detected += cache.stats().corrupt;
 }
 
 #[cfg(test)]
