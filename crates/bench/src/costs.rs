@@ -14,11 +14,10 @@ use pnew_core::student::StudentWorld;
 use pnew_core::{Arena, AttackConfig, Defense, PlacementMode};
 use pnew_corpus::{benign, listings, scenarios, workload};
 use pnew_detector::emit::{render_json, render_sarif, FileRecord};
-use pnew_detector::oracle::{Matrix, Oracle};
 use pnew_detector::{
-    parse_program, parse_program_recovering, pretty_program, Analyzer, BaselineChecker, Executor,
-    Fixer, Program,
+    parse_program, parse_program_recovering, pretty_program, Analyzer, Fixer, Program,
 };
+use pnew_eval::{BaselineChecker, Executor, Matrix, Oracle};
 use pnew_memory::SegmentKind;
 use pnew_object::CxxType;
 use pnew_runtime::{StackProtection, VarDecl};

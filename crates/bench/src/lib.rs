@@ -20,7 +20,8 @@ use pnew_core::attacks::{self, run_all};
 use pnew_core::{AttackConfig, AttackKind, AttackReport, Defense};
 use pnew_corpus::scenarios::Scenario;
 use pnew_corpus::{benign, listings, scenarios, workload};
-use pnew_detector::{Analyzer, BaselineChecker, BatchEngine, Fixer, Severity};
+use pnew_detector::{Analyzer, BatchEngine, Fixer, Severity};
+use pnew_eval::BaselineChecker;
 use pnew_object::LayoutPolicy;
 use pnew_runtime::StackProtection;
 

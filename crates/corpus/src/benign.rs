@@ -293,7 +293,8 @@ pub fn benign_corpus() -> Vec<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnew_detector::{Analyzer, BaselineChecker, Severity};
+    use pnew_detector::{Analyzer, Severity};
+    use pnew_eval::BaselineChecker;
 
     #[test]
     fn corpus_is_complete_and_unique() {

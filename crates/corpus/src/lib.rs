@@ -19,7 +19,8 @@
 //!
 //! ```
 //! use pnew_corpus::{benign, listings};
-//! use pnew_detector::{Analyzer, BaselineChecker, Severity};
+//! use pnew_detector::{Analyzer, Severity};
+//! use pnew_eval::BaselineChecker;
 //!
 //! let analyzer = Analyzer::new();
 //! let baseline = BaselineChecker::new();

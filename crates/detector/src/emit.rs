@@ -1,11 +1,10 @@
 //! Machine-readable report serialization: the `pncheck` JSON envelope
 //! and SARIF 2.1.0.
 //!
-//! Everything here is hand-rolled on `std` (the workspace builds
-//! offline, so no serde): a tiny ordered [`JsonValue`] tree plus a
-//! deterministic two-space pretty-printer. Field order is fixed by
-//! construction order, so byte-identical output for identical input is a
-//! guarantee — the golden-file tests depend on it.
+//! Both are built as [`JsonNode`] trees and rendered by
+//! [`JsonNode::pretty`]. Field order is fixed by construction order, so
+//! byte-identical output for identical input is a guarantee — the
+//! golden-file tests depend on it.
 //!
 //! The JSON envelope (`schema: "pncheck-report/1"`) carries one entry
 //! per scanned file — program name, findings with rule IDs and precise
@@ -22,9 +21,13 @@ use std::str::FromStr;
 use crate::batch::BatchStats;
 use crate::findings::{FindingKind, Report, ReportFilter, Severity};
 use crate::ir::Span;
-use crate::oracle::{DifferentialReport, Matrix, SiteVerdict};
+use crate::json::{int, obj, s, JsonNode};
 use crate::parse::ParseError;
 use crate::trace::{Counter, Pass, TraceReport};
+
+// Request writers (the DST harness) quote with the envelopes' escaping
+// and import it from here.
+pub use crate::json::json_string;
 
 /// The output format selected by `pncheck --format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,163 +80,6 @@ pub fn filter_records(records: &mut [FileRecord], filter: &ReportFilter) -> usiz
 }
 
 // ---------------------------------------------------------------------
-// A minimal ordered JSON tree + deterministic pretty-printer.
-// ---------------------------------------------------------------------
-
-/// An ordered JSON value; object fields serialize in insertion order.
-/// Crate-visible so the daemon ([`crate::server`]) builds its response
-/// headers and stats payloads on the same serializer the envelopes use.
-#[derive(Debug, Clone)]
-pub(crate) enum JsonValue {
-    Null,
-    Bool(bool),
-    U64(u64),
-    F64(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-pub(crate) fn s(v: impl Into<String>) -> JsonValue {
-    JsonValue::Str(v.into())
-}
-
-pub(crate) fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-/// `text` as a JSON string literal, quotes included: the one escaping
-/// that envelopes, daemon headers and request lines all use.
-pub fn json_string(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    quote_into(text, &mut out);
-    out
-}
-
-fn quote_into(text: &str, out: &mut String) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_value(v: &JsonValue, indent: usize, out: &mut String) {
-    const STEP: &str = "  ";
-    match v {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        JsonValue::F64(x) => {
-            // Fixed precision keeps the rendering locale- and
-            // magnitude-stable.
-            let _ = write!(out, "{x:.1}");
-        }
-        JsonValue::Str(text) => quote_into(text, out),
-        JsonValue::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&STEP.repeat(indent + 1));
-                write_value(item, indent + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&STEP.repeat(indent));
-            out.push(']');
-        }
-        JsonValue::Obj(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (key, value)) in fields.iter().enumerate() {
-                out.push_str(&STEP.repeat(indent + 1));
-                quote_into(key, out);
-                out.push_str(": ");
-                write_value(value, indent + 1, out);
-                if i + 1 < fields.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&STEP.repeat(indent));
-            out.push('}');
-        }
-    }
-}
-
-fn render_indented(v: &JsonValue) -> String {
-    let mut out = String::new();
-    write_value(v, 0, &mut out);
-    out.push('\n');
-    out
-}
-
-/// Renders `v` on one line with no insignificant whitespace — the
-/// framing the daemon's newline-delimited response headers need (a
-/// header must never contain a raw newline). Deterministic like
-/// [`render_indented`]: field order is construction order.
-pub(crate) fn render_compact(v: &JsonValue) -> String {
-    fn write_compact(v: &JsonValue, out: &mut String) {
-        match v {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
-            JsonValue::F64(x) => {
-                let _ = write!(out, "{x:.1}");
-            }
-            JsonValue::Str(text) => quote_into(text, out),
-            JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_compact(item, out);
-                }
-                out.push(']');
-            }
-            JsonValue::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    quote_into(key, out);
-                    out.push(':');
-                    write_compact(value, out);
-                }
-                out.push('}');
-            }
-        }
-    }
-    let mut out = String::new();
-    write_compact(v, &mut out);
-    out
-}
-
-// ---------------------------------------------------------------------
 // The pncheck JSON envelope.
 // ---------------------------------------------------------------------
 
@@ -242,66 +88,63 @@ fn tool_version() -> &'static str {
     env!("CARGO_PKG_VERSION")
 }
 
-fn span_value(span: Option<Span>) -> JsonValue {
+fn span_value(span: Option<Span>) -> JsonNode {
     match span {
         Some(sp) => obj(vec![
-            ("line", JsonValue::U64(sp.line.into())),
-            ("col", JsonValue::U64(sp.col.into())),
-            ("byte_offset", JsonValue::U64(sp.byte_offset.into())),
-            ("len", JsonValue::U64(sp.len.into())),
+            ("line", int(sp.line.into())),
+            ("col", int(sp.col.into())),
+            ("byte_offset", int(sp.byte_offset.into())),
+            ("len", int(sp.len.into())),
         ]),
-        None => JsonValue::Null,
+        None => JsonNode::Null,
     }
 }
 
 /// The counters of a [`TraceReport`] under their one names: `pncheck`'s
 /// `trace.counters`, and the same keys in the daemon's `analysis` stats.
-pub(crate) fn trace_counters(trace: &TraceReport) -> Vec<(&'static str, JsonValue)> {
-    let mut fields: Vec<(&str, JsonValue)> =
-        Counter::ALL.iter().map(|&c| (c.name(), JsonValue::U64(trace.counter(c)))).collect();
-    fields.push(("summary_store_hits", JsonValue::U64(trace.summary_store_hits)));
-    let by_kind = FindingKind::ALL
-        .iter()
-        .map(|&k| (k.name(), JsonValue::U64(trace.findings_of(k))))
-        .collect();
+pub(crate) fn trace_counters(trace: &TraceReport) -> Vec<(&'static str, JsonNode)> {
+    let mut fields: Vec<(&str, JsonNode)> =
+        Counter::ALL.iter().map(|&c| (c.name(), int(trace.counter(c)))).collect();
+    fields.push(("summary_store_hits", int(trace.summary_store_hits)));
+    let by_kind = FindingKind::ALL.iter().map(|&k| (k.name(), int(trace.findings_of(k)))).collect();
     fields.push(("findings_by_kind", obj(by_kind)));
     fields
 }
 
-fn trace_value(trace: &TraceReport) -> JsonValue {
-    let passes: Vec<JsonValue> = Pass::ALL
+fn trace_value(trace: &TraceReport) -> JsonNode {
+    let passes: Vec<JsonNode> = Pass::ALL
         .iter()
         .map(|&pass| {
             let p = trace.pass(pass);
             obj(vec![
                 ("name", s(pass.name())),
-                ("calls", JsonValue::U64(p.calls)),
-                ("total_us", JsonValue::U64(p.total.as_micros().min(u128::from(u64::MAX)) as u64)),
+                ("calls", int(p.calls)),
+                ("total_us", int(p.total.as_micros().min(u128::from(u64::MAX)) as u64)),
             ])
         })
         .collect();
-    obj(vec![("counters", obj(trace_counters(trace))), ("passes", JsonValue::Arr(passes))])
+    obj(vec![("counters", obj(trace_counters(trace))), ("passes", JsonNode::Arr(passes))])
 }
 
-fn stats_value(stats: &BatchStats) -> JsonValue {
+fn stats_value(stats: &BatchStats) -> JsonNode {
     obj(vec![
-        ("programs", JsonValue::U64(stats.programs as u64)),
-        ("findings", JsonValue::U64(stats.findings as u64)),
-        ("jobs", JsonValue::U64(stats.jobs as u64)),
-        ("cache_hits", JsonValue::U64(stats.cache_hits)),
-        ("cache_misses", JsonValue::U64(stats.cache_misses)),
-        ("parses", JsonValue::U64(stats.parses)),
-        ("persistent_cache_hits", JsonValue::U64(stats.persistent_hits)),
-        ("persistent_cache_misses", JsonValue::U64(stats.persistent_misses)),
-        ("persistent_cache_corrupt", JsonValue::U64(stats.persistent_corrupt)),
-        ("persistent_cache_write_errors", JsonValue::U64(stats.persistent_write_errors)),
-        ("elapsed_us", JsonValue::U64(stats.elapsed.as_micros().min(u128::from(u64::MAX)) as u64)),
-        ("programs_per_sec", JsonValue::F64(stats.programs_per_sec())),
+        ("programs", int(stats.programs as u64)),
+        ("findings", int(stats.findings as u64)),
+        ("jobs", int(stats.jobs as u64)),
+        ("cache_hits", int(stats.cache_hits)),
+        ("cache_misses", int(stats.cache_misses)),
+        ("parses", int(stats.parses)),
+        ("persistent_cache_hits", int(stats.persistent_hits)),
+        ("persistent_cache_misses", int(stats.persistent_misses)),
+        ("persistent_cache_corrupt", int(stats.persistent_corrupt)),
+        ("persistent_cache_write_errors", int(stats.persistent_write_errors)),
+        ("elapsed_us", int(stats.elapsed.as_micros().min(u128::from(u64::MAX)) as u64)),
+        ("programs_per_sec", JsonNode::Float(stats.programs_per_sec())),
     ])
 }
 
-fn file_value(record: &FileRecord) -> JsonValue {
-    let findings: Vec<JsonValue> = record
+fn file_value(record: &FileRecord) -> JsonNode {
+    let findings: Vec<JsonNode> = record
         .report
         .iter()
         .flat_map(|r| &r.findings)
@@ -312,25 +155,25 @@ fn file_value(record: &FileRecord) -> JsonValue {
                 ("severity", s(f.severity.to_string())),
                 // Concrete worst-case overflow width in bytes; null when
                 // the worst case is unbounded or not an overflow at all.
-                ("width", f.width.map_or(JsonValue::Null, JsonValue::U64)),
+                ("width", f.width.map_or(JsonNode::Null, int)),
                 ("function", s(&f.site.function)),
-                ("statement", JsonValue::U64(f.site.line.into())),
+                ("statement", int(f.site.line.into())),
                 ("span", span_value(f.site.span)),
                 ("message", s(&f.message)),
                 ("suggestion", s(f.kind.suggestion())),
             ])
         })
         .collect();
-    let errors: Vec<JsonValue> = record
+    let errors: Vec<JsonNode> = record
         .errors
         .iter()
         .map(|e| obj(vec![("message", s(&e.message)), ("span", span_value(Some(e.span)))]))
         .collect();
     obj(vec![
         ("path", s(&record.path)),
-        ("program", record.report.as_ref().map_or(JsonValue::Null, |r| s(&r.program))),
-        ("findings", JsonValue::Arr(findings)),
-        ("errors", JsonValue::Arr(errors)),
+        ("program", record.report.as_ref().map_or(JsonNode::Null, |r| s(&r.program))),
+        ("findings", JsonNode::Arr(findings)),
+        ("errors", JsonNode::Arr(errors)),
     ])
 }
 
@@ -398,16 +241,16 @@ pub fn render_json(
         (
             "summary",
             obj(vec![
-                ("files", JsonValue::U64(files.len() as u64)),
-                ("findings", JsonValue::U64(findings as u64)),
-                ("parse_errors", JsonValue::U64(parse_errors as u64)),
+                ("files", int(files.len() as u64)),
+                ("findings", int(findings as u64)),
+                ("parse_errors", int(parse_errors as u64)),
             ]),
         ),
-        ("files", JsonValue::Arr(files.iter().map(file_value).collect())),
-        ("stats", stats.map_or(JsonValue::Null, stats_value)),
-        ("trace", trace.map_or(JsonValue::Null, trace_value)),
+        ("files", JsonNode::Arr(files.iter().map(file_value).collect())),
+        ("stats", stats.map_or(JsonNode::Null, stats_value)),
+        ("trace", trace.map_or(JsonNode::Null, trace_value)),
     ]);
-    render_indented(&envelope)
+    envelope.pretty()
 }
 
 /// Renders a `pncheck-report/1` envelope describing a run that could
@@ -419,94 +262,11 @@ pub fn render_error_json(code: &str, message: &str) -> String {
     let envelope = obj(vec![
         ("schema", s("pncheck-report/1")),
         ("tool", obj(vec![("name", s("pncheck")), ("version", s(tool_version()))])),
-        (
-            "summary",
-            obj(vec![
-                ("files", JsonValue::U64(0)),
-                ("findings", JsonValue::U64(0)),
-                ("parse_errors", JsonValue::U64(0)),
-            ]),
-        ),
-        ("files", JsonValue::Arr(Vec::new())),
+        ("summary", obj(vec![("files", int(0)), ("findings", int(0)), ("parse_errors", int(0))])),
+        ("files", JsonNode::Arr(Vec::new())),
         ("error", obj(vec![("code", s(code)), ("message", s(message))])),
     ]);
-    render_indented(&envelope)
-}
-
-// ---------------------------------------------------------------------
-// The pncheck --oracle envelope.
-// ---------------------------------------------------------------------
-
-/// One input to the oracle serializer: where the program came from and
-/// what the differential concluded about it.
-#[derive(Debug, Clone)]
-pub struct OracleRecord {
-    /// The path as given on the command line (or a corpus tag like
-    /// `corpus:seed=1:7`).
-    pub path: String,
-    /// The differential result.
-    pub report: DifferentialReport,
-}
-
-fn verdict_value(v: &SiteVerdict) -> JsonValue {
-    obj(vec![
-        ("verdict", s(v.verdict.label())),
-        ("kind", s(v.kind.name())),
-        ("severity", v.severity.map_or(JsonValue::Null, |sev| s(sev.to_string()))),
-        ("function", s(&v.site.function)),
-        ("statement", JsonValue::U64(v.site.line.into())),
-        ("events", JsonValue::Arr(v.events.iter().map(|e| s(*e)).collect())),
-    ])
-}
-
-/// Renders the `pncheck-oracle/1` JSON envelope: per-file site verdicts
-/// plus the aggregated per-kind TP/FP/FN matrix. Deterministic for
-/// identical input, like [`render_json`].
-pub fn render_oracle_json(records: &[OracleRecord], matrix: &Matrix) -> String {
-    let files: Vec<JsonValue> = records
-        .iter()
-        .map(|r| {
-            obj(vec![
-                ("path", s(&r.path)),
-                ("program", s(&r.report.program)),
-                ("verdicts", JsonValue::Arr(r.report.verdicts.iter().map(verdict_value).collect())),
-                ("events", JsonValue::U64(r.report.events.len() as u64)),
-                ("skipped", JsonValue::U64(r.report.skipped.len() as u64)),
-                ("agreement", s(if r.report.agrees() { "sound" } else { "false-negatives" })),
-            ])
-        })
-        .collect();
-    let matrix_rows: Vec<JsonValue> = matrix
-        .kinds()
-        .into_iter()
-        .map(|kind| {
-            let (tp, fp, fnn) = matrix.row(kind);
-            obj(vec![
-                ("kind", s(kind.name())),
-                ("tp", JsonValue::U64(tp)),
-                ("fp", JsonValue::U64(fp)),
-                ("fn", JsonValue::U64(fnn)),
-            ])
-        })
-        .collect();
-    let (tp, fp, fnn) = matrix.totals();
-    let envelope = obj(vec![
-        ("schema", s("pncheck-oracle/1")),
-        ("tool", obj(vec![("name", s("pncheck")), ("version", s(tool_version()))])),
-        (
-            "summary",
-            obj(vec![
-                ("files", JsonValue::U64(records.len() as u64)),
-                ("true_positives", JsonValue::U64(tp)),
-                ("false_positives", JsonValue::U64(fp)),
-                ("false_negatives", JsonValue::U64(fnn)),
-                ("agreement", s(if fnn == 0 { "sound" } else { "false-negatives" })),
-            ]),
-        ),
-        ("matrix", JsonValue::Arr(matrix_rows)),
-        ("files", JsonValue::Arr(files)),
-    ]);
-    render_indented(&envelope)
+    envelope.pretty()
 }
 
 // ---------------------------------------------------------------------
@@ -524,7 +284,7 @@ fn sarif_level(severity: Severity) -> &'static str {
     }
 }
 
-fn sarif_rules() -> (Vec<JsonValue>, BTreeMap<&'static str, usize>) {
+fn sarif_rules() -> (Vec<JsonNode>, BTreeMap<&'static str, usize>) {
     let mut rules = Vec::new();
     let mut index = BTreeMap::new();
     for kind in FindingKind::ALL {
@@ -549,22 +309,19 @@ fn sarif_rules() -> (Vec<JsonValue>, BTreeMap<&'static str, usize>) {
     (rules, index)
 }
 
-fn sarif_region(span: Option<Span>, fallback_line: u32) -> JsonValue {
+fn sarif_region(span: Option<Span>, fallback_line: u32) -> JsonNode {
     match span {
         Some(sp) => obj(vec![
-            ("startLine", JsonValue::U64(sp.line.into())),
-            ("startColumn", JsonValue::U64(sp.col.into())),
-            ("byteOffset", JsonValue::U64(sp.byte_offset.into())),
-            ("byteLength", JsonValue::U64(sp.len.into())),
+            ("startLine", int(sp.line.into())),
+            ("startColumn", int(sp.col.into())),
+            ("byteOffset", int(sp.byte_offset.into())),
+            ("byteLength", int(sp.len.into())),
         ]),
-        None => obj(vec![
-            ("startLine", JsonValue::U64(fallback_line.max(1).into())),
-            ("startColumn", JsonValue::U64(1)),
-        ]),
+        None => obj(vec![("startLine", int(fallback_line.max(1).into())), ("startColumn", int(1))]),
     }
 }
 
-fn sarif_location(uri: &str, region: JsonValue, function: Option<&str>) -> JsonValue {
+fn sarif_location(uri: &str, region: JsonNode, function: Option<&str>) -> JsonNode {
     let mut fields = vec![(
         "physicalLocation",
         obj(vec![("artifactLocation", obj(vec![("uri", s(uri))])), ("region", region)]),
@@ -572,7 +329,7 @@ fn sarif_location(uri: &str, region: JsonValue, function: Option<&str>) -> JsonV
     if let Some(name) = function {
         fields.push((
             "logicalLocations",
-            JsonValue::Arr(vec![obj(vec![("name", s(name)), ("kind", s("function"))])]),
+            JsonNode::Arr(vec![obj(vec![("name", s(name)), ("kind", s("function"))])]),
         ));
     }
     obj(fields)
@@ -590,12 +347,12 @@ pub fn render_sarif(files: &[FileRecord]) -> String {
             let message = format!("{} (hint: {})", finding.message, finding.kind.suggestion());
             let mut fields = vec![
                 ("ruleId", s(rule_id)),
-                ("ruleIndex", JsonValue::U64(rule_index[rule_id] as u64)),
+                ("ruleIndex", int(rule_index[rule_id] as u64)),
                 ("level", s(sarif_level(finding.severity))),
                 ("message", obj(vec![("text", s(message))])),
                 (
                     "locations",
-                    JsonValue::Arr(vec![sarif_location(
+                    JsonNode::Arr(vec![sarif_location(
                         &record.path,
                         sarif_region(finding.site.span, finding.site.line),
                         Some(&finding.site.function),
@@ -603,20 +360,19 @@ pub fn render_sarif(files: &[FileRecord]) -> String {
                 ),
             ];
             if let Some(width) = finding.width {
-                fields
-                    .push(("properties", obj(vec![("overflowWidthBytes", JsonValue::U64(width))])));
+                fields.push(("properties", obj(vec![("overflowWidthBytes", int(width))])));
             }
             results.push(obj(fields));
         }
         for error in &record.errors {
             results.push(obj(vec![
                 ("ruleId", s(PARSE_ERROR_RULE)),
-                ("ruleIndex", JsonValue::U64(rule_index[PARSE_ERROR_RULE] as u64)),
+                ("ruleIndex", int(rule_index[PARSE_ERROR_RULE] as u64)),
                 ("level", s("error")),
                 ("message", obj(vec![("text", s(&error.message))])),
                 (
                     "locations",
-                    JsonValue::Arr(vec![sarif_location(
+                    JsonNode::Arr(vec![sarif_location(
                         &record.path,
                         sarif_region(Some(error.span), error.span.line),
                         None,
@@ -630,7 +386,7 @@ pub fn render_sarif(files: &[FileRecord]) -> String {
         ("version", s("2.1.0")),
         (
             "runs",
-            JsonValue::Arr(vec![obj(vec![
+            JsonNode::Arr(vec![obj(vec![
                 (
                     "tool",
                     obj(vec![(
@@ -639,15 +395,15 @@ pub fn render_sarif(files: &[FileRecord]) -> String {
                             ("name", s("pncheck")),
                             ("version", s(tool_version())),
                             ("informationUri", s("https://example.invalid/placement-new-attacks")),
-                            ("rules", JsonValue::Arr(rules)),
+                            ("rules", JsonNode::Arr(rules)),
                         ]),
                     )]),
                 ),
-                ("results", JsonValue::Arr(results)),
+                ("results", JsonNode::Arr(results)),
             ])]),
         ),
     ]);
-    render_indented(&log)
+    log.pretty()
 }
 
 #[cfg(test)]
@@ -682,29 +438,6 @@ mod tests {
         assert_eq!("json".parse::<OutputFormat>(), Ok(OutputFormat::Json));
         assert_eq!("sarif".parse::<OutputFormat>(), Ok(OutputFormat::Sarif));
         assert!("yaml".parse::<OutputFormat>().is_err());
-    }
-
-    #[test]
-    fn json_escaping_covers_control_and_quote_characters() {
-        let v = s("a\"b\\c\nd\te\u{1}");
-        assert_eq!(render_indented(&v), "\"a\\\"b\\\\c\\nd\\te\\u0001\"\n");
-    }
-
-    #[test]
-    fn compact_rendering_is_single_line_and_escaped() {
-        let v = obj(vec![
-            ("ok", JsonValue::Bool(true)),
-            ("n", JsonValue::U64(3)),
-            ("text", s("two\nlines")),
-            ("arr", JsonValue::Arr(vec![JsonValue::Null, JsonValue::U64(1)])),
-            ("empty", obj(vec![])),
-        ]);
-        let line = render_compact(&v);
-        assert!(!line.contains('\n'), "{line}");
-        assert_eq!(
-            line,
-            "{\"ok\":true,\"n\":3,\"text\":\"two\\nlines\",\"arr\":[null,1],\"empty\":{}}"
-        );
     }
 
     #[test]
@@ -790,21 +523,6 @@ mod tests {
         let sarif = render_sarif(&[record]);
         assert!(sarif.contains("\"startLine\": 1"), "{sarif}");
         assert!(sarif.contains("\"startColumn\": 1"), "{sarif}");
-    }
-
-    #[test]
-    fn oracle_envelope_carries_verdicts_and_matrix() {
-        use crate::oracle::{Matrix, Oracle};
-        let program = parse_program(VULNERABLE).unwrap();
-        let report = Oracle::new().differential(&program);
-        let mut matrix = Matrix::new();
-        matrix.absorb(&report);
-        let json = render_oracle_json(&[OracleRecord { path: "demo.pnx".into(), report }], &matrix);
-        assert!(json.contains("\"schema\": \"pncheck-oracle/1\""), "{json}");
-        assert!(json.contains("\"verdict\": \"true-positive\""), "{json}");
-        assert!(json.contains("\"kind\": \"oversized-placement\""), "{json}");
-        assert!(json.contains("\"false_negatives\": 0"), "{json}");
-        assert!(json.contains("\"agreement\": \"sound\""), "{json}");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! §7 of *"A New Class of Buffer Overflow Attacks"* (Kundu & Bertino,
 //! ICDCS 2011) announces "a tool for static analysis of code and for
 //! detecting vulnerabilities due to placement new"; §1 claims no existing
-//! tool covers the class. This crate builds that tool and the experiment
-//! around the claim:
+//! tool covers the class. This crate is that tool, and only the tool: the
+//! §1 baseline and the execution oracle that evaluate it live in the
+//! `pnew-eval` dev crate. It has:
 //!
 //! * an [`ir`] for C++-like programs (the corpus encodes every listing of
 //!   the paper in it), with a fluent [`ProgramBuilder`];
@@ -15,9 +16,6 @@
 //!   analyzer over whole corpora on scoped worker threads, memoizing
 //!   reports behind a content-fingerprint cache while keeping output
 //!   ordering deterministic;
-//! * the [`BaselineChecker`] — a stand-in for traditional overflow tools
-//!   that knows classic copy-overflows but has no concept of placement
-//!   new, used to reproduce the paper's coverage-gap claim (E21);
 //! * the [`server`] — `pncheckd`, the detector as a persistent service:
 //!   one warm [`BatchEngine`] per daemon behind a versioned
 //!   newline-delimited JSON protocol over stdio or TCP.
@@ -25,7 +23,7 @@
 //! # Examples
 //!
 //! ```
-//! use pnew_detector::{Analyzer, BaselineChecker, Expr, ProgramBuilder, Ty};
+//! use pnew_detector::{Analyzer, Expr, ProgramBuilder, Ty};
 //!
 //! // Listing 4: GradStudent placed at &stud.
 //! let mut p = ProgramBuilder::new("listing-4");
@@ -39,7 +37,6 @@
 //! let program = p.build();
 //!
 //! assert!(Analyzer::new().analyze(&program).detected());
-//! assert!(!BaselineChecker::new().analyze(&program).detected()); // the gap
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,7 +44,6 @@
 
 mod analysis;
 pub mod backend;
-mod baseline;
 pub mod batch;
 mod builder;
 pub mod cache;
@@ -56,11 +52,10 @@ pub mod clock;
 pub mod delta;
 pub mod emit;
 pub mod eventloop;
-pub mod exec;
 mod findings;
 mod fixer;
 pub mod ir;
-pub mod oracle;
+pub mod json;
 mod parse;
 mod pretty;
 pub mod server;
@@ -69,7 +64,6 @@ pub mod trace;
 
 pub use analysis::{Analyzer, AnalyzerConfig, PartialAnalysis};
 pub use backend::{CacheBackend, DirBackend};
-pub use baseline::BaselineChecker;
 pub use batch::{
     fingerprint, BatchEngine, BatchStats, DeltaStats, EngineTotals, SourceOutcome, TrackedOutcome,
 };
@@ -77,14 +71,12 @@ pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use cache::{source_fingerprint, CacheLookup, CachedAnalysis, PersistentCache};
 pub use clock::{Clock, SystemClock};
 pub use delta::{invalidation_cone, ConeStats};
-pub use exec::{ExecEvent, ExecEventKind, ExecOutcome, Executor};
 pub use findings::{Finding, FindingKind, Report, ReportFilter, Severity};
 pub use fixer::{AppliedFix, Fixer};
 pub use ir::{
     ClassInfo, CmpOp, Cond, Expr, Function, Op, Program, Scope, Site, Span, Stmt, Symbol,
     SymbolTable, Ty, VarId,
 };
-pub use oracle::{DifferentialReport, Matrix, Oracle, SiteVerdict, Verdict};
 pub use parse::{parse_program, parse_program_recovering, ParseError, MAX_ERRORS};
 pub use pretty::pretty as pretty_program;
 pub use summary::{FunctionSummaryRecord, StoredSummary, SummaryDep, SummaryStore};

@@ -90,9 +90,14 @@ use crate::batch::{BatchEngine, BatchStats};
 use crate::cache::PersistentCache;
 use crate::cliopts;
 use crate::clock::{Clock, SystemClock};
-use crate::emit::{self, obj, FileRecord, JsonValue, OutputFormat};
+use crate::emit::{self, FileRecord, OutputFormat};
 use crate::eventloop::{Core, TickPoller};
 use crate::findings::ReportFilter;
+use crate::json::{int, obj, s};
+
+// Protocol clients (the DST harness, perfbench) read replies with the
+// crate's one JSON type and import it from here.
+pub use crate::json::{parse_json, JsonNode};
 
 /// The protocol name and version announced in every response header.
 pub const PROTOCOL: &str = "pncheckd/1";
@@ -101,293 +106,8 @@ pub const PROTOCOL: &str = "pncheckd/1";
 pub const STATS_SCHEMA: &str = "pncheckd-stats/5";
 
 // ---------------------------------------------------------------------
-// A minimal, defensive JSON parser.
-// ---------------------------------------------------------------------
-//
-// The workspace builds offline (no serde), and until now only ever
-// *wrote* JSON. The daemon reads it from untrusted clients, so the
-// parser is strict and bounded: recursion depth is capped, escapes are
-// validated (including surrogate pairs), and any trailing garbage is an
-// error. Input size is bounded upstream by the request-line limit.
-
-/// Maximum nesting depth a request may use.
-const MAX_JSON_DEPTH: usize = 64;
-
-/// A parsed JSON value. Object fields keep their input order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonNode {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number that is an exact integer.
-    Int(i64),
-    /// Any other number.
-    Float(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonNode>),
-    /// An object, fields in input order.
-    Obj(Vec<(String, JsonNode)>),
-}
-
-/// Parses one JSON document; the whole input must be consumed.
-pub fn parse_json(text: &str) -> Result<JsonNode, String> {
-    let mut p = JsonParser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<JsonNode, String> {
-        if depth > MAX_JSON_DEPTH {
-            return Err("nesting too deep".to_owned());
-        }
-        match self.peek() {
-            None => Err("unexpected end of input".to_owned()),
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JsonNode::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonNode::Bool(true)),
-            Some(b'f') => self.literal("false", JsonNode::Bool(false)),
-            Some(b'n') => self.literal("null", JsonNode::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => {
-                Err(format!("unexpected character {:?} at byte {}", char::from(other), self.pos))
-            }
-        }
-    }
-
-    fn literal(&mut self, word: &str, node: JsonNode) -> Result<JsonNode, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(node)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<JsonNode, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonNode::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonNode::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<JsonNode, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonNode::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonNode::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u16, String> {
-        let slice = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| "truncated \\u escape".to_owned())?;
-        let text = std::str::from_utf8(slice).map_err(|_| "invalid \\u escape".to_owned())?;
-        let code =
-            u16::from_str_radix(text, 16).map_err(|_| format!("invalid \\u escape {text:?}"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: a second \uXXXX must
-                                // follow with the low half.
-                                if self.bytes.get(self.pos) != Some(&b'\\')
-                                    || self.bytes.get(self.pos + 1) != Some(&b'u')
-                                {
-                                    return Err("unpaired surrogate".to_owned());
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("unpaired surrogate".to_owned());
-                                }
-                                let code = 0x10000
-                                    + ((u32::from(hi) - 0xD800) << 10)
-                                    + (u32::from(lo) - 0xDC00);
-                                char::from_u32(code).ok_or("invalid surrogate pair")?
-                            } else if (0xDC00..0xE000).contains(&hi) {
-                                return Err("unpaired surrogate".to_owned());
-                            } else {
-                                char::from_u32(u32::from(hi)).ok_or("invalid \\u escape")?
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(format!("invalid escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(format!("raw control character at byte {}", self.pos));
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through verbatim; the
-                    // input is already a &str, so it is valid.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|&b| b >= 0x80 && (b & 0xC0) == 0x80)
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input was valid UTF-8"),
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonNode, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut integral = true;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    integral = false;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        if integral {
-            if let Ok(n) = text.parse::<i64>() {
-                return Ok(JsonNode::Int(n));
-            }
-        }
-        text.parse::<f64>()
-            .map(JsonNode::Float)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-    }
-}
-
-// ---------------------------------------------------------------------
 // Requests.
 // ---------------------------------------------------------------------
-
-/// A validated request id: echoed verbatim in the response header.
-#[derive(Debug, Clone, PartialEq)]
-enum RequestId {
-    None,
-    Str(String),
-    Int(u64),
-}
-
-impl RequestId {
-    fn to_value(&self) -> JsonValue {
-        match self {
-            RequestId::None => JsonValue::Null,
-            RequestId::Str(text) => emit::s(text.clone()),
-            RequestId::Int(n) => JsonValue::U64(*n),
-        }
-    }
-}
 
 /// The analyze-request options after validation.
 #[derive(Debug, Clone)]
@@ -433,21 +153,22 @@ impl RequestError {
 fn parse_request(
     node: JsonNode,
     base: &ReportFilter,
-) -> Result<(RequestId, Request), (RequestId, RequestError)> {
+) -> Result<(JsonNode, Request), (JsonNode, RequestError)> {
     let JsonNode::Obj(fields) = node else {
         return Err((
-            RequestId::None,
+            JsonNode::Null,
             RequestError::new("bad-request", "request must be a JSON object"),
         ));
     };
-    // The id is recovered first so even a rejected request echoes it.
+    // The id is recovered first so even a rejected request echoes it,
+    // verbatim: null, a string or a non-negative integer.
     let id = match fields.iter().find(|(k, _)| k == "id").map(|(_, v)| v) {
-        None | Some(JsonNode::Null) => RequestId::None,
-        Some(JsonNode::Str(text)) => RequestId::Str(text.clone()),
-        Some(JsonNode::Int(n)) if *n >= 0 => RequestId::Int(*n as u64),
+        None => JsonNode::Null,
+        Some(id @ (JsonNode::Null | JsonNode::Str(_))) => id.clone(),
+        Some(id @ JsonNode::Int(n)) if *n >= 0 => id.clone(),
         Some(_) => {
             return Err((
-                RequestId::None,
+                JsonNode::Null,
                 RequestError::new(
                     "bad-request",
                     "\"id\" must be a string or a non-negative integer",
@@ -669,18 +390,15 @@ pub struct Reply {
 }
 
 impl Reply {
-    fn error(id: &RequestId, err: &RequestError) -> Reply {
+    fn error(id: &JsonNode, err: &RequestError) -> Reply {
         let header = obj(vec![
-            ("schema", emit::s(PROTOCOL)),
-            ("id", id.to_value()),
-            ("ok", JsonValue::Bool(false)),
-            (
-                "error",
-                obj(vec![("code", emit::s(err.code)), ("message", emit::s(err.message.clone()))]),
-            ),
-            ("bytes", JsonValue::U64(0)),
+            ("schema", s(PROTOCOL)),
+            ("id", id.clone()),
+            ("ok", JsonNode::Bool(false)),
+            ("error", obj(vec![("code", s(err.code)), ("message", s(err.message.clone()))])),
+            ("bytes", int(0)),
         ]);
-        Reply { header: emit::render_compact(&header), payload: String::new(), shutdown: false }
+        Reply { header: header.compact(), payload: String::new(), shutdown: false }
     }
 }
 
@@ -760,8 +478,8 @@ impl Server {
         self.events[event as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    fn counted(&self, event: Event) -> JsonValue {
-        JsonValue::U64(self.events[event as usize].load(Ordering::Relaxed))
+    fn counted(&self, event: Event) -> JsonNode {
+        int(self.events[event as usize].load(Ordering::Relaxed))
     }
 
     /// `true` once a `shutdown` request has been served.
@@ -777,7 +495,7 @@ impl Server {
         let parsed = match parse_json(line) {
             Ok(node) => parse_request(node, &self.config.filter),
             Err(e) => Err((
-                RequestId::None,
+                JsonNode::Null,
                 RequestError::new("bad-request", format!("invalid JSON: {e}")),
             )),
         };
@@ -789,47 +507,39 @@ impl Server {
             Ok((id, Request::Ping)) => {
                 self.count(Event::Ping, 1);
                 let header = obj(vec![
-                    ("schema", emit::s(PROTOCOL)),
-                    ("id", id.to_value()),
-                    ("ok", JsonValue::Bool(true)),
-                    ("op", emit::s("ping")),
-                    ("event", emit::s("pong")),
-                    ("bytes", JsonValue::U64(0)),
+                    ("schema", s(PROTOCOL)),
+                    ("id", id.clone()),
+                    ("ok", JsonNode::Bool(true)),
+                    ("op", s("ping")),
+                    ("event", s("pong")),
+                    ("bytes", int(0)),
                 ]);
-                Reply {
-                    header: emit::render_compact(&header),
-                    payload: String::new(),
-                    shutdown: false,
-                }
+                Reply { header: header.compact(), payload: String::new(), shutdown: false }
             }
             Ok((id, Request::Stats)) => {
                 self.count(Event::Stats, 1);
                 let payload = self.render_stats();
                 let header = obj(vec![
-                    ("schema", emit::s(PROTOCOL)),
-                    ("id", id.to_value()),
-                    ("ok", JsonValue::Bool(true)),
-                    ("op", emit::s("stats")),
-                    ("bytes", JsonValue::U64(payload.len() as u64)),
+                    ("schema", s(PROTOCOL)),
+                    ("id", id.clone()),
+                    ("ok", JsonNode::Bool(true)),
+                    ("op", s("stats")),
+                    ("bytes", int(payload.len() as u64)),
                 ]);
-                Reply { header: emit::render_compact(&header), payload, shutdown: false }
+                Reply { header: header.compact(), payload, shutdown: false }
             }
             Ok((id, Request::Shutdown)) => {
                 self.count(Event::Shutdown, 1);
                 self.shutdown.store(true, Ordering::SeqCst);
                 let header = obj(vec![
-                    ("schema", emit::s(PROTOCOL)),
-                    ("id", id.to_value()),
-                    ("ok", JsonValue::Bool(true)),
-                    ("op", emit::s("shutdown")),
-                    ("event", emit::s("shutting-down")),
-                    ("bytes", JsonValue::U64(0)),
+                    ("schema", s(PROTOCOL)),
+                    ("id", id.clone()),
+                    ("ok", JsonNode::Bool(true)),
+                    ("op", s("shutdown")),
+                    ("event", s("shutting-down")),
+                    ("bytes", int(0)),
                 ]);
-                Reply {
-                    header: emit::render_compact(&header),
-                    payload: String::new(),
-                    shutdown: true,
-                }
+                Reply { header: header.compact(), payload: String::new(), shutdown: true }
             }
             Ok((id, Request::Analyze(req))) => {
                 self.count(if req.delta { Event::Delta } else { Event::Analyze }, 1);
@@ -841,7 +551,7 @@ impl Server {
     /// Serves one `analyze` request: expand inputs exactly like the
     /// CLI, scan through the shared engine, filter, and render the same
     /// envelope `pncheck` would print.
-    fn analyze(&self, id: &RequestId, req: &AnalyzeRequest) -> Reply {
+    fn analyze(&self, id: &JsonNode, req: &AnalyzeRequest) -> Reply {
         if req.delta {
             return self.analyze_delta(id, req);
         }
@@ -882,7 +592,7 @@ impl Server {
     /// The first delta against a cold engine seeds the tracked index
     /// from the cache directory's manifest, so a fresh daemon picks up
     /// where a `pncheck --delta` run (or a previous daemon) left off.
-    fn analyze_delta(&self, id: &RequestId, req: &AnalyzeRequest) -> Reply {
+    fn analyze_delta(&self, id: &JsonNode, req: &AnalyzeRequest) -> Reply {
         let (paths, mut file_errors) = cliopts::expand_inputs(&req.paths);
         let jobs = req.jobs.unwrap_or_else(|| self.engine.jobs());
         // `delta_scan` runs the whole operation — manifest seeding,
@@ -908,17 +618,17 @@ impl Server {
         }
 
         let counters = obj(vec![
-            ("tracked", JsonValue::U64(delta.tracked_files as u64)),
-            ("unchanged", JsonValue::U64(delta.unchanged_files as u64)),
-            ("changed", JsonValue::U64(delta.changed_files as u64)),
-            ("added", JsonValue::U64(delta.added_files as u64)),
-            ("removed", JsonValue::U64(delta.removed_files as u64)),
-            ("cone_functions", JsonValue::U64(delta.cone_functions as u64)),
-            ("changed_functions", JsonValue::U64(delta.changed_functions as u64)),
-            ("tracked_functions", JsonValue::U64(delta.tracked_functions as u64)),
-            ("functions_reanalyzed", JsonValue::U64(delta.functions_reanalyzed as u64)),
-            ("functions_reused", JsonValue::U64(delta.functions_reused as u64)),
-            ("stat_fastpath_hits", JsonValue::U64(delta.stat_fastpath_hits as u64)),
+            ("tracked", int(delta.tracked_files as u64)),
+            ("unchanged", int(delta.unchanged_files as u64)),
+            ("changed", int(delta.changed_files as u64)),
+            ("added", int(delta.added_files as u64)),
+            ("removed", int(delta.removed_files as u64)),
+            ("cone_functions", int(delta.cone_functions as u64)),
+            ("changed_functions", int(delta.changed_functions as u64)),
+            ("tracked_functions", int(delta.tracked_functions as u64)),
+            ("functions_reanalyzed", int(delta.functions_reanalyzed as u64)),
+            ("functions_reused", int(delta.functions_reused as u64)),
+            ("stat_fastpath_hits", int(delta.stat_fastpath_hits as u64)),
         ]);
         self.reply(id, req, records, scan_stats, file_errors, Some(counters))
     }
@@ -930,12 +640,12 @@ impl Server {
     /// a `delta` header carries.
     fn reply(
         &self,
-        id: &RequestId,
+        id: &JsonNode,
         req: &AnalyzeRequest,
         mut records: Vec<FileRecord>,
         scan_stats: BatchStats,
         file_errors: Vec<String>,
-        delta: Option<JsonValue>,
+        delta: Option<JsonNode>,
     ) -> Reply {
         let findings = emit::filter_records(&mut records, &req.filter);
         self.count(Event::File, records.len() as u64);
@@ -944,21 +654,21 @@ impl Server {
         let payload = emit::render(req.format, &records, req.stats.then_some(&stats), None);
         let had_errors = !file_errors.is_empty() || records.iter().any(|r| !r.errors.is_empty());
         let mut header_fields = vec![
-            ("schema", emit::s(PROTOCOL)),
-            ("id", id.to_value()),
-            ("ok", JsonValue::Bool(true)),
-            ("op", emit::s(if req.delta { "delta" } else { "analyze" })),
-            ("exit", JsonValue::U64(emit::exit_status(&records, had_errors).into())),
+            ("schema", s(PROTOCOL)),
+            ("id", id.clone()),
+            ("ok", JsonNode::Bool(true)),
+            ("op", s(if req.delta { "delta" } else { "analyze" })),
+            ("exit", int(emit::exit_status(&records, had_errors).into())),
         ];
         header_fields.extend(delta.map(|counters| ("delta", counters)));
         if !file_errors.is_empty() {
             header_fields.push((
                 "file_errors",
-                JsonValue::Arr(file_errors.iter().map(|e| emit::s(e.clone())).collect()),
+                JsonNode::Arr(file_errors.iter().map(|e| s(e.clone())).collect()),
             ));
         }
-        header_fields.push(("bytes", JsonValue::U64(payload.len() as u64)));
-        Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false }
+        header_fields.push(("bytes", int(payload.len() as u64)));
+        Reply { header: obj(header_fields).compact(), payload, shutdown: false }
     }
 
     /// The `pncheckd-stats/5` payload: the server's request and
@@ -976,39 +686,30 @@ impl Server {
         let mut analysis = vec![
             ("files", self.counted(Event::File)),
             ("findings", self.counted(Event::Finding)),
-            ("parses", JsonValue::U64(t.scans.parses)),
-            ("fingerprint_hits", JsonValue::U64(t.scans.cache_hits)),
-            ("fingerprint_misses", JsonValue::U64(t.scans.cache_misses)),
-            ("fingerprint_lookups", JsonValue::U64(t.lookups)),
-            ("memo_entries", JsonValue::U64(t.entries as u64)),
-            ("persistent_hits", JsonValue::U64(t.scans.persistent_hits)),
-            ("persistent_misses", JsonValue::U64(t.scans.persistent_misses)),
-            ("persistent_corrupt", JsonValue::U64(t.scans.persistent_corrupt)),
-            ("persistent_stores", JsonValue::U64(t.scans.persistent_stores)),
-            ("persistent_write_errors", JsonValue::U64(t.scans.persistent_write_errors)),
-            ("tracked_files", JsonValue::U64(engine.tracked_files() as u64)),
-            ("delta_changed_files", JsonValue::U64(t.delta_changed_files)),
-            ("delta_unchanged_files", JsonValue::U64(t.delta_unchanged_files)),
-            ("cone_functions", JsonValue::U64(t.cone_functions)),
-            ("functions_reanalyzed", JsonValue::U64(t.functions_reanalyzed)),
-            ("functions_reused", JsonValue::U64(t.functions_reused)),
-            ("summary_store_entries", JsonValue::U64(store.len() as u64)),
-            ("summary_store_misses", JsonValue::U64(store.misses())),
+            ("parses", int(t.scans.parses)),
+            ("fingerprint_hits", int(t.scans.cache_hits)),
+            ("fingerprint_misses", int(t.scans.cache_misses)),
+            ("fingerprint_lookups", int(t.lookups)),
+            ("memo_entries", int(t.entries as u64)),
+            ("persistent_hits", int(t.scans.persistent_hits)),
+            ("persistent_misses", int(t.scans.persistent_misses)),
+            ("persistent_corrupt", int(t.scans.persistent_corrupt)),
+            ("persistent_stores", int(t.scans.persistent_stores)),
+            ("persistent_write_errors", int(t.scans.persistent_write_errors)),
+            ("tracked_files", int(engine.tracked_files() as u64)),
+            ("delta_changed_files", int(t.delta_changed_files)),
+            ("delta_unchanged_files", int(t.delta_unchanged_files)),
+            ("cone_functions", int(t.cone_functions)),
+            ("functions_reanalyzed", int(t.functions_reanalyzed)),
+            ("functions_reused", int(t.functions_reused)),
+            ("summary_store_entries", int(store.len() as u64)),
+            ("summary_store_misses", int(store.misses())),
         ];
         analysis.extend(emit::trace_counters(&engine.trace_report()));
         let payload = obj(vec![
-            ("schema", emit::s(STATS_SCHEMA)),
-            (
-                "tool",
-                obj(vec![
-                    ("name", emit::s("pncheckd")),
-                    ("version", emit::s(env!("CARGO_PKG_VERSION"))),
-                ]),
-            ),
-            (
-                "uptime_us",
-                JsonValue::U64(self.config.clock.now_ns().saturating_sub(self.started_ns) / 1_000),
-            ),
+            ("schema", s(STATS_SCHEMA)),
+            ("tool", obj(vec![("name", s("pncheckd")), ("version", s(env!("CARGO_PKG_VERSION")))])),
+            ("uptime_us", int(self.config.clock.now_ns().saturating_sub(self.started_ns) / 1_000)),
             (
                 "requests",
                 obj(vec![
@@ -1025,21 +726,18 @@ impl Server {
             (
                 "connections",
                 obj(vec![
-                    (
-                        "active",
-                        JsonValue::U64(self.active_connections.load(Ordering::Relaxed) as u64),
-                    ),
+                    ("active", int(self.active_connections.load(Ordering::Relaxed) as u64)),
                     ("accepted", self.counted(Event::Connection)),
                     ("rejected", self.counted(Event::Rejected)),
                     ("idle_reaped", self.counted(Event::IdleReaped)),
-                    ("max", JsonValue::U64(self.config.max_connections as u64)),
-                    ("hard_cap", JsonValue::U64(hard_connection_cap(&self.config) as u64)),
-                    ("client_quota", JsonValue::U64(self.config.client_quota as u64)),
+                    ("max", int(self.config.max_connections as u64)),
+                    ("hard_cap", int(hard_connection_cap(&self.config) as u64)),
+                    ("client_quota", int(self.config.client_quota as u64)),
                 ]),
             ),
             ("analysis", obj(analysis)),
         ]);
-        emit::render_compact(&payload) + "\n"
+        payload.compact() + "\n"
     }
 
     /// Serves one byte-stream session — stdin/stdout — through the
@@ -1235,7 +933,7 @@ impl Server {
                 }
             }
         }
-        Reply::error(&RequestId::None, &RequestError::new(code, message))
+        Reply::error(&JsonNode::Null, &RequestError::new(code, message))
     }
 
     /// Counts a listener connection the core admitted (`true`) or
@@ -1311,46 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn json_parser_round_trips_scalars_and_structures() {
-        assert_eq!(parse_json("null"), Ok(JsonNode::Null));
-        assert_eq!(parse_json(" true "), Ok(JsonNode::Bool(true)));
-        assert_eq!(parse_json("-42"), Ok(JsonNode::Int(-42)));
-        assert_eq!(parse_json("2.5"), Ok(JsonNode::Float(2.5)));
-        assert_eq!(parse_json("\"a\\nb\""), Ok(JsonNode::Str("a\nb".into())));
-        assert_eq!(parse_json("\"\\u00e9\\ud83d\\ude00\""), Ok(JsonNode::Str("é😀".into())));
-        assert_eq!(
-            parse_json("[1, \"two\", {\"k\": null}]"),
-            Ok(JsonNode::Arr(vec![
-                JsonNode::Int(1),
-                JsonNode::Str("two".into()),
-                JsonNode::Obj(vec![("k".into(), JsonNode::Null)]),
-            ]))
-        );
-    }
-
-    #[test]
-    fn json_parser_rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\"}",
-            "\"unterminated",
-            "01e",
-            "nul",
-            "{\"a\":1,}",
-            "\"\\q\"",
-            "\"\\ud800\"",
-            "1 2",
-            "{\"a\":1} trailing",
-        ] {
-            assert!(parse_json(bad).is_err(), "{bad:?} should fail");
-        }
-        let deep = format!("{}1{}", "[".repeat(100), "]".repeat(100));
-        assert!(parse_json(&deep).unwrap_err().contains("deep"));
-    }
-
-    #[test]
     fn ping_pongs_and_echoes_the_id() {
         let s = server();
         let reply = s.handle_line("{\"op\":\"ping\",\"id\":\"abc\"}");
@@ -1380,6 +1038,9 @@ mod tests {
             ("{\"op\":\"analyze\",\"source\":\"x\",\"disable\":[\"nope\"]}", "bad-value"),
             ("{\"op\":\"analyze\",\"source\":\"x\",\"format\":\"yaml\"}", "bad-value"),
             ("{\"op\":\"ping\",\"id\":-3}", "bad-request"),
+            ("{\"op\":\"ping\",\"id\":\"\\u+041\"}", "bad-request"),
+            ("{\"op\":\"ping\",\"id\":01}", "bad-request"),
+            ("{\"op\":\"ping\",\"id\":1.}", "bad-request"),
         ] {
             let reply = s.handle_line(line);
             let fields = header_fields(&reply);
@@ -1398,13 +1059,13 @@ mod tests {
             ("id".into(), JsonNode::Int(1)),
             ("source".into(), JsonNode::Str(vulnerable.into())),
         ]);
-        let reply = s.handle_line(&node_to_line(&request));
+        let reply = s.handle_line(&request.compact());
         let fields = header_fields(&reply);
         assert_eq!(field(&fields, "ok"), &JsonNode::Bool(true));
         assert_eq!(field(&fields, "exit"), &JsonNode::Int(1));
         assert_eq!(
             field(&fields, "bytes"),
-            &JsonNode::Int(reply.payload.len() as i64),
+            &JsonNode::Int(reply.payload.len() as i128),
             "advertised bytes match the payload"
         );
         assert!(reply.payload.contains("\"schema\": \"pncheck-report/1\""), "{}", reply.payload);
@@ -1416,8 +1077,7 @@ mod tests {
     fn second_analyze_of_the_same_source_runs_zero_parses() {
         let s = server();
         let src = "program p;\nclass C size 8;\nfn main() {\n    local c: C;\n}\n";
-        let line =
-            format!("{{\"op\":\"analyze\",\"source\":{}}}", emit::render_compact(&emit::s(src)));
+        let line = format!("{{\"op\":\"analyze\",\"source\":{}}}", emit::json_string(src));
         s.handle_line(&line);
         let stats = s.handle_line("{\"op\":\"stats\"}");
         let before = stats.payload.clone();
@@ -1565,29 +1225,5 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert_eq!(text.lines().count(), 1, "{text}");
         assert!(text.contains("\"id\":1") && text.contains("pong"), "{text}");
-    }
-
-    /// Renders a JsonNode back to compact JSON (tests only).
-    fn node_to_line(node: &JsonNode) -> String {
-        fn conv(node: &JsonNode) -> JsonValue {
-            match node {
-                JsonNode::Null => JsonValue::Null,
-                JsonNode::Bool(b) => JsonValue::Bool(*b),
-                JsonNode::Int(n) => {
-                    if *n >= 0 {
-                        JsonValue::U64(*n as u64)
-                    } else {
-                        JsonValue::F64(*n as f64)
-                    }
-                }
-                JsonNode::Float(x) => JsonValue::F64(*x),
-                JsonNode::Str(text) => JsonValue::Str(text.clone()),
-                JsonNode::Arr(items) => JsonValue::Arr(items.iter().map(conv).collect()),
-                JsonNode::Obj(fields) => {
-                    JsonValue::Obj(fields.iter().map(|(k, v)| (k.clone(), conv(v))).collect())
-                }
-            }
-        }
-        emit::render_compact(&conv(node))
     }
 }

@@ -62,13 +62,6 @@ fn passes_the_clean_program_with_exit_zero() {
 }
 
 #[test]
-fn baseline_mode_is_blind_to_placement_new() {
-    let (stdout, _, code) = run_with_stdin(&["--baseline", "-"], VULNERABLE);
-    assert_eq!(code, 0);
-    assert!(stdout.contains("0 finding(s)"), "{stdout}");
-}
-
-#[test]
 fn fix_mode_prints_a_clean_program() {
     let (stdout, stderr, code) = run_with_stdin(&["--fix", "-"], VULNERABLE);
     assert_eq!(code, 1); // findings were present before the fix
@@ -188,11 +181,15 @@ fn bad_flag_values_exit_two() {
 fn unknown_options_are_usage_errors_not_paths() {
     let dir = TempDir::new("unknown-option");
     dir.write("a.pnx", VULNERABLE);
-    let (stdout, stderr, code) = run_on_dir(&["--no-summaries"], &dir);
-    assert_eq!(code, 2, "{stderr}");
-    assert!(stderr.contains("unknown argument \"--no-summaries\""), "{stderr}");
-    assert!(stderr.contains("./-name"), "the usage says how to name such a path: {stderr}");
-    assert!(stdout.is_empty(), "nothing is scanned: {stdout}");
+    // `--oracle` and `--baseline` are gone: the differential and the
+    // baseline are `xcheck`'s and `pnew-eval`'s, not the detector's.
+    for option in ["--no-summaries", "--oracle", "--baseline"] {
+        let (stdout, stderr, code) = run_on_dir(&[option], &dir);
+        assert_eq!(code, 2, "{option}: {stderr}");
+        assert!(stderr.contains(&format!("unknown argument \"{option}\"")), "{stderr}");
+        assert!(stderr.contains("./-name"), "the usage says how to name such a path: {stderr}");
+        assert!(stdout.is_empty(), "{option}: nothing is scanned: {stdout}");
+    }
 }
 
 /// A scratch directory under the system temp dir, removed on drop.
@@ -334,52 +331,6 @@ fn mixed_batch_keeps_exit_two_and_counts_errored_files_once() {
 }
 
 #[test]
-fn oracle_mode_prints_the_matrix_and_confirms_the_vulnerable_program() {
-    let dir = TempDir::new("oracle-text");
-    dir.write("vuln.pnx", VULNERABLE);
-    dir.write("clean.pnx", CLEAN);
-    let (stdout, _, code) = run_on_dir(&["--oracle"], &dir);
-    // One confirmed true positive, zero false negatives → exit 0.
-    assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("true-positive"), "{stdout}");
-    assert!(stdout.contains("oversized-placement"), "{stdout}");
-    assert!(stdout.contains("agreement: sound"), "{stdout}");
-    assert!(stdout.contains("programs: 2"), "{stdout}");
-}
-
-#[test]
-fn oracle_mode_keeps_exit_two_on_parse_errors() {
-    let dir = TempDir::new("oracle-err");
-    dir.write("broken.pnx", "nope");
-    dir.write("vuln.pnx", VULNERABLE);
-    let (stdout, stderr, code) = run_on_dir(&["--oracle", "--stats"], &dir);
-    assert_eq!(code, 2, "{stdout}{stderr}");
-    assert!(stderr.contains("1 errored files"), "{stderr}");
-    assert!(stdout.contains("agreement: sound"), "{stdout}");
-}
-
-#[test]
-fn oracle_mode_rejects_incompatible_flags() {
-    let (_, stderr, code) = run_with_stdin(&["--oracle", "--baseline", "-"], VULNERABLE);
-    assert_eq!(code, 2);
-    assert!(stderr.contains("incompatible"), "{stderr}");
-    let (_, stderr, code) = run_with_stdin(&["--oracle", "--fix", "-"], VULNERABLE);
-    assert_eq!(code, 2, "{stderr}");
-    let (_, stderr, code) = run_with_stdin(&["--oracle", "--format", "sarif", "-"], VULNERABLE);
-    assert_eq!(code, 2);
-    assert!(stderr.contains("text or json"), "{stderr}");
-}
-
-#[test]
-fn oracle_json_envelope_comes_out_of_the_cli() {
-    let (stdout, _, code) = run_with_stdin(&["--oracle", "--format", "json", "-"], VULNERABLE);
-    assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("\"schema\": \"pncheck-oracle/1\""), "{stdout}");
-    assert!(stdout.contains("\"false_negatives\": 0"), "{stdout}");
-    assert!(stdout.contains("\"verdict\": \"true-positive\""), "{stdout}");
-}
-
-#[test]
 fn unusable_cache_dir_fails_fast_with_exit_two() {
     // A regular file where the cache directory should be: creation
     // fails for any uid, so the test holds even when run as root.
@@ -430,8 +381,6 @@ fn delta_flag_validations_exit_two() {
 
     for args in [
         vec!["--delta", input],
-        vec!["--delta", "--cache-dir", cache, "--oracle", input],
-        vec!["--delta", "--cache-dir", cache, "--baseline", input],
         vec!["--delta", "--cache-dir", cache, "--fix", input],
         vec!["--delta", "--cache-dir", cache, "-"],
     ] {

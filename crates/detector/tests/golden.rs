@@ -7,7 +7,9 @@
 //! not invalidate them.
 //!
 //! To regenerate after an intentional output change:
-//! `PNCHECK_BLESS=1 cargo test -p pnew-detector --test golden`.
+//! `PNCHECK_BLESS=1 cargo test -p pnew-detector --test golden`. The
+//! fixture dir's `oracle.json.golden` is `xcheck`'s, checked by the root
+//! package's `tests/xcheck_cli.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -21,16 +23,11 @@ fn fixtures() -> PathBuf {
 /// Runs pncheck on `input` (a bare file name inside the fixture dir) and
 /// checks stdout against `<case>.<format>.golden`.
 fn check(case: &str, format: &str, input: &str, expect_code: i32) {
-    check_with(case, format, &[], input, expect_code);
-}
-
-/// Like [`check`], with extra flags (e.g. `--oracle`) before the input.
-fn check_with(case: &str, format: &str, flags: &[&str], input: &str, expect_code: i32) {
-    let mut args = vec!["--format", format];
-    args.extend_from_slice(flags);
-    args.push(input);
-    let out =
-        Command::new(PNCHECK).args(&args).current_dir(fixtures()).output().expect("pncheck runs");
+    let out = Command::new(PNCHECK)
+        .args(["--format", format, input])
+        .current_dir(fixtures())
+        .output()
+        .expect("pncheck runs");
     assert_eq!(out.status.code(), Some(expect_code), "exit code for {case}.{format}");
     let actual = String::from_utf8(out.stdout).expect("output is UTF-8");
 
@@ -59,14 +56,6 @@ fn json_empty_report_case_matches_golden() {
 #[test]
 fn json_parse_error_case_matches_golden() {
     check("errors", "json", "broken.pnx", 2);
-}
-
-#[test]
-fn json_oracle_case_matches_golden() {
-    // The differential on the vulnerable fixture: one machine-confirmed
-    // true positive, zero false negatives, so exit 0 (oracle mode exits
-    // 1 only on false negatives).
-    check_with("oracle", "json", &["--oracle"], "vuln.pnx", 0);
 }
 
 #[test]

@@ -64,7 +64,7 @@ fn field<'a>(fields: &'a [(String, JsonNode)], name: &str) -> &'a JsonNode {
 
 fn int_field(fields: &[(String, JsonNode)], name: &str) -> i64 {
     match field(fields, name) {
-        JsonNode::Int(n) => *n,
+        JsonNode::Int(n) => i64::try_from(*n).expect("counter fits i64"),
         other => panic!("field {name} is not an int: {other:?}"),
     }
 }

@@ -824,7 +824,7 @@ fn field<'a>(fields: &'a [(String, JsonNode)], name: &str) -> Option<&'a JsonNod
 
 fn int_field(fields: &[(String, JsonNode)], name: &str) -> Option<i64> {
     match field(fields, name) {
-        Some(JsonNode::Int(n)) => Some(*n),
+        Some(JsonNode::Int(n)) => i64::try_from(*n).ok(),
         _ => None,
     }
 }

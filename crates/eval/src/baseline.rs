@@ -7,13 +7,13 @@
 //! *classic* patterns — out-of-bounds string copies into lexically
 //! declared arrays, with constant or obviously tainted lengths — and has
 //! **no concept of placement new**. Running it beside the
-//! [`Analyzer`](crate::Analyzer) over the same corpus reproduces the
+//! [`Analyzer`](pnew_detector::Analyzer) over the same corpus reproduces the
 //! coverage gap as a table (experiment E21).
 
 use std::collections::HashMap;
 
-use crate::findings::{Finding, FindingKind, Report, Severity};
-use crate::ir::{Expr, Program, Stmt, Ty, VarId};
+use pnew_detector::ir::{Expr, Op, Program, Stmt, Ty, VarId};
+use pnew_detector::{Finding, FindingKind, Report, Severity};
 
 /// A classic-overflow checker, deliberately blind to placement new.
 #[derive(Debug, Clone, Copy, Default)]
@@ -44,9 +44,9 @@ impl BaselineChecker {
                 let a = self.eval(p, a, consts)?;
                 let b = self.eval(p, b, consts)?;
                 Some(match op {
-                    crate::ir::Op::Add => a.checked_add(b)?,
-                    crate::ir::Op::Sub => a.checked_sub(b)?,
-                    crate::ir::Op::Mul => a.checked_mul(b)?,
+                    Op::Add => a.checked_add(b)?,
+                    Op::Sub => a.checked_sub(b)?,
+                    Op::Mul => a.checked_mul(b)?,
                 })
             }
             _ => None,
@@ -118,8 +118,8 @@ impl BaselineChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ProgramBuilder;
-    use crate::Analyzer;
+    use pnew_detector::Analyzer;
+    use pnew_detector::ProgramBuilder;
 
     #[test]
     fn catches_the_classic_overflow() {

@@ -30,7 +30,7 @@ use pnew_memory::{SegmentKind, VirtAddr};
 use pnew_object::ClassRegistry;
 use pnew_runtime::{ControlOutcome, Machine, MachineBuilder, VarDecl};
 
-use crate::ir::{Cond, Expr, Op, Program, Scope, Site, Stmt, Ty, VarId};
+use pnew_detector::ir::{CmpOp, Cond, Expr, Op, Program, Scope, Site, Stmt, Ty, VarId};
 
 /// Byte pattern standing in for attacker-controlled content.
 pub const ATTACK_BYTE: u8 = 0x41;
@@ -714,12 +714,12 @@ impl<'p> Interp<'p> {
     fn eval_cond(&self, cond: &Cond) -> bool {
         let (l, r) = (self.eval(&cond.lhs), self.eval(&cond.rhs));
         match cond.op {
-            crate::ir::CmpOp::Lt => l < r,
-            crate::ir::CmpOp::Le => l <= r,
-            crate::ir::CmpOp::Gt => l > r,
-            crate::ir::CmpOp::Ge => l >= r,
-            crate::ir::CmpOp::Eq => l == r,
-            crate::ir::CmpOp::Ne => l != r,
+            CmpOp::Lt => l < r,
+            CmpOp::Le => l <= r,
+            CmpOp::Gt => l > r,
+            CmpOp::Ge => l >= r,
+            CmpOp::Eq => l == r,
+            CmpOp::Ne => l != r,
         }
     }
 }
@@ -750,8 +750,7 @@ fn size_of_ty(ty: &Ty, program: &Program) -> (u64, u64, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ProgramBuilder;
-    use crate::ir::CmpOp;
+    use pnew_detector::ProgramBuilder;
 
     fn students(p: &mut ProgramBuilder) {
         p.class("Student", 16, None, false);

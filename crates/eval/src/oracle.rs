@@ -4,7 +4,7 @@
 //! and reports what actually overflowed — while §5.1 concedes that
 //! static analysis "may not always succeed" in sizing a buffer. The
 //! [`Oracle`] holds both halves of that story against each other: it
-//! runs the [`Analyzer`](crate::Analyzer) and the [`Executor`] over the
+//! runs the [`Analyzer`](pnew_detector::Analyzer) and the [`Executor`] over the
 //! same [`Program`] IR and joins their outputs per [`Site`]:
 //!
 //! * **true positive** — the analyzer flagged the site (at any
@@ -26,10 +26,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::analysis::Analyzer;
 use crate::exec::{ExecEvent, ExecEventKind, ExecOutcome, Executor};
-use crate::findings::{Finding, FindingKind, Severity};
-use crate::ir::{Program, Site, Stmt};
+use pnew_detector::ir::{Program, Site, Stmt};
+use pnew_detector::json::{int, obj, s, JsonNode};
+use pnew_detector::{Analyzer, Finding, FindingKind, Severity};
 
 /// How one site's static and dynamic stories compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -380,11 +380,82 @@ fn stmt_at<'p>(program: &'p Program, site: &Site) -> Option<&'p Stmt> {
     program.functions.iter().filter(|f| f.name == site.function).find_map(|f| find(&f.body, site))
 }
 
+// ---------------------------------------------------------------------
+// The pncheck-oracle/1 envelope.
+// ---------------------------------------------------------------------
+
+/// One input to the oracle serializer: where the program came from and
+/// what the differential concluded about it.
+#[derive(Debug, Clone)]
+pub struct OracleRecord {
+    /// The path as given on the command line (or a corpus tag like
+    /// `corpus:seed=1:7`).
+    pub path: String,
+    /// The differential result.
+    pub report: DifferentialReport,
+}
+
+fn verdict_value(v: &SiteVerdict) -> JsonNode {
+    obj(vec![
+        ("verdict", s(v.verdict.label())),
+        ("kind", s(v.kind.name())),
+        ("severity", v.severity.map_or(JsonNode::Null, |sev| s(sev.to_string()))),
+        ("function", s(&v.site.function)),
+        ("statement", int(v.site.line.into())),
+        ("events", JsonNode::Arr(v.events.iter().map(|e| s(*e)).collect())),
+    ])
+}
+
+/// Renders the `pncheck-oracle/1` JSON envelope: per-file site verdicts
+/// plus the aggregated per-kind TP/FP/FN matrix. Deterministic for
+/// identical input, like the detector's `pncheck-report/1` envelope.
+pub fn render_oracle_json(records: &[OracleRecord], matrix: &Matrix) -> String {
+    let files: Vec<JsonNode> = records
+        .iter()
+        .map(|r| {
+            obj(vec![
+                ("path", s(&r.path)),
+                ("program", s(&r.report.program)),
+                ("verdicts", JsonNode::Arr(r.report.verdicts.iter().map(verdict_value).collect())),
+                ("events", int(r.report.events.len() as u64)),
+                ("skipped", int(r.report.skipped.len() as u64)),
+                ("agreement", s(if r.report.agrees() { "sound" } else { "false-negatives" })),
+            ])
+        })
+        .collect();
+    let matrix_rows: Vec<JsonNode> = matrix
+        .kinds()
+        .into_iter()
+        .map(|kind| {
+            let (tp, fp, fnn) = matrix.row(kind);
+            obj(vec![("kind", s(kind.name())), ("tp", int(tp)), ("fp", int(fp)), ("fn", int(fnn))])
+        })
+        .collect();
+    let (tp, fp, fnn) = matrix.totals();
+    let envelope = obj(vec![
+        ("schema", s("pncheck-oracle/1")),
+        ("tool", obj(vec![("name", s("pncheck")), ("version", s(env!("CARGO_PKG_VERSION")))])),
+        (
+            "summary",
+            obj(vec![
+                ("files", int(records.len() as u64)),
+                ("true_positives", int(tp)),
+                ("false_positives", int(fp)),
+                ("false_negatives", int(fnn)),
+                ("agreement", s(if fnn == 0 { "sound" } else { "false-negatives" })),
+            ]),
+        ),
+        ("matrix", JsonNode::Arr(matrix_rows)),
+        ("files", JsonNode::Arr(files)),
+    ]);
+    envelope.pretty()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ProgramBuilder;
-    use crate::ir::{CmpOp, Expr, Ty};
+    use pnew_detector::ir::{CmpOp, Expr, Ty};
+    use pnew_detector::ProgramBuilder;
 
     fn students(p: &mut ProgramBuilder) {
         p.class("Student", 16, None, false);
@@ -464,7 +535,7 @@ mod tests {
     fn an_overflowing_memset_is_a_confirmed_classic_overflow() {
         // memset is the §5.1 sanitization step; its length is checked
         // against the destination the way strncpy's is.
-        let program = crate::parse::parse_program(
+        let program = pnew_detector::parse_program(
             "program t;\nfn main() { local n: int; local buf: char[16]; memset(buf, 64); }\n",
         )
         .expect("parses");
@@ -520,5 +591,28 @@ mod tests {
             diff.verdicts
         );
         assert!(diff.agrees());
+    }
+
+    const VULNERABLE: &str = "program demo;\n\
+                              class Student size 16;\n\
+                              class GradStudent size 32 : Student;\n\
+                              fn main() {\n\
+                              \x20   local stud: Student;\n\
+                              \x20   local st: ptr;\n\
+                              \x20   st = new (&stud) GradStudent();\n\
+                              }\n";
+
+    #[test]
+    fn oracle_envelope_carries_verdicts_and_matrix() {
+        let program = pnew_detector::parse_program(VULNERABLE).unwrap();
+        let report = Oracle::new().differential(&program);
+        let mut matrix = Matrix::new();
+        matrix.absorb(&report);
+        let json = render_oracle_json(&[OracleRecord { path: "demo.pnx".into(), report }], &matrix);
+        assert!(json.contains("\"schema\": \"pncheck-oracle/1\""), "{json}");
+        assert!(json.contains("\"verdict\": \"true-positive\""), "{json}");
+        assert!(json.contains("\"kind\": \"oversized-placement\""), "{json}");
+        assert!(json.contains("\"false_negatives\": 0"), "{json}");
+        assert!(json.contains("\"agreement\": \"sound\""), "{json}");
     }
 }

@@ -9,7 +9,8 @@
 //! Run with: `cargo run --example static_audit`
 
 use placement_new_attacks::corpus::{benign, listings};
-use placement_new_attacks::detector::{Analyzer, BaselineChecker, Severity};
+use placement_new_attacks::detector::{Analyzer, Severity};
+use pnew_eval::BaselineChecker;
 
 fn main() {
     let analyzer = Analyzer::new();

@@ -24,18 +24,20 @@
 //! Every program is analyzed statically and executed concretely under
 //! the seeded attacker scripts from `workload::attack_inputs` (plus the
 //! per-case probes in `--guarded` mode); the per-site verdicts aggregate
-//! into one TP/FP/FN matrix. Exit status: 0 when analyzer and machine
-//! agree (zero false negatives, and at most `--max-fp` false positives),
-//! 1 on any false negative or an exceeded FP budget, 2 on usage or
-//! read/parse errors.
+//! into one TP/FP/FN matrix. In text mode each given file prints one
+//! line per judged site (`PATH: VERDICT [KIND] FUNCTION#STATEMENT`, with
+//! the machine events that confirmed it), the seeded corpus prints only
+//! its false negatives, and the matrix comes last. Exit status: 0 when
+//! analyzer and machine agree (zero false negatives, and at most
+//! `--max-fp` false positives), 1 on any false negative or an exceeded
+//! FP budget, 2 on usage or read/parse errors.
 
 use std::process::ExitCode;
 
 use pnew_corpus::workload;
 use pnew_detector::cliopts;
-use pnew_detector::emit::{render_oracle_json, OracleRecord};
-use pnew_detector::oracle::{Matrix, Oracle};
 use pnew_detector::parse_program_recovering;
+use pnew_eval::oracle::{render_oracle_json, Matrix, Oracle, OracleRecord};
 
 const USAGE: &str =
     "usage: xcheck [--seed N] [--count N] [--guarded] [--max-fp N] [--json] [PATH...]";
@@ -121,6 +123,7 @@ fn main() -> ExitCode {
         matrix.absorb(&report);
         records.push(OracleRecord { path: path.clone(), report });
     }
+    let file_records = records.len();
 
     if count > 0 {
         if guarded {
@@ -145,7 +148,24 @@ fn main() -> ExitCode {
     if json {
         print!("{}", render_oracle_json(&records, &matrix));
     } else {
-        for record in records.iter().filter(|r| !r.report.agrees()) {
+        let (files, corpus) = records.split_at(file_records);
+        for record in files {
+            for v in &record.report.verdicts {
+                let events = if v.events.is_empty() {
+                    String::new()
+                } else {
+                    format!(" (events: {})", v.events.join(", "))
+                };
+                let (function, line) = (&v.site.function, v.site.line);
+                println!(
+                    "{}: {} [{}] {function}#{line}{events}",
+                    record.path,
+                    v.verdict,
+                    v.kind.name()
+                );
+            }
+        }
+        for record in corpus.iter().filter(|r| !r.report.agrees()) {
             for v in &record.report.verdicts {
                 println!(
                     "xcheck: FALSE NEGATIVE {}: {}#{} expected {} (events: {})",

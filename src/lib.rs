@@ -20,8 +20,9 @@
 //! * [`object`] — C++ object model: classes, layout, vtables, wire format;
 //! * [`runtime`] — the machine: frames, canaries, heap, dispatch;
 //! * [`core`] — placement new, the attack suite, and the §5 protections;
-//! * [`detector`] — the §7 static-analysis tool and the traditional-tool
-//!   baseline;
+//! * [`detector`] — the §7 static-analysis tool (the traditional-tool
+//!   baseline and the execution oracle that evaluate it are the
+//!   `pnew-eval` crate, behind the `xcheck` binary);
 //! * [`corpus`] — the paper's listings (runnable and analyzable) plus
 //!   benign programs and workload generators.
 //!

@@ -9,7 +9,8 @@
 use std::collections::BTreeMap;
 
 use placement_new_attacks::corpus::{benign, listings};
-use placement_new_attacks::detector::{Analyzer, BaselineChecker, FindingKind, Fixer, Severity};
+use placement_new_attacks::detector::{Analyzer, FindingKind, Fixer, Severity};
+use pnew_eval::BaselineChecker;
 
 #[test]
 fn analyzer_detects_all_listings_baseline_detects_none() {

@@ -77,7 +77,7 @@ fn observe(server: &Server, request: &str) -> (String, Option<i64>) {
         panic!("header not an object: {}", reply.header);
     };
     let exit = fields.iter().find(|(k, _)| k == "exit").and_then(|(_, v)| match v {
-        JsonNode::Int(n) => Some(*n),
+        JsonNode::Int(n) => i64::try_from(*n).ok(),
         _ => None,
     });
     (reply.payload, exit)
@@ -99,7 +99,7 @@ fn analysis_counters(server: &Server) -> Vec<(String, JsonNode)> {
 
 fn int_counter(analysis: &[(String, JsonNode)], name: &str) -> i64 {
     match analysis.iter().find(|(k, _)| k == name) {
-        Some((_, JsonNode::Int(n))) => *n,
+        Some((_, JsonNode::Int(n))) => i64::try_from(*n).expect("counter fits i64"),
         other => panic!("counter {name}: {other:?}"),
     }
 }

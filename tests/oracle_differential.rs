@@ -5,8 +5,8 @@
 //! positive), plus determinism of the whole pipeline.
 
 use placement_new_attacks::corpus::workload;
-use placement_new_attacks::detector::oracle::{Matrix, Oracle, Verdict};
 use placement_new_attacks::detector::{parse_program, Analyzer};
+use pnew_eval::{Matrix, Oracle, Verdict};
 
 fn scripts(seed: u64) -> Vec<Vec<i64>> {
     Oracle::default_inputs().into_iter().chain(workload::attack_inputs(seed, 4)).collect()

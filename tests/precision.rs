@@ -15,8 +15,8 @@
 
 use placement_new_attacks::corpus::workload::{self, GUARDED_SHAPES};
 use placement_new_attacks::detector::emit::{render_json, render_sarif, FileRecord};
-use placement_new_attacks::detector::oracle::{Matrix, Oracle};
 use placement_new_attacks::detector::{Analyzer, BatchEngine, Report, Severity};
+use pnew_eval::{Matrix, Oracle};
 
 const SEED: u64 = 7;
 const COUNT: usize = 70; // ten full cycles of the seven shapes

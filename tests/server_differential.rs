@@ -80,7 +80,7 @@ fn daemon_envelopes_match_one_shot_analysis_over_200_corpus_programs() {
                 panic!("header not an object: {}", reply.header);
             };
             let got_exit = fields.iter().find(|(k, _)| k == "exit").map(|(_, v)| v.clone());
-            if got_exit != Some(JsonNode::Int(exit as i64)) {
+            if got_exit != Some(JsonNode::Int(exit as i128)) {
                 mismatches.push(format!("{label} #{i}: exit {got_exit:?} != {exit}"));
             }
         }
@@ -161,7 +161,7 @@ fn daemon_delta_envelopes_match_full_scans_across_edit_rounds() {
             panic!("{label}: header not an object: {}", reply.header);
         };
         let got = fields.iter().find(|(k, _)| k == "exit").map(|(_, v)| v.clone());
-        assert_eq!(got, Some(JsonNode::Int(exit as i64)), "{label}: exit differs");
+        assert_eq!(got, Some(JsonNode::Int(exit as i128)), "{label}: exit differs");
     };
 
     check("cold", None);
@@ -322,7 +322,7 @@ fn analysis_counter(server: &Server, name: &str) -> i64 {
         panic!("{stats}")
     };
     match analysis.iter().find(|(k, _)| k == name) {
-        Some((_, JsonNode::Int(n))) => *n,
+        Some((_, JsonNode::Int(n))) => i64::try_from(*n).expect("counter fits i64"),
         other => panic!("{name}: {other:?}"),
     }
 }
@@ -387,7 +387,7 @@ fn daemon_filters_match_pncheck_flags_and_share_one_analysis_per_text() {
                         panic!("{line}: {}", reply.header)
                     };
                     let got = header.iter().find(|(k, _)| k == "exit").map(|(_, v)| v.clone());
-                    assert_eq!(got, Some(JsonNode::Int(exit as i64)), "{line}: exit differs");
+                    assert_eq!(got, Some(JsonNode::Int(exit as i128)), "{line}: exit differs");
                 }
             }
         }

@@ -4,9 +4,8 @@
 use std::path::Path;
 
 use placement_new_attacks::corpus::{benign, listings};
-use placement_new_attacks::detector::{
-    parse_program, pretty_program, Analyzer, BaselineChecker, Severity,
-};
+use placement_new_attacks::detector::{parse_program, pretty_program, Analyzer, Severity};
+use pnew_eval::BaselineChecker;
 
 fn sample(name: &str) -> String {
     let path =

@@ -4,9 +4,10 @@
 
 use placement_new_attacks::corpus::workload;
 use placement_new_attacks::detector::{
-    Analyzer, AnalyzerConfig, BatchEngine, Expr, FindingKind, Matrix, Oracle, PersistentCache,
-    Program, ProgramBuilder, Report, Severity, Ty,
+    Analyzer, AnalyzerConfig, BatchEngine, Expr, FindingKind, PersistentCache, Program,
+    ProgramBuilder, Report, Severity, Ty,
 };
+use pnew_eval::{Matrix, Oracle};
 
 fn summary_analyzer() -> Analyzer {
     Analyzer::new()
