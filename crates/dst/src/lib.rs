@@ -19,11 +19,12 @@
 //! through the real hard cap, feeds seeded byte chunks (1-byte reads,
 //! mid-line stalls, mid-request drops), runs a seeded number of queued
 //! requests per tick through [`Server::handle_line`], takes seeded
-//! partial writes of the owed output, and lets the core reap, close and
-//! drain — all on virtual time, with no real sleeps anywhere. One peer
-//! per phase stops taking its output for a seeded stretch of ticks
-//! while it keeps sending, so the core's per-connection output bound
-//! is reached.
+//! partial writes of the owed output (each peer's from a stream of its
+//! own, so a reply's length moves no other draw), and lets the core
+//! reap, close and drain — all on virtual time, with no real sleeps
+//! anywhere. One peer per phase stops taking its output for a seeded
+//! stretch of ticks while it keeps sending, so the core's
+//! per-connection output bound is reached.
 //!
 //! The persistent tier runs behind [`FaultyBackend`], which applies a
 //! seeded [`FaultPlan`] of short (torn) writes, bit flips, disk-full
@@ -639,15 +640,18 @@ struct Peer {
     /// The peer vanished: exempt from the connection invariant.
     dropped: bool,
     received: Vec<u8>,
-    /// Set for the pausing peer: it draws its chunks and writes from
-    /// this instead of the schedule's stream.
+    /// How much of its owed output the peer takes each tick: a stream
+    /// of its own, so a reply's length moves no other draw.
+    writes: SimRng,
+    /// Set for the pausing peer: it draws its chunks from this instead
+    /// of the schedule's stream.
     pause: Option<Pause>,
     /// The connection has owed the output bound (invariant 6).
     at_bound: bool,
 }
 
 impl Peer {
-    fn new(script: Vec<u8>, end: EndKind) -> Peer {
+    fn new(script: Vec<u8>, end: EndKind, writes: SimRng) -> Peer {
         Peer {
             script,
             sent: 0,
@@ -655,6 +659,7 @@ impl Peer {
             eof_sent: false,
             dropped: false,
             received: Vec::new(),
+            writes,
             pause: None,
             at_bound: false,
         }
@@ -673,11 +678,13 @@ struct Pause {
 /// to 1.4 KB each) to owe more than [`MAX_REQUEST_BYTES`].
 const PAUSED_REQUESTS: u64 = 10;
 
-/// How many of `owed` bytes a peer takes this tick: none, some or all.
+/// How many of `owed` bytes a peer takes this tick: none, a strict
+/// prefix or all. Only the third empties the output, so whether a tick
+/// drains a connection does not depend on how much it owes.
 fn take(rng: &mut SimRng, owed: usize) -> usize {
     match rng.below(4) {
         0 => 0,
-        1 => 1 + rng.below(owed as u64) as usize,
+        1 => rng.below(owed as u64) as usize,
         _ => owed,
     }
 }
@@ -1007,8 +1014,11 @@ const TICK_LIMIT: usize = 100_000;
 pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
     let mut rng = SimRng::new(seed ^ 0x5dee_ce66_d158_1f86);
     // The pausing peers draw from a stream of their own, so the other
-    // peers keep the draws they had without them.
+    // peers keep the draws they had without them. Partial writes draw
+    // from streams of their own too, one per connection, so a reply
+    // whose length changes shifts no traffic, fault or clock draw.
     let mut pause_rng = SimRng::new(seed ^ 0x2545_f491_4f6c_dd1d);
+    let mut write_rng = SimRng::new(seed ^ 0x1b87_3593_cc9e_2d51);
     let root = std::env::temp_dir().join(format!("pnx-dst-{}-{seed:016x}", opts.tag));
     let _ = fs::remove_dir_all(&root);
     let src_dir = root.join("src");
@@ -1055,6 +1065,7 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
             warm_floor: warm_floor.as_ref(),
             next_request_id: &mut next_request_id,
             pause_seed: pause_rng.next_u64(),
+            write_seed: write_rng.next_u64(),
             last_phase: phase + 1 == phases,
             digest_buf: &mut digest_buf,
             report: &mut report,
@@ -1087,6 +1098,7 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
 /// so invariant 4 holds for it.
 fn pausing_peer(
     mut rng: SimRng,
+    writes: SimRng,
     corpus: &Corpus,
     next_request_id: &mut u64,
     checks: &mut HashMap<String, CheckSpec>,
@@ -1101,7 +1113,7 @@ fn pausing_peer(
     let end = if rng.chance(2) { EndKind::Linger } else { EndKind::CleanEof };
     let from = rng.below(8) as usize;
     let until = from + 60 + rng.below(121) as usize;
-    Peer { pause: Some(Pause { rng, from, until }), ..Peer::new(script, end) }
+    Peer { pause: Some(Pause { rng, from, until }), ..Peer::new(script, end, writes) }
 }
 
 /// Everything one phase needs, bundled to keep the call site sane.
@@ -1119,6 +1131,8 @@ struct PhaseContext<'a> {
     next_request_id: &'a mut u64,
     /// Seeds the phase's pausing peer.
     pause_seed: u64,
+    /// Seeds the phase's per-connection write streams.
+    write_seed: u64,
     last_phase: bool,
     digest_buf: &'a mut Vec<u8>,
     report: &'a mut SimReport,
@@ -1137,6 +1151,7 @@ fn run_phase(ctx: PhaseContext<'_>) -> HashSet<u128> {
         warm_floor,
         next_request_id,
         pause_seed,
+        write_seed,
         last_phase,
         digest_buf,
         report,
@@ -1164,7 +1179,10 @@ fn run_phase(ctx: PhaseContext<'_>) -> HashSet<u128> {
     .expect("simulated server builds");
 
     let (scripts, mut checks) = build_traffic(rng, corpus, opts, next_request_id, last_phase);
-    let pausing = pausing_peer(SimRng::new(pause_seed), corpus, next_request_id, &mut checks);
+    let mut write_seeds = SimRng::new(write_seed);
+    let mut writes = || SimRng::new(write_seeds.next_u64());
+    let pausing =
+        pausing_peer(SimRng::new(pause_seed), writes(), corpus, next_request_id, &mut checks);
     report.requests_sent += scripts
         .iter()
         .map(|(s, _)| s)
@@ -1178,7 +1196,7 @@ fn run_phase(ctx: PhaseContext<'_>) -> HashSet<u128> {
     let mut core = Core::new(&server);
     let mut peers: BTreeMap<u64, Peer> = BTreeMap::new();
     for (script, end) in scripts {
-        peers.insert(core.accept(clock.now_ns()), Peer::new(script, end));
+        peers.insert(core.accept(clock.now_ns()), Peer::new(script, end, writes()));
     }
     peers.insert(core.accept(clock.now_ns()), pausing);
 
@@ -1272,16 +1290,15 @@ fn run_phase(ctx: PhaseContext<'_>) -> HashSet<u128> {
         }
 
         // 3. Seeded partial writes: a peer takes none, some, or all of
-        // what it is owed, so reaps, closes and the drain meet output
-        // that is still unwritten. The pausing peer takes nothing
-        // during its pause.
+        // what it is owed, drawn from its own write stream, so reaps,
+        // closes and the drain meet output that is still unwritten. The
+        // pausing peer takes nothing during its pause.
         for id in core.unwritten() {
             let owed = core.output(id);
             let peer = peers.get_mut(&id).expect("every connection has a peer");
-            let n = match &mut peer.pause {
+            let n = match &peer.pause {
                 Some(pause) if (pause.from..pause.until).contains(&tick) => 0,
-                Some(pause) => take(&mut pause.rng, owed.len()),
-                None => take(rng, owed.len()),
+                _ => take(&mut peer.writes, owed.len()),
             };
             if !peer.dropped {
                 peer.received.extend_from_slice(&owed[..n]);
