@@ -14,18 +14,19 @@
 //!
 //! Three thin drivers feed it those events:
 //!
-//! * [`Server::serve_listener`] — TCP: non-blocking sockets probed on
-//!   a [`TickPoller`] tick, plus a worker pool that pops requests
-//!   through the core and hands their replies back to it.
+//! * [`Server::serve_listener`] — TCP: a blocking accept, a worker
+//!   pool, and one thread per connection that writes what the core owes
+//!   it and reads only when the core [awaits its input](Core::awaits_input),
+//!   so a connection's next bytes are read once everything it sent
+//!   before is answered and written.
 //! * [`Server::serve_connection`] — stdio: input is fed one line at a
 //!   time and each request is served before the next is read.
 //! * the deterministic simulator (the `pnew-dst` crate): seeded read
 //!   chunks, seeded partial writes and a virtual clock, so the DST soak
-//!   runs this code rather than a model of it.
+//!   runs this code rather than a model of it. It reads whenever the
+//!   core [wants input](Core::readable), a superset of the TCP orders.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 use crate::server::{hard_connection_cap, Reply, Server};
 
@@ -146,12 +147,18 @@ impl<'a> Core<'a> {
         self.conns.keys().copied().filter(|&id| self.wants_input(id)).collect()
     }
 
-    /// Whether [`readable`](Core::readable) lists `id`: a driver that
-    /// reads a connection in a loop stops as soon as this turns false.
-    pub(crate) fn wants_input(&self, id: u64) -> bool {
+    /// Whether [`readable`](Core::readable) lists `id`.
+    fn wants_input(&self, id: u64) -> bool {
         let max = self.server.config().max_request_bytes;
         !self.server.is_shutdown()
             && self.conns.get(&id).is_some_and(|conn| conn.open() && conn.owed() < max)
+    }
+
+    /// Whether a driver that reads `id` only between its requests may
+    /// block in a read now: the core wants its input, and nothing `id`
+    /// sent is queued, in flight or unwritten.
+    pub(crate) fn awaits_input(&self, id: u64) -> bool {
+        self.wants_input(id) && self.queue.pending(id) == 0 && self.output(id).is_empty()
     }
 
     /// `bytes` arrived on `id`. Every request they complete is queued
@@ -213,12 +220,14 @@ impl<'a> Core<'a> {
     }
 
     /// The transport of `id` took the first `n` bytes of its
-    /// [`output`](Core::output).
+    /// [`output`](Core::output). Once it has taken all of them, the
+    /// buffer is freed, so an idle connection holds no memory for its
+    /// largest reply.
     pub fn wrote(&mut self, id: u64, n: usize) {
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.written = (conn.written + n).min(conn.out.len());
             if conn.flushed() {
-                conn.out.clear();
+                conn.out = Vec::new();
                 conn.written = 0;
             }
         }
@@ -333,45 +342,6 @@ impl<'a> Core<'a> {
     fn refuse(&mut self, id: u64, code: &'static str, message: String) {
         let reply = self.server.refusal(code, message);
         self.conn(id).push(&reply);
-    }
-}
-
-// ---------------------------------------------------------------------
-// The TCP driver's poller.
-// ---------------------------------------------------------------------
-
-/// Blocks the TCP loop between ticks and lets worker threads wake it.
-///
-/// Without `unsafe` there is no `epoll`/`kqueue`, so socket readiness
-/// is approximated by a short tick — the loop probes every socket with
-/// non-blocking reads each time [`wait`](TickPoller::wait) returns.
-/// Replies still flush with low latency because workers
-/// [`wake`](TickPoller::wake) the loop the moment one is ready.
-/// Wake-ups are level-style: a wake with no waiter pending makes the
-/// next `wait` return immediately, so a completion is never lost
-/// between ticks.
-#[derive(Debug, Default)]
-pub struct TickPoller {
-    woken: Mutex<bool>,
-    cond: Condvar,
-}
-
-impl TickPoller {
-    /// Blocks until woken or until `timeout` elapses. Returns `true`
-    /// when a wake-up was consumed.
-    pub fn wait(&self, timeout: Duration) -> bool {
-        let guard = self.woken.lock().unwrap_or_else(|e| e.into_inner());
-        let (mut woken, _) = self
-            .cond
-            .wait_timeout_while(guard, timeout, |woken| !*woken)
-            .unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut *woken)
-    }
-
-    /// Wakes the current (or next) [`wait`](TickPoller::wait).
-    pub fn wake(&self) {
-        *self.woken.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.cond.notify_one();
     }
 }
 
@@ -577,8 +547,6 @@ impl LineFramer {
 mod tests {
     use super::*;
     use crate::server::ServerConfig;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Instant;
 
     const HOUR_NS: u64 = 3_600_000_000_000;
 
@@ -674,51 +642,19 @@ mod tests {
     }
 
     #[test]
-    fn tick_poller_times_out_and_consumes_wakes() {
-        let poller = TickPoller::default();
-        let start = Instant::now();
-        assert!(!poller.wait(Duration::from_millis(10)), "no wake pending");
-        assert!(start.elapsed() >= Duration::from_millis(10));
-        poller.wake();
-        assert!(poller.wait(Duration::from_secs(5)), "wake consumed immediately");
-        assert!(!poller.wait(Duration::from_millis(1)), "wake is one-shot");
-    }
-
-    #[test]
-    fn tick_poller_wakes_a_blocked_waiter_across_threads() {
-        let poller = TickPoller::default();
-        let woken = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                woken.store(poller.wait(Duration::from_secs(10)), Ordering::SeqCst);
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            poller.wake();
-        });
-        assert!(woken.load(Ordering::SeqCst), "cross-thread wake arrives");
-    }
-
-    #[test]
-    fn tick_poller_wake_cuts_a_long_wait_short() {
-        // The warm-request latency contract: a wake arriving mid-wait
-        // must return the waiter promptly — never hold it for the rest
-        // of the timeout. The bound is generous (the full tick would be
-        // 5 s here) so the assertion survives a loaded CI box while
-        // still catching a poller that sleeps out its timeout.
-        let poller = TickPoller::default();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                std::thread::sleep(Duration::from_millis(5));
-                poller.wake();
-            });
-            let start = Instant::now();
-            assert!(poller.wait(Duration::from_secs(5)), "wake consumed");
-            let waited = start.elapsed();
-            assert!(
-                waited < Duration::from_secs(1),
-                "wake must cut the wait short, waited {waited:?}"
-            );
-        });
+    fn a_fully_written_connection_gives_its_buffer_back() {
+        let server = Server::new(ServerConfig::default()).expect("server builds");
+        let mut core = Core::new(&server);
+        let id = core.accept(0);
+        assert!(core.read(id, b"{\"op\":\"ping\"}\n", 0));
+        let (conn, _) = core.pop().expect("the ping is queued");
+        let payload = "x".repeat(64 * 1024);
+        core.reply(conn, &Reply { header: "{}".to_owned(), payload, shutdown: false }, 0);
+        core.wrote(id, 1024);
+        assert!(core.conns[&id].out.capacity() >= 64 * 1024, "a partial write keeps the buffer");
+        let rest = core.output(id).len();
+        core.wrote(id, rest);
+        assert_eq!(core.conns[&id].out.capacity(), 0, "a full write frees the buffer");
     }
 
     #[test]

@@ -65,22 +65,27 @@
 //!
 //! # Load
 //!
-//! Over TCP, connections are non-blocking, requests queue fairly per
-//! client, and a worker pool drains the queue. Load beyond
-//! [`ServerConfig::max_connections`] therefore degrades to *queuing*,
-//! not rejection — `busy` is only returned at the hard connection cap
-//! (8 × `max_connections`), and a client that pipelines past its
-//! per-connection quota ([`ServerConfig::client_quota`]) gets a
-//! `quota-exceeded` error for the excess request while the connection
-//! survives.
+//! Over TCP, each connection has a thread blocked on its socket,
+//! requests queue fairly per client, and a worker pool drains the
+//! queue. Load beyond [`ServerConfig::max_connections`] therefore
+//! degrades to *queuing*, not rejection — `busy` is only returned at
+//! the hard connection cap (8 × `max_connections`), and a client that
+//! pipelines past its per-connection quota ([`ServerConfig::client_quota`])
+//! gets a `quota-exceeded` error for the excess request while the
+//! connection survives. A connection's next bytes are read only once
+//! everything it sent before is answered and written, so the quota
+//! applies to the requests one read (at most 8 KiB) delivers; the DST
+//! simulator reads whenever the core wants input, a superset of these
+//! interleavings.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{self, BufRead, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -91,7 +96,7 @@ use crate::cache::PersistentCache;
 use crate::cliopts;
 use crate::clock::{Clock, SystemClock};
 use crate::emit::{self, FileRecord, OutputFormat};
-use crate::eventloop::{Core, TickPoller};
+use crate::eventloop::Core;
 use crate::findings::ReportFilter;
 use crate::json::{int, obj, s};
 
@@ -783,136 +788,69 @@ impl Server {
     /// Accepts and serves TCP connections until a `shutdown` request
     /// arrives on any of them and the drain completes.
     ///
-    /// This driver owns only the I/O: non-blocking sockets probed on a
-    /// [`TickPoller`] tick, and a worker pool that pops requests
-    /// through the [`Core`], runs them through [`Server::handle_line`]
-    /// and hands the replies back. Every connection decision — fair
-    /// queuing, quota and `busy` errors, idle reaping, closing, the
-    /// shutdown drain — is the core's. No socket is read or written
-    /// under the core's lock, which the workers pop under.
+    /// Every socket blocks: the calling thread accepts, and each
+    /// admitted connection's own thread writes what the [`Core`] owes it
+    /// and reads only when the core [awaits its input](Core::awaits_input),
+    /// that is, once everything the connection sent is answered and
+    /// written (the DST simulator reads whenever the core wants input, a
+    /// superset of these orders). The read timeout is the idle timeout.
+    /// Workers pop requests through the core and hand the replies back
+    /// without touching a socket. Every connection decision is the core's.
     pub fn serve_listener(&self, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let clock = &self.config.clock;
-        let core = Mutex::new(Core::new(self));
-        let lock_core = || core.lock().unwrap_or_else(|e| e.into_inner());
-        let job_ready = Condvar::new();
-        let poller = TickPoller::default();
-        let workers_stop = AtomicBool::new(false);
-
-        thread::scope(|scope| -> io::Result<()> {
+        let mut wake_addr = listener.local_addr()?;
+        match &mut wake_addr {
+            SocketAddr::V4(a) if a.ip().is_unspecified() => a.set_ip(Ipv4Addr::LOCALHOST),
+            SocketAddr::V6(a) if a.ip().is_unspecified() => a.set_ip(Ipv6Addr::LOCALHOST),
+            _ => {}
+        }
+        let tcp = Tcp {
+            server: self,
+            hub: Mutex::new(Hub { core: Core::new(self), links: HashMap::new() }),
+            job_ready: Condvar::new(),
+            wake_addr,
+        };
+        thread::scope(|scope| {
             let workers = thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, 4);
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let mut guard = lock_core();
-                    let job = loop {
-                        if let Some(job) = guard.pop() {
-                            break Some(job);
-                        }
-                        if workers_stop.load(Ordering::SeqCst) {
-                            break None;
-                        }
-                        guard = job_ready.wait(guard).unwrap_or_else(|e| e.into_inner());
-                    };
-                    drop(guard);
-                    let Some((id, line)) = job else { return };
-                    let reply = self.handle_line(&line);
-                    lock_core().reply(id, &reply, clock.now_ns());
-                    poller.wake();
-                });
+                scope.spawn(|| tcp.work());
             }
-
-            let mut streams: HashMap<u64, TcpStream> = HashMap::new();
-            let mut buf = [0u8; 8192];
-            // Remaining short ticks before the loop falls back to the
-            // long idle tick. Without epoll, request *arrival* cannot
-            // wake the loop — only the tick discovers new bytes — so a
-            // burst of activity arms a train of sub-millisecond probes:
-            // a warm pipelined request is picked up in ~500µs instead
-            // of waiting out the full 5ms tick.
-            let mut hot_ticks: u32 = 0;
-            // A worker's wake means a reply landed: that is activity.
-            let mut woken = false;
-            loop {
-                let now_ns = clock.now_ns();
-                let mut activity = woken;
-                while let (false, Ok((stream, _peer))) = (self.is_shutdown(), listener.accept()) {
-                    activity = true;
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    streams.insert(lock_core().accept(now_ns), stream);
-                }
-
-                let mut queued = false;
-                let readable = lock_core().readable();
-                for id in readable {
-                    let stream = streams.get_mut(&id).expect("every connection has a socket");
-                    loop {
-                        match stream.read(&mut buf) {
-                            Ok(0) => {
-                                queued |= lock_core().eof(id);
-                                break;
-                            }
-                            Ok(n) => {
-                                let mut core = lock_core();
-                                queued |= core.read(id, &buf[..n], now_ns);
-                                // A client that does not read its replies
-                                // is not read either, until it catches up.
-                                if !core.wants_input(id) {
-                                    break;
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                            Err(_) => {
-                                lock_core().fail(id);
-                                break;
-                            }
-                        }
-                    }
-                }
-                if queued {
-                    // Workers are woken the moment a request is queued;
-                    // nothing sleeps out a tick holding a runnable job.
-                    job_ready.notify_all();
-                    activity = true;
-                }
-
-                let unwritten = lock_core().unwritten();
-                for id in unwritten {
-                    flush_stream(&core, id, streams.get_mut(&id).expect("a socket per connection"));
-                }
-                let closed = lock_core().sweep(clock.now_ns()).closed;
-                for id in closed {
-                    if let Some(stream) = streams.remove(&id) {
-                        let _ = stream.shutdown(Shutdown::Both);
-                    }
-                }
-                if self.is_shutdown() && lock_core().is_idle() {
+            for stream in listener.incoming() {
+                if self.is_shutdown() {
                     break;
                 }
-
-                if activity {
-                    hot_ticks = 40;
-                }
-                let tick = if hot_ticks > 0 {
-                    hot_ticks -= 1;
-                    Duration::from_micros(500)
-                } else {
-                    Duration::from_millis(5)
+                let Ok(stream) = stream else {
+                    // Running out of descriptors persists until a
+                    // connection closes: back off rather than spin.
+                    thread::sleep(Duration::from_millis(5));
+                    continue;
                 };
-                woken = poller.wait(tick);
+                let _ = stream.set_nodelay(true);
+                let _ = stream.set_read_timeout(self.config.idle_timeout);
+                let mut hub = tcp.lock();
+                let id = hub.core.accept(self.config.clock.now_ns());
+                let refusal = hub.core.output(id).to_vec();
+                if refusal.is_empty() {
+                    let link = Arc::new(Link { stream, wake: Condvar::new() });
+                    hub.links.insert(id, Arc::clone(&link));
+                    let tcp = &tcp;
+                    let spawned = thread::Builder::new()
+                        .stack_size(CONN_STACK)
+                        .spawn_scoped(scope, move || tcp.serve(id, &link));
+                    if spawned.is_err() {
+                        hub.core.fail(id);
+                    }
+                } else {
+                    // `busy`: a fresh socket's send buffer takes the one
+                    // frame whole, so this write cannot block.
+                    match (&stream).write_all(&refusal) {
+                        Ok(()) => hub.core.wrote(id, refusal.len()),
+                        Err(_) => hub.core.fail(id),
+                    }
+                }
+                tcp.settle(&mut hub);
             }
-
-            // Stop under the lock, so no worker can check the flag and
-            // then miss the wake-up.
-            let guard = lock_core();
-            workers_stop.store(true, Ordering::SeqCst);
-            drop(guard);
-            job_ready.notify_all();
-            Ok(())
-        })
+        });
+        Ok(())
     }
 
     /// The server's limits, for the connection core.
@@ -951,33 +889,123 @@ impl Server {
 /// The most owed output copied out of the core per socket write.
 const FLUSH_CHUNK: usize = 256 * 1024;
 
-/// Writes as much of `id`'s owed output as `stream` accepts. Each chunk
-/// is copied out of the core first, so the socket write happens with
-/// the lock released.
-fn flush_stream(core: &Mutex<Core<'_>>, id: u64, stream: &mut TcpStream) {
-    let lock_core = || core.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        let chunk = {
-            let core = lock_core();
-            let owed = core.output(id);
-            owed[..owed.len().min(FLUSH_CHUNK)].to_vec()
-        };
-        if chunk.is_empty() {
-            return;
+/// The stack of a connection thread; requests run on the workers.
+const CONN_STACK: usize = 64 * 1024;
+
+/// The TCP driver's shared state. See [`Server::serve_listener`].
+struct Tcp<'a> {
+    server: &'a Server,
+    hub: Mutex<Hub<'a>>,
+    /// Workers wait here for a queued request.
+    job_ready: Condvar,
+    /// The listener's own address, loopback if it listens on every
+    /// address: a served `shutdown` connects here to wake `accept`.
+    wake_addr: SocketAddr,
+}
+
+/// What the TCP driver's lock guards: the core, and a link to every
+/// admitted connection the core has not closed.
+struct Hub<'a> {
+    core: Core<'a>,
+    links: HashMap<u64, Arc<Link>>,
+}
+
+/// An admitted connection's socket, and the condvar its thread waits
+/// on for a reply or the close.
+struct Link {
+    stream: TcpStream,
+    wake: Condvar,
+}
+
+impl<'a> Tcp<'a> {
+    fn lock(&self) -> MutexGuard<'_, Hub<'a>> {
+        self.hub.lock().expect("a thread panicked holding the core lock")
+    }
+
+    /// The thread of admitted connection `id`, until the core closes it.
+    fn serve(&self, id: u64, link: &Link) {
+        let mut buf = [0u8; 8192];
+        let mut stream = &link.stream;
+        let mut hub = self.lock();
+        while hub.links.contains_key(&id) {
+            let owed = hub.core.output(id);
+            if !owed.is_empty() {
+                let chunk = owed[..owed.len().min(FLUSH_CHUNK)].to_vec();
+                drop(hub);
+                let wrote = stream.write(&chunk);
+                hub = self.lock();
+                match wrote {
+                    Ok(n) if n > 0 => hub.core.wrote(id, n),
+                    Err(e) if e.kind() == Interrupted => {}
+                    _ => hub.core.fail(id),
+                }
+            } else if hub.core.awaits_input(id) {
+                drop(hub);
+                let got = stream.read(&mut buf);
+                let now_ns = self.server.config.clock.now_ns();
+                hub = self.lock();
+                let queued = match got {
+                    _ if !hub.core.awaits_input(id) => false, // a shutdown or reap came first
+                    Ok(0) => hub.core.eof(id),
+                    Ok(n) => hub.core.read(id, &buf[..n], now_ns),
+                    // A timed-out read hands over nothing: the sweep below
+                    // reaps the idle connection.
+                    Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => false,
+                    Err(_) => {
+                        hub.core.fail(id);
+                        false
+                    }
+                };
+                if queued {
+                    self.job_ready.notify_all();
+                }
+            } else {
+                hub = link.wake.wait(hub).expect("a thread panicked holding the core lock");
+                continue;
+            }
+            self.settle(&mut hub);
         }
-        match stream.write(&chunk) {
-            Ok(n) if n > 0 => {
-                lock_core().wrote(id, n);
-                if n < chunk.len() {
+    }
+
+    /// A worker: runs each request it pops outside the lock and hands
+    /// its reply back, until a shutdown leaves nothing queued.
+    fn work(&self) {
+        let mut hub = self.lock();
+        loop {
+            let Some((id, line)) = hub.core.pop() else {
+                if self.server.is_shutdown() {
                     return;
                 }
+                hub = self.job_ready.wait(hub).expect("a thread panicked holding the core lock");
+                continue;
+            };
+            drop(hub);
+            let reply = self.server.handle_line(&line);
+            if reply.shutdown {
+                // `accept` returns, sees the shutdown and stops.
+                let _ = TcpStream::connect(self.wake_addr);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            _ => {
-                lock_core().fail(id);
-                return;
+            hub = self.lock();
+            hub.core.reply(id, &reply, self.server.config.clock.now_ns());
+            if let Some(link) = hub.links.get(&id) {
+                link.wake.notify_one();
             }
+            self.settle(&mut hub);
+        }
+    }
+
+    /// Runs after every event: applies the core's sweep, and shuts the
+    /// socket of each connection it closed (ending a blocked read or
+    /// write) and wakes its thread. After a shutdown, wakes the workers.
+    fn settle(&self, hub: &mut Hub<'_>) {
+        for id in hub.core.sweep(self.server.config.clock.now_ns()).closed {
+            if let Some(link) = hub.links.remove(&id) {
+                let _ = link.stream.shutdown(Shutdown::Both);
+                link.wake.notify_one();
+            }
+        }
+        if self.server.is_shutdown() {
+            self.job_ready.notify_all();
         }
     }
 }

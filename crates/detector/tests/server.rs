@@ -104,9 +104,15 @@ struct Daemon {
 
 impl Daemon {
     fn start(extra_args: &[&str]) -> Daemon {
+        Daemon::listening_on("127.0.0.1:0", extra_args)
+    }
+
+    /// A daemon on `listen`; one listening on every IPv4 address is
+    /// reached over loopback.
+    fn listening_on(listen: &str, extra_args: &[&str]) -> Daemon {
         let mut child = Command::new(PNCHECKD)
             .arg("--listen")
-            .arg("127.0.0.1:0")
+            .arg(listen)
             .args(extra_args)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
@@ -120,7 +126,7 @@ impl Daemon {
             .trim()
             .strip_prefix("pncheckd: listening on ")
             .unwrap_or_else(|| panic!("unexpected startup line {line:?}"))
-            .to_owned();
+            .replace("0.0.0.0:", "127.0.0.1:");
         // Keep draining stderr so the child never blocks on a full pipe.
         std::thread::spawn(move || {
             let mut sink = String::new();
@@ -625,6 +631,109 @@ fn startup_fails_fast_on_an_unusable_cache_dir() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot open cache dir"), "{stderr}");
+}
+
+// ---------------------------------------------------------------------
+// The TCP driver: shutdown wakes, thread bounds, clients that never read.
+// ---------------------------------------------------------------------
+
+/// A `shutdown` closes a client that sits idle in a blocking read: the
+/// client reads EOF, and the daemon exits.
+fn shutdown_closes_an_idle_client(listen: &str) {
+    let daemon = Daemon::listening_on(listen, &[]);
+    let (mut idle, mut idle_writer) = daemon.connect();
+    idle_writer.write_all(b"{\"op\":\"ping\",\"id\":1}\n").unwrap();
+    read_reply(&mut idle);
+    idle.get_ref().set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    let (mut reader, mut writer) = daemon.connect();
+    writer.write_all(b"{\"op\":\"shutdown\",\"id\":2}\n").unwrap();
+    let (header, _) = read_reply(&mut reader);
+    assert_eq!(field(&header, "event"), &JsonNode::Str("shutting-down".into()));
+    let mut rest = String::new();
+    idle.read_line(&mut rest).expect("the idle client reads EOF within 10 s");
+    assert!(rest.is_empty(), "expected EOF, got {rest:?}");
+    daemon.wait_clean(Duration::from_secs(10));
+}
+
+#[test]
+fn a_shutdown_closes_an_idle_client_and_the_daemon_exits() {
+    shutdown_closes_an_idle_client("127.0.0.1:0");
+}
+
+/// On an unspecified address the drain still wakes `accept`.
+#[test]
+fn a_shutdown_on_every_address_closes_an_idle_client_and_the_daemon_exits() {
+    shutdown_closes_an_idle_client("0.0.0.0:0");
+}
+
+/// A flood past the hard cap (8 × 2) is answered `busy`, and once its
+/// connections close the daemon runs as many threads as before it.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_flood_past_the_hard_cap_leaves_no_thread_behind() {
+    let daemon = Daemon::start(&["--max-connections", "2"]);
+    let task_dir = format!("/proc/{}/task", daemon.child.id());
+    let threads = || std::fs::read_dir(&task_dir).expect("the daemon's task dir").count();
+    let (mut reader, mut writer) = daemon.connect();
+    writer.write_all(b"{\"op\":\"ping\",\"id\":0}\n").unwrap();
+    read_reply(&mut reader);
+    let before = threads();
+
+    // Accepted in connect order: with the connection above, the first
+    // 15 fill the cap of 16, and the last 5 are refused.
+    let mut flood: Vec<_> = (0..20).map(|_| daemon.connect()).collect();
+    for (i, (reader, writer)) in flood.iter_mut().enumerate() {
+        if i < 15 {
+            writer.write_all(format!("{{\"op\":\"ping\",\"id\":{i}}}\n").as_bytes()).unwrap();
+            let (header, _) = read_reply(reader);
+            assert_eq!(field(&header, "event"), &JsonNode::Str("pong".into()), "connection {i}");
+        } else {
+            let (header, _) = read_reply(reader);
+            let JsonNode::Obj(err) = field(&header, "error") else { panic!("no error object") };
+            assert_eq!(field(err, "code"), &JsonNode::Str("busy".into()), "connection {i}");
+        }
+    }
+    let at_cap = threads();
+    eprintln!("daemon threads: {before} before the flood, {at_cap} at the hard cap");
+    assert!(at_cap <= before + 15, "more than one thread per admitted connection: {at_cap}");
+
+    drop(flood);
+    let start = Instant::now();
+    while threads() != before && start.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(threads(), before, "threads left behind by the flood");
+}
+
+/// Clients that pipeline `analyze` and never read stall only
+/// themselves: with one per worker (the pool is at most 4), a fifth
+/// client's `ping` is still answered within 2 s.
+#[test]
+fn clients_that_never_read_do_not_stall_another_clients_ping() {
+    let daemon = Daemon::start(&[]);
+    let request = analyze_paths_request(1, EXAMPLES);
+    let hogs: Vec<TcpStream> = (0..4).map(|_| daemon.connect().1).collect();
+    std::thread::scope(|scope| {
+        for mut hog in &hogs {
+            let request = &request;
+            scope.spawn(move || {
+                // Write until the daemon stops reading this client.
+                hog.set_write_timeout(Some(Duration::from_millis(500))).unwrap();
+                for _ in 0..100_000 {
+                    if hog.write_all(request.as_bytes()).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    let (mut reader, mut writer) = daemon.connect();
+    let start = Instant::now();
+    writer.write_all(b"{\"op\":\"ping\",\"id\":5}\n").unwrap();
+    let (header, _) = read_reply(&mut reader);
+    assert_eq!(field(&header, "event"), &JsonNode::Str("pong".into()));
+    assert!(start.elapsed() < Duration::from_secs(2), "ping took {:?}", start.elapsed());
 }
 
 // ---------------------------------------------------------------------
